@@ -1,6 +1,6 @@
 // Microbenchmarks of the estimation service: cold predictions (full
-// DCA) vs cache hits, the protocol overhead on a warm path, and burst
-// handling with the micro-batcher on vs off.  The cold/hit pair is the
+// DCA) vs cache hits, the protocol overhead on a warm path, and a burst
+// of concurrent predicts sharing one DCA.  The cold/hit pair is the
 // headline number — the service exists because a warm predict is
 // orders of magnitude cheaper than a cold one.
 #include <benchmark/benchmark.h>
@@ -146,16 +146,11 @@ void BM_StatsEndpoint(benchmark::State& state) {
 BENCHMARK(BM_StatsEndpoint)->Unit(benchmark::kMicrosecond);
 
 // Burst of concurrent predicts for one model across several devices,
-// caches cleared each iteration so every burst pays one DCA.  Arg(1)
-// routes through the micro-batcher (requests grouped per model, one
-// feature fetch per group, predicts spread over the pool); Arg(0) runs
-// each request inline on its client thread — the single-flight feature
-// cache is then the only deduplication.
+// caches cleared each iteration so every burst pays one DCA.  Each
+// request runs inline on its client thread; the single-flight feature
+// cache makes the whole burst share that one DCA pass.
 void BM_BurstPredicts(benchmark::State& state) {
-  serve::ServeOptions options = bench_options();
-  options.batching = state.range(0) != 0;
-  options.n_threads = 4;
-  serve::ServeSession session(options);
+  serve::ServeSession session(bench_options());
   session.predict("mobilenet", "v100s");  // pay training/first-touch once
   const std::vector<std::string> devices = {"gtx1080ti", "v100s",
                                             "teslat4"};
@@ -176,9 +171,8 @@ void BM_BurstPredicts(benchmark::State& state) {
     for (auto& client : clients) client.join();
   }
   state.SetItemsProcessed(state.iterations() * kClients * kPerClient);
-  state.SetLabel(options.batching ? "batched" : "serial");
 }
-BENCHMARK(BM_BurstPredicts)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_BurstPredicts)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -1,6 +1,6 @@
 // The estimation service as a library: ServeSession is everything
 // `gpuperf serve` does minus the sockets — a resident trained
-// estimator with DCA caching, micro-batched predictions and metrics.
+// estimator with DCA and prediction caches and metrics.
 // Useful when the consumer is another C++ loop (a NAS search, a DSE
 // sweep) rather than a remote client.
 //
@@ -51,8 +51,8 @@ int main(int argc, char** argv) {
   timed("result-cache hit", "gtx1080ti");
   timed("feature-cache hit", "v100s");  // same model, new device
 
-  // Concurrent callers are grouped per model by the micro-batcher and
-  // deduplicated by the single-flight caches.
+  // Concurrent callers each predict on their own thread; the
+  // single-flight feature cache runs at most one DCA pass per model.
   std::vector<std::thread> clients;
   for (const auto& device : gpu::device_database())
     clients.emplace_back(

@@ -102,21 +102,6 @@ class Deadline {
   /// accounting entirely).
   std::uint64_t steps_charged() const { return steps_; }
 
-  /// The least restrictive combination of two deadlines — a batch group
-  /// must honor the most generous of its members, never cut one short.
-  /// A budget applies only when *both* sides carry one (otherwise one
-  /// member was unbounded and the result must be too).
-  static Deadline loosest(const Deadline& a, const Deadline& b) {
-    Deadline out;
-    if (a.timed_ && b.timed_) {
-      out.timed_ = true;
-      out.expiry_ = a.expiry_ > b.expiry_ ? a.expiry_ : b.expiry_;
-    }
-    if (a.step_budget_ != kNoBudget && b.step_budget_ != kNoBudget)
-      out.step_budget_ = std::max(a.step_budget_, b.step_budget_);
-    return out;
-  }
-
  private:
   static constexpr std::uint64_t kNoBudget = UINT64_MAX;
   static constexpr std::uint64_t kTimeCheckInterval = 4096;

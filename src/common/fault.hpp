@@ -1,5 +1,5 @@
 // Deterministic fault injection for the chaos test suite: named sites
-// in registry I/O, the DCA pipeline and the batcher call
+// in registry I/O and the DCA pipeline call
 // GPUPERF_FAULT_POINT("site"); a test (or the GPUPERF_FAULT environment
 // variable) arms a site with an action — throw, timeout, delay or
 // corrupt — and the site misbehaves on demand, repeatably.

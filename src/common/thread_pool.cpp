@@ -1,5 +1,7 @@
 #include "common/thread_pool.hpp"
 
+#include <pthread.h>
+
 #include <algorithm>
 #include <atomic>
 
@@ -52,15 +54,22 @@ void ThreadPool::wait() {
 
 namespace {
 thread_local ThreadPool* tls_current_pool = nullptr;
+
+// Set in every forked child.  A child inherits each pool object but
+// none of its worker threads, so a shard it queued could wait forever;
+// parallel_for in a child runs inline instead.
+std::atomic<bool> g_forked_child{false};
+[[maybe_unused]] const int kAtforkRegistered =
+    ::pthread_atfork(nullptr, nullptr, [] { g_forked_child = true; });
 }  // namespace
 
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  if (size() == 1 || n == 1 || current() == this) {
-    // Run inline: single worker, trivial n, or a nested call from one
-    // of this pool's own workers (queueing and blocking on siblings
-    // could deadlock).  Exceptions propagate directly.
+  if (size() == 1 || n == 1 || current() == this || g_forked_child) {
+    // Run inline: single worker, trivial n, a nested call from one of
+    // this pool's own workers (queueing and blocking on siblings could
+    // deadlock), or a forked child.  Exceptions propagate directly.
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }

@@ -65,7 +65,9 @@ class ThreadPool {
   /// per-invocation (not pool-global), so concurrent parallel_for calls
   /// on a shared pool never observe each other's failures; a nested
   /// call from inside one of this pool's own workers runs inline
-  /// instead of deadlocking on its own queue.
+  /// instead of deadlocking on its own queue.  In a forked child every
+  /// call runs inline, since pools copied from the parent have no
+  /// workers there.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// Process-wide shared pool (lazily created).

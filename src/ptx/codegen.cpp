@@ -845,7 +845,6 @@ CompiledModel CodeGenerator::compile(const cnn::Model& model,
 
   CompiledModel out;
   out.model_name = model.name();
-  out.module = kernel_library();
 
   cnn::StaticAnalyzer analyzer;
   const std::vector<cnn::TensorShape> shapes = analyzer.infer_shapes(model);

@@ -31,7 +31,6 @@ struct LaunchStats {
 
 struct CompiledModel {
   std::string model_name;
-  PtxModule module;  // the kernel library actually referenced
   std::vector<KernelLaunch> launches;
   std::vector<LaunchStats> stats;    // parallel to launches
   /// Name of the model layer each launch implements (parallel to

@@ -1,8 +1,8 @@
 // TCP front-end of the estimation service, built on the src/net epoll
 // event loop: one I/O thread multiplexes every connection while request
 // handling runs on the server's own worker pool (its own, not the
-// session's — predict handlers block on micro-batcher futures that the
-// session pool resolves, so sharing it could deadlock).
+// session's — the session pool fans out `dse` sweeps, and a sweep
+// started from one of that pool's own workers would run serially).
 //
 // Two framings share the port, sniffed from a connection's first byte:
 // the newline/JSON line protocol (unchanged; every existing client

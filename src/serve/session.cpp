@@ -66,15 +66,6 @@ ServeSession::ServeSession(ServeOptions options)
         std::make_unique<dse::SweepCache>(options_.feature_store_dir);
   }
 
-  batcher_ = std::make_unique<PredictBatcher>(
-      pool_,
-      [this](const std::string& model,
-             const std::vector<const gpu::DeviceSpec*>& devices,
-             const Deadline& deadline) {
-        return predict_group(model, devices, deadline);
-      },
-      options_.max_queue);
-
   // Pre-register the breaker counters so dashboards (and the stats
   // verb) show them at zero instead of omitting them until the first
   // breaker event.
@@ -324,32 +315,13 @@ ServeSession::FeaturePtr ServeSession::features_for(
       model, [&] { return compute_features(model, deadline); });
 }
 
-std::vector<double> ServeSession::predict_group(
-    const std::string& model,
-    const std::vector<const gpu::DeviceSpec*>& devices,
-    const Deadline& deadline) {
-  // One snapshot for the whole group: a hot-reload mid-flight cannot
-  // mix two models' predictions inside a batch.
-  const auto estimator = estimator_ptr();
-  const FeaturePtr features = features_for(model, deadline);
-  std::vector<double> out;
-  out.reserve(devices.size());
-  for (const gpu::DeviceSpec* device : devices)
-    out.push_back(estimator->predict(*features, *device));
-  return out;
-}
-
 ServeSession::PredictOutcome ServeSession::predict_ipc(
     const std::string& model, const gpu::DeviceSpec& device,
     const Deadline& deadline) {
   const std::string key = result_key(model, device.name);
   if (const auto cached = results_.get(key)) return {*cached, true, false};
-  double ipc = 0.0;
-  if (options_.batching) {
-    ipc = batcher_->submit(model, device, deadline).get();
-  } else {
-    ipc = predict_group(model, {&device}, deadline).front();
-  }
+  const double ipc =
+      estimator_ptr()->predict(*features_for(model, deadline), device);
   results_.put(key, std::make_shared<const double>(ipc));
   return {ipc, false, false};
 }
@@ -429,8 +401,6 @@ ServeSession::PredictOutcome ServeSession::predict_or_degrade(
     PredictOutcome outcome = predict_ipc(model, device, deadline);
     if (breaker_on) breaker_record_success(fp);
     return outcome;
-  } catch (const ServeError&) {
-    throw;  // overload shedding must reach the client as overloaded
   } catch (const AnalysisTimeout&) {
     metrics_.counter("analysis_timeouts").fetch_add(1);
     if (breaker_on) breaker_record_failure(fp);
@@ -927,14 +897,6 @@ std::string ServeSession::stats_json() {
                static_cast<std::uint64_t>(sweep_cache_->recovered_records()))
         .end_object();
   }
-  const BatcherStats batch = batcher_->stats();
-  json.begin_object("batch")
-      .field("flushes", batch.flushes)
-      .field("batches", batch.batches)
-      .field("batched_requests", batch.batched_requests)
-      .field("max_batch", batch.max_batch)
-      .field("shed", batch.shed)
-      .end_object();
   json.begin_object("limits")
       .field("default_deadline_ms",
              static_cast<std::int64_t>(options_.default_deadline_ms))
@@ -942,7 +904,6 @@ std::string ServeSession::stats_json() {
       .field("degradation", options_.degradation)
       .field("max_in_flight",
              static_cast<std::uint64_t>(options_.max_in_flight))
-      .field("max_queue", static_cast<std::uint64_t>(options_.max_queue))
       .field("breaker_threshold",
              static_cast<std::int64_t>(options_.breaker_threshold))
       .field("breaker_cooldown_ms",
@@ -955,7 +916,6 @@ std::string ServeSession::stats_json() {
       .field("version", std::string_view(live_version()))
       .field("reloads", reload_count())
       .field("threads", static_cast<std::uint64_t>(pool_.size()))
-      .field("batching", options_.batching)
       .end_object();
   json.end_object();
   return json.str();
@@ -1159,10 +1119,6 @@ std::string ServeSession::summary() const {
   line("result", results_.stats());
   os << "  dca: " << dca_computes_.load() << " computed, "
      << store_hits_.load() << " from the persistent store\n";
-  const BatcherStats batch = batcher_->stats();
-  os << "  batcher: " << batch.batched_requests << " requests in "
-     << batch.batches << " batches (max batch " << batch.max_batch
-     << ")\n";
   return os.str();
 }
 

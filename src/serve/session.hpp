@@ -1,8 +1,9 @@
 // In-process estimation service: everything `gpuperf serve` does minus
 // the sockets.  Owns a trained PerformanceEstimator, the three result
-// caches (static analysis, DCA features, predictions), the predict
-// micro-batcher and the metrics registry; tests, examples and benches
-// drive it directly, the TCP server forwards lines to it.
+// caches (static analysis, DCA features, predictions) and the metrics
+// registry; tests, examples and benches drive it directly, the TCP
+// server forwards lines to it.  A predict runs inline on the calling
+// thread: result-cache lookup, single-flight features, one tree walk.
 //
 // handle() is safe to call from many threads at once: all caches are
 // internally synchronized, feature computation is single-flight per
@@ -26,14 +27,13 @@
 #include <vector>
 
 #include "cnn/static_analyzer.hpp"
+#include "common/sharded_cache.hpp"
 #include "common/thread_pool.hpp"
 #include "core/estimator.hpp"
 #include "dse/sweep.hpp"
 #include "dse/sweep_cache.hpp"
 #include "registry/feature_store.hpp"
 #include "registry/registry.hpp"
-#include "serve/batcher.hpp"
-#include "serve/cache.hpp"
 #include "serve/metrics.hpp"
 #include "serve/protocol.hpp"
 
@@ -68,11 +68,8 @@ struct ServeOptions {
   /// Entry budget for each of the three caches.
   std::size_t cache_capacity = 256;
   std::size_t cache_shards = 8;
-  /// Worker pool size for batched predictions; 0 = hardware threads.
+  /// Worker pool size for `dse` sweeps; 0 = hardware threads.
   std::size_t n_threads = 0;
-  /// Route predict requests through the micro-batcher (off = inline
-  /// execution on the caller thread; the caches still apply).
-  bool batching = true;
   /// Analysis deadline applied to predict/rank requests that don't
   /// carry their own --deadline-ms; 0 = unlimited.
   int default_deadline_ms = 0;
@@ -86,9 +83,6 @@ struct ServeOptions {
   /// Shed predict/rank/analyze with `overloaded` once this many
   /// requests are already in flight; 0 = unlimited.
   std::size_t max_in_flight = 0;
-  /// Bound on outstanding predicts inside the micro-batcher; beyond it
-  /// submit sheds with `overloaded`.  0 = unbounded.
-  std::size_t max_queue = 0;
   /// Circuit breaker (docs/ROBUSTNESS.md): after this many consecutive
   /// DCA failures for one module fingerprint, requests for that module
   /// fail fast to the degraded path without re-attempting the full
@@ -145,7 +139,7 @@ class ServeSession {
   /// Parse + handle + serialize: the line in, the JSON line out.
   std::string handle_line(const std::string& line);
 
-  /// Convenience predict with the full cache/batcher path (used by the
+  /// Convenience predict with the full cache path (used by the
   /// in-process examples and benches).  Throws on unknown names.
   double predict(const std::string& model, const std::string& device);
 
@@ -198,7 +192,6 @@ class ServeSession {
   MetricsRegistry& metrics() { return metrics_; }
   CacheStats feature_cache_stats() const { return features_.stats(); }
   CacheStats result_cache_stats() const { return results_.stats(); }
-  BatcherStats batcher_stats() const { return batcher_->stats(); }
 
   /// The stats endpoint's JSON (also handy without a Request).
   std::string stats_json();
@@ -257,10 +250,6 @@ class ServeSession {
   core::ModelFeatures run_dca(const std::string& model,
                               const cnn::Model& cnn_model,
                               const Deadline& deadline);
-  std::vector<double> predict_group(
-      const std::string& model,
-      const std::vector<const gpu::DeviceSpec*>& devices,
-      const Deadline& deadline);
   struct PredictOutcome {
     double ipc = 0.0;
     bool cached = false;    // served from the result cache
@@ -270,8 +259,7 @@ class ServeSession {
                              const gpu::DeviceSpec& device,
                              const Deadline& deadline);
   /// predict_ipc, falling back to predict_degraded on AnalysisTimeout
-  /// or analysis failure when `allow_degrade` (overload shedding is
-  /// never swallowed — it propagates as ServeError).
+  /// or analysis failure when `allow_degrade`.
   PredictOutcome predict_or_degrade(const std::string& model,
                                     const gpu::DeviceSpec& device,
                                     const Deadline& deadline,
@@ -323,9 +311,9 @@ class ServeSession {
   std::unique_ptr<registry::ModelRegistry> registry_;
   std::unique_ptr<registry::FeatureStore> feature_store_;
   std::unique_ptr<dse::SweepCache> sweep_cache_;
-  // Declared before the thread pool and batcher so it is destroyed
-  // after them: worker-pool shutdown must not race in-flight predicts
-  // still running on session threads.
+  // Declared before the thread pool so it is destroyed after it:
+  // worker-pool shutdown must not race in-flight work still running on
+  // session threads.
   std::unique_ptr<sandbox::WorkerPool> sandbox_pool_;
 
   mutable std::mutex estimator_mutex_;
@@ -340,8 +328,7 @@ class ServeSession {
   ShardedLruCache<cnn::ModelReport> static_reports_;
   ShardedLruCache<core::ModelFeatures> features_;
   ShardedLruCache<double> results_;
-  ThreadPool pool_;
-  std::unique_ptr<PredictBatcher> batcher_;
+  ThreadPool pool_;  // dse sweep fan-out
   MetricsRegistry metrics_;
 
   std::atomic<std::uint64_t> reloads_{0};

@@ -1,7 +1,6 @@
 // The cancellation primitive behind bounded analysis: budgets must trip
-// exactly when exhausted, unlimited deadlines must cost (nearly)
-// nothing and never throw, and loosest() must never tighten a batch
-// member's budget.
+// exactly when exhausted, and unlimited deadlines must cost (nearly)
+// nothing and never throw.
 #include "common/deadline.hpp"
 
 #include <gtest/gtest.h>
@@ -70,29 +69,6 @@ TEST(Deadline, TimeoutMessageNamesTheSite) {
   } catch (const AnalysisTimeout& e) {
     EXPECT_NE(std::string(e.what()).find("my_kernel"), std::string::npos);
   }
-}
-
-TEST(Deadline, LoosestKeepsTheMostGenerousBudget) {
-  // Both timed: the later expiry wins.
-  const Deadline near = Deadline::after_ms(10);
-  const Deadline far = Deadline::after_ms(10'000);
-  const Deadline both = Deadline::loosest(near, far);
-  EXPECT_TRUE(both.timed());
-  EXPECT_EQ(both.expiry(), far.expiry());
-
-  // One side unbounded: the result must be unbounded too.
-  const Deadline mixed = Deadline::loosest(near, Deadline());
-  EXPECT_TRUE(mixed.unlimited());
-
-  // Step budgets combine the same way.
-  Deadline small;
-  small.with_step_budget(5);
-  Deadline large;
-  large.with_step_budget(500);
-  Deadline merged = Deadline::loosest(small, large);
-  for (int i = 0; i < 500; ++i) merged.charge("merged");
-  EXPECT_THROW(merged.charge("merged"), AnalysisTimeout);
-  EXPECT_TRUE(Deadline::loosest(small, Deadline()).unlimited());
 }
 
 TEST(Deadline, RemainingMsClampsAtZero) {

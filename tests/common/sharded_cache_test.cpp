@@ -1,4 +1,4 @@
-#include "serve/cache.hpp"
+#include "common/sharded_cache.hpp"
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,7 @@
 #include <thread>
 #include <vector>
 
-namespace gpuperf::serve {
+namespace gpuperf {
 namespace {
 
 using IntCache = ShardedLruCache<int>;
@@ -131,4 +131,4 @@ TEST(ShardedLruCache, RejectsZeroCapacity) {
 }
 
 }  // namespace
-}  // namespace gpuperf::serve
+}  // namespace gpuperf

@@ -1,9 +1,12 @@
 #include "common/thread_pool.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <future>
 #include <numeric>
 #include <stdexcept>
@@ -11,6 +14,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/subprocess.hpp"
 
 namespace gpuperf {
 namespace {
@@ -64,6 +68,29 @@ TEST(ThreadPool, ParallelForPropagatesException) {
                                      throw std::runtime_error("unlucky");
                                  }),
                std::runtime_error);
+}
+
+TEST(ThreadPool, ParallelForRunsInlineInAForkedChild) {
+  ThreadPool pool(4);
+  pool.parallel_for(8, [](std::size_t) {});  // the workers are up
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    // The child's copy of the pool has no worker threads: a queued
+    // shard would never run and the call would never return.
+    std::atomic<int> ran{0};
+    pool.parallel_for(64, [&](std::size_t) { ran.fetch_add(1); });
+    ::_exit(ran.load() == 64 ? 0 : 1);
+  }
+  int status = 0;
+  const bool exited = wait_exit(pid, &status, 5000);
+  if (!exited) {
+    ::kill(pid, SIGKILL);
+    waitpid_retry(pid, &status, 0);
+  }
+  ASSERT_TRUE(exited) << "parallel_for hung in the forked child";
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+      << describe_wait_status(status);
 }
 
 TEST(ThreadPool, RejectsNullTask) {

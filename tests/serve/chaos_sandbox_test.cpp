@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -19,10 +20,13 @@
 #include <thread>
 #include <vector>
 
+#include "cnn/zoo.hpp"
 #include "common/check.hpp"
 #include "common/deadline.hpp"
 #include "common/fault.hpp"
 #include "common/subprocess.hpp"
+#include "core/features.hpp"
+#include "gpu/device_db.hpp"
 #include "sandbox/worker_pool.hpp"
 #include "serve/session.hpp"
 
@@ -45,6 +49,13 @@ bool has(const std::string& body, const std::string& needle) {
   return body.find(needle) != std::string::npos;
 }
 
+double ipc_of(const std::string& body) {
+  const std::size_t pos = body.find("\"ipc\":");
+  return pos == std::string::npos
+             ? -1.0
+             : std::strtod(body.c_str() + pos + 6, nullptr);
+}
+
 ServeOptions isolated_options() {
   ServeOptions options;
   options.train_models = {"alexnet", "mobilenet", "MobileNetV2", "vgg16"};
@@ -60,22 +71,41 @@ class SandboxChaos : public ::testing::Test {
   void TearDown() override { fault::disarm_all(); }
 };
 
+// With one worker the retry after a crash is served by a respawned
+// worker, forked after the session trained: its copy of the shared
+// thread pool has no threads, and alexnet has enough launches for the
+// DCA to fan out over that pool.
 TEST_F(SandboxChaos, WorkerCrashIsTypedAndTheServerSurvives) {
-  ServeSession session(isolated_options());
-  {
-    fault::ScopedFault crash("dca.crash", fault::Spec{});
-    const std::string body =
-        session.handle_line("predict alexnet v100s --no-degrade");
-    EXPECT_TRUE(has(body, "\"ok\":false")) << body;
-    EXPECT_TRUE(has(body, "\"code\":\"analysis_crashed\"")) << body;
+  for (const int workers : {2, 1}) {
+    SCOPED_TRACE("dca_workers=" + std::to_string(workers));
+    ServeOptions options = isolated_options();
+    options.dca_workers = workers;
+    ServeSession session(options);
+    {
+      fault::ScopedFault crash("dca.crash", fault::Spec{});
+      const std::string body =
+          session.handle_line("predict alexnet v100s --no-degrade");
+      EXPECT_TRUE(has(body, "\"ok\":false")) << body;
+      EXPECT_TRUE(has(body, "\"code\":\"analysis_crashed\"")) << body;
+    }
+    EXPECT_GE(session.metrics().counter_value("analysis_crashes"), 1u);
+    // The crash domain was the worker: the parent answers, and a retry
+    // on a fresh worker (fault disarmed) succeeds with full DCA, fast,
+    // and exactly as the in-process path answers.
+    EXPECT_TRUE(has(session.handle_line("health"), "\"ok\":true"));
+    const auto start = Clock::now();
+    const std::string retry = session.handle_line("predict alexnet v100s");
+    EXPECT_LT(ms_since(start), 1000);
+    EXPECT_TRUE(has(retry, "\"ok\":true")) << retry;
+    EXPECT_TRUE(has(retry, "\"degraded\":false")) << retry;
+    const double in_process = session.estimator().predict(
+        core::FeatureExtractor().compute(cnn::zoo::build("alexnet")),
+        gpu::device("v100s"));
+    EXPECT_EQ(ipc_of(retry), in_process);
+    if (workers == 1) {
+      EXPECT_GE(session.sandbox_pool()->stats().worker_respawns, 1u);
+    }
   }
-  EXPECT_GE(session.metrics().counter_value("analysis_crashes"), 1u);
-  // The crash domain was the worker: the parent answers, and a retry on
-  // a fresh worker (fault disarmed) succeeds with full DCA.
-  EXPECT_TRUE(has(session.handle_line("health"), "\"ok\":true"));
-  const std::string retry = session.handle_line("predict alexnet v100s");
-  EXPECT_TRUE(has(retry, "\"ok\":true")) << retry;
-  EXPECT_TRUE(has(retry, "\"degraded\":false")) << retry;
 }
 
 TEST_F(SandboxChaos, CrashYieldsDegradedPredictionWhenAllowed) {

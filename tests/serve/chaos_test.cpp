@@ -240,23 +240,6 @@ TEST_F(ChaosSession, RankDegradesAsAWhole) {
   EXPECT_TRUE(has(body, "\"degraded\":true")) << body;
 }
 
-TEST_F(ChaosSession, BatcherDispatchFaultFansOutAndRecovers) {
-  ServeOptions options = chaos_options();
-  options.degradation = false;  // see the raw fan-out, not the fallback
-  ServeSession session(options);
-  {
-    fault::Spec spec;
-    fault::ScopedFault fault("batcher.dispatch", spec);
-    const std::string body =
-        session.handle_line("predict mobilenet teslat4");
-    EXPECT_TRUE(has(body, "\"ok\":false")) << body;
-    EXPECT_TRUE(has(body, "\"code\":\"analysis_failed\"")) << body;
-  }
-  const std::string retry =
-      session.handle_line("predict mobilenet teslat4");
-  EXPECT_TRUE(has(retry, "\"ok\":true")) << retry;
-}
-
 TEST_F(ChaosSession, InFlightBoundShedsDeterministically) {
   ServeOptions options = chaos_options();
   options.max_in_flight = 1;

@@ -80,7 +80,7 @@ TEST(ServeSession, FeatureCacheSharedAcrossDevices) {
   EXPECT_GT(after_second.hits, after_first.hits);
 }
 
-TEST(ServeSession, ConcurrentPredictsAreConsistentAndBatched) {
+TEST(ServeSession, ConcurrentPredictsAreConsistentAndShareOneDca) {
   ServeSession session(tiny_options());
   const std::vector<std::string> devices = {"gtx1080ti", "v100s",
                                             "teslat4"};
@@ -94,22 +94,11 @@ TEST(ServeSession, ConcurrentPredictsAreConsistentAndBatched) {
   for (auto& thread : threads) thread.join();
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_GT(ipc[t], 0.0);
-    // Same (model, device) must agree regardless of batching order.
+    // Same (model, device) must agree regardless of arrival order.
     EXPECT_DOUBLE_EQ(ipc[t], ipc[t % devices.size()]);
   }
   const CacheStats features = session.feature_cache_stats();
   EXPECT_EQ(features.misses, 1u);  // single-flight DCA
-  EXPECT_GE(session.batcher_stats().batched_requests, 1u);
-}
-
-TEST(ServeSession, BatchingOffStillServes) {
-  ServeOptions options = tiny_options();
-  options.batching = false;
-  ServeSession session(options);
-  const double ipc = session.predict("alexnet", "teslat4");
-  EXPECT_GT(ipc, 0.0);
-  EXPECT_EQ(session.batcher_stats().batched_requests, 0u);
-  EXPECT_DOUBLE_EQ(shared_session().predict("alexnet", "teslat4"), ipc);
 }
 
 TEST(ServeSession, AnalyzeMatchesStaticAnalyzer) {
@@ -150,8 +139,8 @@ TEST(ServeSession, StatsReportsEndpointsAndCaches) {
   ASSERT_TRUE(is_ok(body)) << body;
   for (const char* field :
        {"\"endpoints\"", "\"predict\"", "\"p50_ms\"", "\"p95_ms\"",
-        "\"caches\"", "\"features\"", "\"results\"", "\"batch\"",
-        "\"in_flight\"", "\"uptime_seconds\"", "\"regressor\""})
+        "\"caches\"", "\"features\"", "\"results\"", "\"in_flight\"",
+        "\"uptime_seconds\"", "\"regressor\""})
     EXPECT_NE(body.find(field), std::string::npos) << field;
   // Out-of-core graph counters are pre-registered, so they appear (at
   // least at zero) before any graph has ever spilled.

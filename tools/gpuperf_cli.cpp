@@ -88,10 +88,10 @@ int usage() {
       "        [--registry <dir>] [--deadline-ms N] [--no-degrade]\n"
       "        constraint-aware fleet sweep (docs/DSE.md)\n"
       "  serve [--port N] [--threads K] [--tree <file>] [--models a,b]\n"
-      "        [--regressor id] [--no-batch] [--registry <dir>]\n"
+      "        [--regressor id] [--registry <dir>]\n"
       "        [--version vNNNN] [--feature-store <dir>] [--poll-ms N]\n"
       "        [--deadline-ms N] [--step-budget N] [--no-degrade]\n"
-      "        [--max-inflight N] [--max-queue N] [--max-line-bytes N]\n"
+      "        [--max-inflight N] [--max-line-bytes N]\n"
       "        [--max-frame-bytes N] [--backlog N] [--idle-timeout-ms N]\n"
       "        [--read-progress-timeout-ms N] [--max-output-buffer N]\n"
       "        [--breaker-threshold N] [--breaker-cooldown-ms N]\n"
@@ -472,7 +472,6 @@ int cmd_serve(const Args& args) {
   if (const auto it = args.flags.find("cache"); it != args.flags.end())
     options.cache_capacity =
         static_cast<std::size_t>(parse_int(it->second));
-  options.batching = !args.has_flag("no-batch");
   options.default_deadline_ms =
       static_cast<int>(parse_int(args.flag_or("deadline-ms", "0")));
   options.dca_step_budget = static_cast<std::uint64_t>(
@@ -480,8 +479,6 @@ int cmd_serve(const Args& args) {
   options.degradation = !args.has_flag("no-degrade");
   options.max_in_flight =
       static_cast<std::size_t>(parse_int(args.flag_or("max-inflight", "0")));
-  options.max_queue =
-      static_cast<std::size_t>(parse_int(args.flag_or("max-queue", "0")));
   options.breaker_threshold = static_cast<int>(parse_int(args.flag_or(
       "breaker-threshold", std::to_string(options.breaker_threshold))));
   options.breaker_cooldown_ms = static_cast<int>(parse_int(args.flag_or(
