@@ -3,6 +3,7 @@
 #include <cctype>
 #include <charconv>
 #include <cstdio>
+#include <sstream>
 
 #include "common/check.hpp"
 
@@ -93,6 +94,13 @@ std::string fixed(double value, int digits) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", digits, value);
   return buf;
+}
+
+std::string full_precision(double value) {
+  std::ostringstream os;
+  os.precision(17);
+  os << value;
+  return os.str();
 }
 
 long long parse_int(std::string_view s) {

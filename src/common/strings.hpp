@@ -34,6 +34,10 @@ std::string with_commas(long long value);
 /// Fixed-precision formatting of a double ("5.73").
 std::string fixed(double value, int digits);
 
+/// 17 significant digits, which round-trips an IEEE double exactly: the
+/// number format of every persisted file and wire payload.
+std::string full_precision(double value);
+
 /// Parse helpers; GP_CHECK-fail on malformed input.
 long long parse_int(std::string_view s);
 double parse_double(std::string_view s);

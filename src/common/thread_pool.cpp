@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
+#include <utility>
 
 #include "common/check.hpp"
 
@@ -35,11 +37,6 @@ void ThreadPool::submit(std::function<void()> task) {
     ++in_flight_;
   }
   cv_task_.notify_one();
-}
-
-std::size_t ThreadPool::queue_depth() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.size();
 }
 
 void ThreadPool::wait() {

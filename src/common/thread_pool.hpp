@@ -11,13 +11,10 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
+#include <exception>
 #include <functional>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 namespace gpuperf {
@@ -35,25 +32,6 @@ class ThreadPool {
 
   /// Enqueue a task; returns immediately.
   void submit(std::function<void()> task);
-
-  /// Enqueue a task and get a future for its result.  Exceptions escape
-  /// through the future, not through wait() — this is the right
-  /// submission path when several client threads share one pool and
-  /// each must observe only its own failures (wait()'s rethrow is
-  /// pool-global).
-  template <typename F>
-  auto submit_task(F&& fn) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> result = task->get_future();
-    submit([task] { (*task)(); });
-    return result;
-  }
-
-  /// Tasks enqueued but not yet picked up by a worker (a load signal
-  /// for metrics; racy by nature).
-  std::size_t queue_depth() const;
 
   /// Block until every submitted task has finished.  Exceptions thrown
   /// by tasks are captured; the first one is rethrown here.

@@ -1,17 +1,11 @@
 #include "dse/sweep_cache.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <filesystem>
-#include <fstream>
 #include <optional>
 #include <sstream>
-#include <string_view>
 #include <utility>
 
 #include "common/check.hpp"
-#include "common/crc32.hpp"
 #include "common/fault.hpp"
 #include "common/strings.hpp"
 #include "registry/hash.hpp"
@@ -22,16 +16,6 @@ namespace gpuperf::dse {
 
 namespace {
 
-constexpr char kRecordMagic[4] = {'G', 'P', 'S', 'C'};
-constexpr std::size_t kRecordHeaderBytes = 12;  // magic + length + crc
-
-std::string full_precision(double v) {
-  std::ostringstream os;
-  os.precision(17);
-  os << v;
-  return os.str();
-}
-
 std::string entry_body(const std::string& key,
                        const SweepCache::Entry& e) {
   std::ostringstream os;
@@ -41,33 +25,6 @@ std::string entry_body(const std::string& key,
   os << "latency_ms " << full_precision(e.latency_ms) << "\n";
   os << "power_w " << full_precision(e.power_w) << "\n";
   return os.str();
-}
-
-void put_u32_le(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xFFu));
-  out.push_back(static_cast<char>((v >> 8) & 0xFFu));
-  out.push_back(static_cast<char>((v >> 16) & 0xFFu));
-  out.push_back(static_cast<char>((v >> 24) & 0xFFu));
-}
-
-std::uint32_t get_u32_le(const char* p) {
-  return static_cast<std::uint32_t>(static_cast<unsigned char>(p[0])) |
-         (static_cast<std::uint32_t>(static_cast<unsigned char>(p[1]))
-          << 8) |
-         (static_cast<std::uint32_t>(static_cast<unsigned char>(p[2]))
-          << 16) |
-         (static_cast<std::uint32_t>(static_cast<unsigned char>(p[3]))
-          << 24);
-}
-
-std::string encode_record(const std::string& payload) {
-  std::string out;
-  out.reserve(kRecordHeaderBytes + payload.size());
-  out.append(kRecordMagic, sizeof(kRecordMagic));
-  put_u32_le(out, static_cast<std::uint32_t>(payload.size()));
-  put_u32_le(out, crc32(payload));
-  out.append(payload);
-  return out;
 }
 
 /// Parse a "gpuperf-sweep v1" payload into (key, entry); nullopt on
@@ -108,14 +65,17 @@ parse_body(const std::string& body) {
 }  // namespace
 
 SweepCache::SweepCache(std::string root, const InputLimits& limits)
-    : root_(std::move(root)), limits_(limits) {
+    : root_(std::move(root)),
+      log_((fs::path(root_) / "sweep.journal").string(), "GPSC",
+           limits.max_store_record_bytes, "sweep-cache record bytes") {
   GP_CHECK_MSG(!root_.empty(), "sweep cache root must not be empty");
   fs::create_directories(root_);
-  replay_journal();
-}
-
-std::string SweepCache::journal_path() const {
-  return (fs::path(root_) / "sweep.journal").string();
+  replayed_ = log_.replay([this](const std::string& payload) {
+    auto parsed = parse_body(payload);
+    if (!parsed) return false;
+    index_[parsed->first] = std::move(parsed->second);
+    return true;
+  });
 }
 
 std::string SweepCache::cell_key(std::uint64_t topology,
@@ -128,44 +88,6 @@ std::string SweepCache::cell_key(std::uint64_t topology,
   // parses back unambiguously and survives the journal's whitespace-
   // split payload format.
   return registry::hex64(topology) + ':' + device + ':' + bundle_key;
-}
-
-void SweepCache::replay_journal() {
-  std::ifstream in(journal_path(), std::ios::binary);
-  if (!in.good()) return;  // no journal yet
-
-  std::size_t offset = 0;     // start of the record being read
-  std::size_t valid_end = 0;  // end of the last fully-valid record
-  char header[kRecordHeaderBytes];
-  std::string payload;
-
-  while (in.read(header, kRecordHeaderBytes)) {
-    if (std::string_view(header, 4) !=
-        std::string_view(kRecordMagic, 4))
-      break;
-    const std::uint32_t length = get_u32_le(header + 4);
-    const std::uint32_t stored_crc = get_u32_le(header + 8);
-    if (length == 0 || length > limits_.max_store_record_bytes) break;
-    payload.resize(length);
-    if (!in.read(payload.data(), length)) break;  // torn tail
-    if (crc32(payload) != stored_crc) break;
-    auto parsed = parse_body(payload);
-    if (!parsed) break;
-    index_[parsed->first] = std::move(parsed->second);
-    ++recovered_records_;
-    offset += kRecordHeaderBytes + length;
-    valid_end = offset;
-  }
-  in.close();
-
-  // Torn tail or bit rot: truncate back to the last fully-valid record;
-  // everything before it is intact because records are append-only.
-  std::error_code ec;
-  const auto file_size = fs::file_size(journal_path(), ec);
-  if (!ec && file_size > valid_end) {
-    torn_tail_bytes_ = static_cast<std::size_t>(file_size) - valid_end;
-    fs::resize_file(journal_path(), valid_end, ec);
-  }
 }
 
 std::shared_ptr<const SweepCache::Entry> SweepCache::get(
@@ -181,37 +103,11 @@ std::shared_ptr<const SweepCache::Entry> SweepCache::get(
   return it->second;
 }
 
-void SweepCache::append_record(const std::string& payload) const {
-  enforce_limit(payload.size(), limits_.max_store_record_bytes,
-                "sweep-cache record bytes");
-  const std::string record = encode_record(payload);
-  const int fd = ::open(journal_path().c_str(),
-                        O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
-  GP_CHECK_MSG(fd >= 0, "cannot open journal '" << journal_path() << "'");
-  std::size_t written = 0;
-  while (written < record.size()) {
-    const ssize_t n =
-        ::write(fd, record.data() + written, record.size() - written);
-    if (n < 0) {
-      ::close(fd);
-      GP_CHECK_MSG(false, "journal append to '" << journal_path()
-                                                << "' failed");
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  // fsync before acknowledging: a put that returned must survive a
-  // crash (the record is either fully there or becomes the torn tail).
-  const int rc = ::fsync(fd);
-  ::close(fd);
-  GP_CHECK_MSG(rc == 0, "journal fsync of '" << journal_path()
-                                             << "' failed");
-}
-
 void SweepCache::put(const std::string& key, const Entry& entry) {
   GPUPERF_FAULT_POINT("sweep_cache.put");  // a full/dead volume
   const std::string payload = entry_body(key, entry);
   std::lock_guard<std::mutex> lock(mutex_);
-  append_record(payload);
+  log_.append(payload);
   index_[key] = std::make_shared<const Entry>(entry);
 }
 

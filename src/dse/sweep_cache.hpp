@@ -11,18 +11,13 @@
 // a repeated fleet sweep near-free — a restarted process replays
 // yesterday's sweep with zero DCA runs and zero predictions.
 //
-// Durability: one append-only journal file ("sweep.journal") of
-// length-prefixed, CRC-32-checked records, last-writer-wins per key.
-// A record is
-//
-//   "GPSC" | u32 LE payload length | u32 LE crc32(payload) | payload
-//
-// where the payload is the line-oriented "gpuperf-sweep v1" text.  On
-// open the journal is replayed; the first torn, corrupt or oversized
-// record marks the recovery point and the tail beyond it is truncated
-// away.  Each put appends one record and fsyncs.  Degraded cells are
-// never written — a fallback prediction must not masquerade as a warm
-// full-analysis result on the next sweep.
+// Durability: one append-only journal file ("sweep.journal") of "GPSC"
+// records (common/record_log.hpp; docs/FILE_FORMATS.md "CRC-framed
+// records"), last-writer-wins per key, each payload the line-oriented
+// "gpuperf-sweep v1" text.  Open replays the journal and truncates the
+// tail after the last valid record; each put appends one fsynced
+// record.  Degraded cells are never written — a fallback prediction
+// must not masquerade as a warm full-analysis result on the next sweep.
 #pragma once
 
 #include <atomic>
@@ -33,6 +28,7 @@
 #include <unordered_map>
 
 #include "common/limits.hpp"
+#include "common/record_log.hpp"
 
 namespace gpuperf::dse {
 
@@ -46,7 +42,7 @@ class SweepCache {
                       const InputLimits& limits = InputLimits::defaults());
 
   const std::string& root() const { return root_; }
-  std::string journal_path() const;
+  const std::string& journal_path() const { return log_.path(); }
 
   /// One cached cell: everything the sweep needs without re-running
   /// analysis or prediction.
@@ -76,22 +72,18 @@ class SweepCache {
   std::uint64_t hits() const { return hits_.load(); }
   std::uint64_t misses() const { return misses_.load(); }
   /// Valid records recovered by the replay at open time.
-  std::size_t recovered_records() const { return recovered_records_; }
+  std::size_t recovered_records() const { return replayed_.records; }
   /// Bytes of torn/corrupt tail truncated away at open time.
-  std::size_t torn_tail_bytes() const { return torn_tail_bytes_; }
+  std::size_t torn_tail_bytes() const { return replayed_.torn_tail_bytes; }
 
  private:
-  void replay_journal();
-  void append_record(const std::string& payload) const;
-
   std::string root_;
-  InputLimits limits_;  // by value: the cache outlives any caller's copy
   mutable std::mutex mutex_;
+  RecordLog log_;  // guarded by mutex_
   std::unordered_map<std::string, std::shared_ptr<const Entry>> index_;
   mutable std::atomic<std::uint64_t> hits_{0};
   mutable std::atomic<std::uint64_t> misses_{0};
-  std::size_t recovered_records_ = 0;
-  std::size_t torn_tail_bytes_ = 0;
+  RecordLog::Replay replayed_;
 };
 
 }  // namespace gpuperf::dse

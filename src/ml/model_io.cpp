@@ -33,14 +33,6 @@ auto rejecting(const char* what, Fn&& fn) -> decltype(fn()) {
   }
 }
 
-// 17 significant digits round-trips an IEEE double exactly.
-std::string full_precision(double v) {
-  std::ostringstream os;
-  os.precision(17);
-  os << v;
-  return os.str();
-}
-
 void write_doubles(std::ostream& os, const char* label,
                    const std::vector<double>& values) {
   os << label;

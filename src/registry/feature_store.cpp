@@ -1,10 +1,6 @@
 #include "registry/feature_store.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <filesystem>
-#include <fstream>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -12,7 +8,6 @@
 
 #include "cnn/model_io.hpp"
 #include "common/check.hpp"
-#include "common/crc32.hpp"
 #include "common/fault.hpp"
 #include "common/strings.hpp"
 #include "registry/hash.hpp"
@@ -22,16 +17,6 @@ namespace fs = std::filesystem;
 namespace gpuperf::registry {
 
 namespace {
-
-constexpr char kRecordMagic[4] = {'G', 'P', 'F', 'R'};
-constexpr std::size_t kRecordHeaderBytes = 12;  // magic + length + crc
-
-std::string full_precision(double v) {
-  std::ostringstream os;
-  os.precision(17);
-  os << v;
-  return os.str();
-}
 
 /// The journal record payload: line-oriented and human-readable, like
 /// every other format in the repo.  Integrity lives in the record's
@@ -49,33 +34,6 @@ std::string entry_body(std::uint64_t topology,
   os << "weighted_layers " << f.weighted_layers << "\n";
   os << "dca_seconds " << full_precision(f.dca_seconds) << "\n";
   return os.str();
-}
-
-void put_u32_le(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xFFu));
-  out.push_back(static_cast<char>((v >> 8) & 0xFFu));
-  out.push_back(static_cast<char>((v >> 16) & 0xFFu));
-  out.push_back(static_cast<char>((v >> 24) & 0xFFu));
-}
-
-std::uint32_t get_u32_le(const char* p) {
-  return static_cast<std::uint32_t>(static_cast<unsigned char>(p[0])) |
-         (static_cast<std::uint32_t>(static_cast<unsigned char>(p[1]))
-          << 8) |
-         (static_cast<std::uint32_t>(static_cast<unsigned char>(p[2]))
-          << 16) |
-         (static_cast<std::uint32_t>(static_cast<unsigned char>(p[3]))
-          << 24);
-}
-
-std::string encode_record(const std::string& payload) {
-  std::string out;
-  out.reserve(kRecordHeaderBytes + payload.size());
-  out.append(kRecordMagic, sizeof(kRecordMagic));
-  put_u32_le(out, static_cast<std::uint32_t>(payload.size()));
-  put_u32_le(out, crc32(payload));
-  out.append(payload);
-  return out;
 }
 
 /// Parse a "gpuperf-features v1" payload into (topology, features);
@@ -123,119 +81,24 @@ parse_body(const std::string& body) {
   return std::make_pair(topology, std::move(out));
 }
 
-/// Parse a legacy one-file-per-entry "<hex>.features" body (payload
-/// followed by a trailing "checksum <fnv1a64>" line).
-std::optional<
-    std::pair<std::uint64_t, std::shared_ptr<core::ModelFeatures>>>
-parse_legacy_entry(const std::string& text) {
-  const std::size_t marker = text.rfind("checksum ");
-  if (marker == std::string::npos ||
-      (marker > 0 && text[marker - 1] != '\n'))
-    return std::nullopt;
-  const std::string body = text.substr(0, marker);
-  const auto parts = split_ws(std::string(trim(text.substr(marker))));
-  std::uint64_t stored_checksum = 0;
-  try {
-    if (parts.size() != 2 || parts[0] != "checksum") return std::nullopt;
-    stored_checksum = parse_hex64(parts[1]);
-  } catch (const CheckError&) {
-    return std::nullopt;
-  }
-  if (stored_checksum != fnv1a64(body)) return std::nullopt;
-  return parse_body(body);
-}
-
 }  // namespace
 
 FeatureStore::FeatureStore(std::string root, const InputLimits& limits)
-    : root_(std::move(root)), limits_(limits) {
+    : root_(std::move(root)),
+      log_((fs::path(root_) / "store.journal").string(), "GPFR",
+           limits.max_store_record_bytes, "feature-store record bytes") {
   GP_CHECK_MSG(!root_.empty(), "feature store root must not be empty");
   fs::create_directories(root_);
-  replay_journal();
-  migrate_legacy_entries();
-}
-
-std::string FeatureStore::journal_path() const {
-  return (fs::path(root_) / "store.journal").string();
+  replayed_ = log_.replay([this](const std::string& payload) {
+    auto parsed = parse_body(payload);
+    if (!parsed) return false;
+    index_[parsed->first] = std::move(parsed->second);
+    return true;
+  });
 }
 
 std::uint64_t FeatureStore::topology_hash(const cnn::Model& model) {
   return fnv1a64(cnn::serialize_model(model));
-}
-
-void FeatureStore::replay_journal() {
-  std::ifstream in(journal_path(), std::ios::binary);
-  if (!in.good()) return;  // no journal yet
-
-  std::size_t offset = 0;       // start of the record being read
-  std::size_t valid_end = 0;    // end of the last fully-valid record
-  char header[kRecordHeaderBytes];
-  std::string payload;
-  bool corrupt = false;
-
-  while (in.read(header, kRecordHeaderBytes)) {
-    if (std::string_view(header, 4) !=
-        std::string_view(kRecordMagic, 4)) {
-      corrupt = true;
-      break;
-    }
-    const std::uint32_t length = get_u32_le(header + 4);
-    const std::uint32_t stored_crc = get_u32_le(header + 8);
-    if (length == 0 || length > limits_.max_store_record_bytes) {
-      corrupt = true;
-      break;
-    }
-    payload.resize(length);
-    if (!in.read(payload.data(), length)) break;  // torn tail
-    if (crc32(payload) != stored_crc) {
-      corrupt = true;
-      break;
-    }
-    auto parsed = parse_body(payload);
-    if (!parsed) {
-      corrupt = true;
-      break;
-    }
-    index_[parsed->first] = std::move(parsed->second);
-    ++recovered_records_;
-    offset += kRecordHeaderBytes + length;
-    valid_end = offset;
-  }
-  in.close();
-
-  // A short read (torn tail) or a failed check (bit rot) both truncate
-  // back to the last fully-valid record; everything before it is intact
-  // because records are append-only.
-  std::error_code ec;
-  const auto file_size = fs::file_size(journal_path(), ec);
-  if (!ec && file_size > valid_end) {
-    torn_tail_bytes_ = static_cast<std::size_t>(file_size) - valid_end;
-    fs::resize_file(journal_path(), valid_end, ec);
-  }
-  (void)corrupt;
-}
-
-void FeatureStore::migrate_legacy_entries() {
-  std::vector<fs::path> migrated;
-  for (const auto& entry : fs::directory_iterator(root_)) {
-    if (!entry.is_regular_file() ||
-        !ends_with(entry.path().filename().string(), ".features"))
-      continue;
-    std::ifstream in(entry.path(), std::ios::binary);
-    if (!in.good()) continue;
-    std::ostringstream os;
-    os << in.rdbuf();
-    const auto parsed = parse_legacy_entry(os.str());
-    if (!parsed) continue;  // corrupt legacy entry: leave it in place
-    if (index_.find(parsed->first) == index_.end()) {
-      append_record(entry_body(parsed->first, *parsed->second));
-      index_[parsed->first] = parsed->second;
-    }
-    migrated.push_back(entry.path());
-    ++migrated_entries_;
-  }
-  std::error_code ec;
-  for (const auto& path : migrated) fs::remove(path, ec);
 }
 
 std::shared_ptr<const core::ModelFeatures> FeatureStore::get(
@@ -247,38 +110,12 @@ std::shared_ptr<const core::ModelFeatures> FeatureStore::get(
   return it == index_.end() ? nullptr : it->second;
 }
 
-void FeatureStore::append_record(const std::string& payload) const {
-  enforce_limit(payload.size(), limits_.max_store_record_bytes,
-                "feature-store record bytes");
-  const std::string record = encode_record(payload);
-  const int fd = ::open(journal_path().c_str(),
-                        O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
-  GP_CHECK_MSG(fd >= 0, "cannot open journal '" << journal_path() << "'");
-  std::size_t written = 0;
-  while (written < record.size()) {
-    const ssize_t n =
-        ::write(fd, record.data() + written, record.size() - written);
-    if (n < 0) {
-      ::close(fd);
-      GP_CHECK_MSG(false, "journal append to '" << journal_path()
-                                                << "' failed");
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  // fsync before acknowledging: a put that returned must survive a
-  // crash (the record is either fully there or becomes the torn tail).
-  const int rc = ::fsync(fd);
-  ::close(fd);
-  GP_CHECK_MSG(rc == 0, "journal fsync of '" << journal_path()
-                                             << "' failed");
-}
-
 void FeatureStore::put(std::uint64_t topology,
                        const core::ModelFeatures& features) {
   GPUPERF_FAULT_POINT("store.put");  // a full/dead volume: write throws
   const std::string payload = entry_body(topology, features);
   std::lock_guard<std::mutex> lock(mutex_);
-  append_record(payload);
+  log_.append(payload);
   index_[topology] = std::make_shared<core::ModelFeatures>(features);
 }
 
@@ -289,28 +126,11 @@ std::size_t FeatureStore::size() const {
 
 void FeatureStore::compact() {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::string contents;
+  std::vector<std::string> payloads;
+  payloads.reserve(index_.size());
   for (const auto& [topology, features] : index_)
-    contents += encode_record(entry_body(topology, *features));
-
-  const std::string tmp = journal_path() + ".tmp";
-  const int fd = ::open(tmp.c_str(),
-                        O_WRONLY | O_TRUNC | O_CREAT | O_CLOEXEC, 0644);
-  GP_CHECK_MSG(fd >= 0, "cannot open '" << tmp << "' for compaction");
-  std::size_t written = 0;
-  while (written < contents.size()) {
-    const ssize_t n =
-        ::write(fd, contents.data() + written, contents.size() - written);
-    if (n < 0) {
-      ::close(fd);
-      GP_CHECK_MSG(false, "compaction write to '" << tmp << "' failed");
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  const int rc = ::fsync(fd);
-  ::close(fd);
-  GP_CHECK_MSG(rc == 0, "compaction fsync of '" << tmp << "' failed");
-  fs::rename(tmp, journal_path());
+    payloads.push_back(entry_body(topology, *features));
+  log_.rewrite(payloads);
 }
 
 FeatureStore::Aggregate FeatureStore::aggregate() const {

@@ -11,19 +11,13 @@
 // entry serves every device; device features join the vector at
 // feature_vector() time.
 //
-// Durability (docs/FILE_FORMATS.md "Feature-store journal"): one
-// append-only journal file ("store.journal") of length-prefixed,
-// CRC-32-checked records, last-writer-wins per topology.  A record is
-//
-//   "GPFR" | u32 LE payload length | u32 LE crc32(payload) | payload
-//
-// where the payload is the line-oriented "gpuperf-features v1" text.
-// On open the journal is replayed; the first torn, corrupt or
-// oversized record marks the recovery point and the tail beyond it is
-// truncated away (a crash mid-append can only ever damage the tail).
-// Each put appends one record and fsyncs, so acknowledged entries
-// survive power loss.  Legacy one-file-per-entry "<hex>.features"
-// stores migrate into the journal on open.
+// Durability: one append-only journal file ("store.journal") of "GPFR"
+// records (common/record_log.hpp; docs/FILE_FORMATS.md "CRC-framed
+// records"), last-writer-wins per topology, each payload the
+// line-oriented "gpuperf-features v1" text.  Open replays the journal
+// and truncates the tail after the last valid record; each put appends
+// one fsynced record.  The store is a cache: whatever a truncation
+// drops is recomputed on first use.
 #pragma once
 
 #include <cstdint>
@@ -34,22 +28,22 @@
 
 #include "cnn/model.hpp"
 #include "common/limits.hpp"
+#include "common/record_log.hpp"
 #include "core/features.hpp"
 
 namespace gpuperf::registry {
 
 class FeatureStore {
  public:
-  /// Opens (creating directories as needed) the store at `root`,
-  /// replays the journal (truncating any torn tail), and migrates
-  /// legacy "<hex>.features" entries into the journal.
+  /// Opens (creating directories as needed) the store at `root` and
+  /// replays the journal, truncating any torn tail.
   explicit FeatureStore(std::string root,
                         const InputLimits& limits = InputLimits::defaults());
 
   const std::string& root() const { return root_; }
 
   /// Path of the journal file inside `root`.
-  std::string journal_path() const;
+  const std::string& journal_path() const { return log_.path(); }
 
   /// Content address of a CNN topology.
   static std::uint64_t topology_hash(const cnn::Model& model);
@@ -73,11 +67,9 @@ class FeatureStore {
 
   // ---- recovery telemetry (serve exposes these in `stats`) ----------
   /// Valid records recovered by the replay at open time.
-  std::size_t recovered_records() const { return recovered_records_; }
+  std::size_t recovered_records() const { return replayed_.records; }
   /// Bytes of torn/corrupt tail truncated away at open time.
-  std::size_t torn_tail_bytes() const { return torn_tail_bytes_; }
-  /// Legacy "<hex>.features" files migrated into the journal at open.
-  std::size_t migrated_entries() const { return migrated_entries_; }
+  std::size_t torn_tail_bytes() const { return replayed_.torn_tail_bytes; }
 
   /// Scan of every valid entry, for warm-starting the degraded-path
   /// imputation (docs/ROBUSTNESS.md): corrupt entries were already
@@ -90,19 +82,13 @@ class FeatureStore {
   Aggregate aggregate() const;
 
  private:
-  void replay_journal();
-  void migrate_legacy_entries();
-  void append_record(const std::string& payload) const;
-
   std::string root_;
-  InputLimits limits_;  // by value: the store outlives any caller's copy
   mutable std::mutex mutex_;
+  RecordLog log_;  // guarded by mutex_
   std::unordered_map<std::uint64_t,
                      std::shared_ptr<const core::ModelFeatures>>
       index_;
-  std::size_t recovered_records_ = 0;
-  std::size_t torn_tail_bytes_ = 0;
-  std::size_t migrated_entries_ = 0;
+  RecordLog::Replay replayed_;
 };
 
 }  // namespace gpuperf::registry

@@ -12,13 +12,6 @@ namespace gpuperf::registry {
 
 namespace {
 
-std::string full_precision(double v) {
-  std::ostringstream os;
-  os.precision(17);
-  os << v;
-  return os.str();
-}
-
 /// Model/device lists serialize as a comma join; the empty list (the
 /// "use the defaults" convention) spells itself "default".
 std::string list_field(const std::vector<std::string>& values) {

@@ -3,7 +3,7 @@
 #include <sstream>
 
 #include "common/check.hpp"
-#include "common/crc32.hpp"
+#include "common/record_log.hpp"
 #include "common/strings.hpp"
 #include "common/subprocess.hpp"
 
@@ -11,25 +11,7 @@ namespace gpuperf::sandbox {
 
 namespace {
 
-constexpr char kFrameMagic[4] = {'G', 'P', 'W', 'K'};
-constexpr std::size_t kFrameHeaderBytes = 12;  // magic + length + crc
-
-void put_u32_le(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xFFu));
-  out.push_back(static_cast<char>((v >> 8) & 0xFFu));
-  out.push_back(static_cast<char>((v >> 16) & 0xFFu));
-  out.push_back(static_cast<char>((v >> 24) & 0xFFu));
-}
-
-std::uint32_t get_u32_le(const char* p) {
-  return static_cast<std::uint32_t>(static_cast<unsigned char>(p[0])) |
-         (static_cast<std::uint32_t>(static_cast<unsigned char>(p[1]))
-          << 8) |
-         (static_cast<std::uint32_t>(static_cast<unsigned char>(p[2]))
-          << 16) |
-         (static_cast<std::uint32_t>(static_cast<unsigned char>(p[3]))
-          << 24);
-}
+constexpr std::string_view kFrameMagic = "GPWK";
 
 std::string_view verb_name(Verb verb) {
   switch (verb) {
@@ -55,13 +37,6 @@ std::optional<Status> parse_status(std::string_view name) {
   if (name == "failed") return Status::kFailed;
   if (name == "invalid") return Status::kInvalid;
   return std::nullopt;
-}
-
-std::string full_precision(double v) {
-  std::ostringstream os;
-  os.precision(17);
-  os << v;
-  return os.str();
 }
 
 /// Split the payload at the first blank line into (header, body).  The
@@ -232,30 +207,21 @@ std::optional<WorkerResponse> parse_response(
 std::string encode_frame(const std::string& payload) {
   GP_CHECK_MSG(payload.size() <= kMaxFramePayload,
                "sandbox frame payload too large: " << payload.size());
-  std::string out;
-  out.reserve(kFrameHeaderBytes + payload.size());
-  out.append(kFrameMagic, sizeof(kFrameMagic));
-  put_u32_le(out, static_cast<std::uint32_t>(payload.size()));
-  put_u32_le(out, crc32(payload));
-  out.append(payload);
-  return out;
+  return encode_record(kFrameMagic, payload);
 }
 
 std::optional<std::string> read_frame(int fd) {
-  char header[kFrameHeaderBytes];
+  char header[kRecordHeaderBytes];
   if (read_full(fd, header, sizeof(header)) != sizeof(header))
     return std::nullopt;
-  if (std::string_view(header, 4) !=
-      std::string_view(kFrameMagic, 4))
+  const auto frame =
+      decode_record_header(kFrameMagic, header, kMaxFramePayload);
+  if (!frame) return std::nullopt;
+  std::string payload(frame->length, '\0');
+  if (frame->length > 0 &&
+      read_full(fd, payload.data(), frame->length) != frame->length)
     return std::nullopt;
-  const std::uint32_t length = get_u32_le(header + 4);
-  const std::uint32_t crc = get_u32_le(header + 8);
-  if (length > kMaxFramePayload) return std::nullopt;
-  std::string payload(length, '\0');
-  if (length > 0 &&
-      read_full(fd, payload.data(), length) != length)
-    return std::nullopt;
-  if (crc32(payload) != crc) return std::nullopt;
+  if (!frame->matches(payload)) return std::nullopt;
   return payload;
 }
 

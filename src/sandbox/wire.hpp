@@ -1,8 +1,7 @@
 // Pipe protocol between the serving parent and its sandboxed DCA
-// workers (docs/ROBUSTNESS.md "Crash isolation").  One frame per
-// message, CRC-checked like the feature-store journal:
-//
-//   "GPWK" | u32 LE payload length | u32 LE crc32(payload) | payload
+// workers (docs/ROBUSTNESS.md "Crash isolation").  One "GPWK" record
+// per message, framed by common/record_log.hpp like the journals
+// (docs/FILE_FORMATS.md "CRC-framed records").
 //
 // The payload is line-oriented text — a header block terminated by a
 // blank line, then an optional free-form body (serialized features, or

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/crc32.hpp"
+#include "common/record_log.hpp"
 #include "common/strings.hpp"
 
 namespace gpuperf::serve::binary {
@@ -13,21 +14,6 @@ constexpr std::uint8_t kMinVerb = static_cast<std::uint8_t>(Verb::kPredict);
 constexpr std::uint8_t kMaxVerb =
     static_cast<std::uint8_t>(Verb::kReady);
 
-std::uint32_t read_u32le(const char* p) {
-  const auto* b = reinterpret_cast<const unsigned char*>(p);
-  return static_cast<std::uint32_t>(b[0]) |
-         static_cast<std::uint32_t>(b[1]) << 8 |
-         static_cast<std::uint32_t>(b[2]) << 16 |
-         static_cast<std::uint32_t>(b[3]) << 24;
-}
-
-void append_u32le(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xFF));
-  out.push_back(static_cast<char>((v >> 8) & 0xFF));
-  out.push_back(static_cast<char>((v >> 16) & 0xFF));
-  out.push_back(static_cast<char>((v >> 24) & 0xFF));
-}
-
 std::string encode_frame(Verb verb, std::uint8_t flags,
                          std::string_view payload) {
   std::string out;
@@ -36,8 +22,8 @@ std::string encode_frame(Verb verb, std::uint8_t flags,
   out.push_back(static_cast<char>(kVersion));
   out.push_back(static_cast<char>(verb));
   out.push_back(static_cast<char>(flags));
-  append_u32le(out, static_cast<std::uint32_t>(payload.size()));
-  append_u32le(out, crc32(payload));
+  put_u32_le(out, static_cast<std::uint32_t>(payload.size()));
+  put_u32_le(out, crc32(payload));
   out.append(payload);
   return out;
 }
@@ -111,7 +97,7 @@ DecodeResult decode_frame(std::string_view bytes,
     }
   }
   if (bytes.size() < kHeaderBytes) return r;  // kNeedMore
-  const std::uint32_t length = read_u32le(bytes.data() + 4);
+  const std::uint32_t length = get_u32_le(bytes.data() + 4);
   // Enforced from the header alone: an adversarial length never makes
   // the connection buffer grow past the budget.
   if (length > limits.max_frame_payload_bytes) {
@@ -124,7 +110,7 @@ DecodeResult decode_frame(std::string_view bytes,
   }
   if (bytes.size() < kHeaderBytes + length) return r;  // kNeedMore
   const std::string_view payload = bytes.substr(kHeaderBytes, length);
-  if (crc32(payload) != read_u32le(bytes.data() + 8)) {
+  if (crc32(payload) != get_u32_le(bytes.data() + 8)) {
     r.status = DecodeStatus::kBadCrc;
     r.error = "frame payload fails its CRC-32 check";
     return r;

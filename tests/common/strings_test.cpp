@@ -70,6 +70,17 @@ TEST(Strings, Fixed) {
   EXPECT_EQ(fixed(-0.4439, 4), "-0.4439");
 }
 
+TEST(Strings, FullPrecisionPinsTheSerializedText) {
+  // Model files, manifests, journals and bundle-key hashes hold this
+  // exact text, so it must never change.
+  EXPECT_EQ(full_precision(0.125), "0.125");
+  EXPECT_EQ(full_precision(2.0), "2");
+  EXPECT_EQ(full_precision(0.1), "0.10000000000000001");
+  EXPECT_EQ(full_precision(1.0 / 3.0), "0.33333333333333331");
+  EXPECT_EQ(full_precision(-1e-7), "-9.9999999999999995e-08");
+  EXPECT_EQ(full_precision(123456789012345678.0), "1.2345678901234568e+17");
+}
+
 TEST(Strings, ParseInt) {
   EXPECT_EQ(parse_int("42"), 42);
   EXPECT_EQ(parse_int(" -7 "), -7);

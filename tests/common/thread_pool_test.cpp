@@ -7,7 +7,6 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
-#include <future>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -132,27 +131,6 @@ TEST(ThreadPool, ManyProducersSubmitConcurrently) {
   for (auto& producer : producers) producer.join();
   pool.wait();
   EXPECT_EQ(counter.load(), kProducers * kPerProducer);
-  EXPECT_EQ(pool.queue_depth(), 0u);
-}
-
-TEST(ThreadPool, SubmitTaskDeliversValuesThroughFutures) {
-  ThreadPool pool(3);
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 50; ++i)
-    futures.push_back(pool.submit_task([i] { return i * i; }));
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(futures[i].get(), i * i);
-}
-
-TEST(ThreadPool, SubmitTaskExceptionsStayInTheirFuture) {
-  ThreadPool pool(2);
-  auto bad = pool.submit_task(
-      []() -> int { throw std::runtime_error("mine alone"); });
-  auto good = pool.submit_task([] { return 7; });
-  EXPECT_EQ(good.get(), 7);
-  EXPECT_THROW(bad.get(), std::runtime_error);
-  // A submit_task failure is not pool-global: wait() stays clean, so
-  // other clients of a shared pool never observe someone else's error.
-  pool.wait();
 }
 
 TEST(ThreadPool, ExceptionsUnderContentionDoNotWedgeThePool) {
@@ -183,33 +161,6 @@ TEST(ThreadPool, DestructorDrainsPendingTasks) {
     // No wait(): destruction itself must finish the queue.
   }
   EXPECT_EQ(counter.load(), 64);
-}
-
-TEST(ThreadPool, ConcurrentWaitersBothComplete) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  std::vector<std::thread> clients;
-  for (int c = 0; c < 3; ++c)
-    clients.emplace_back([&] {
-      std::vector<std::future<void>> futures;
-      for (int i = 0; i < 100; ++i)
-        futures.push_back(pool.submit_task([&] { ++counter; }));
-      for (auto& future : futures) future.get();
-    });
-  for (auto& client : clients) client.join();
-  EXPECT_EQ(counter.load(), 300);
-}
-
-TEST(ThreadPool, QueueDepthReflectsBacklog) {
-  ThreadPool pool(1);
-  std::promise<void> release;
-  std::shared_future<void> gate = release.get_future().share();
-  pool.submit([gate] { gate.wait(); });  // occupy the only worker
-  for (int i = 0; i < 5; ++i) pool.submit([] {});
-  EXPECT_GE(pool.queue_depth(), 1u);
-  release.set_value();
-  pool.wait();
-  EXPECT_EQ(pool.queue_depth(), 0u);
 }
 
 }  // namespace

@@ -1,6 +1,10 @@
 #include "dse/sweep.hpp"
 
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <string>
@@ -8,6 +12,7 @@
 
 #include "common/check.hpp"
 #include "common/fault.hpp"
+#include "common/subprocess.hpp"
 #include "core/dataset_builder.hpp"
 #include "core/estimator.hpp"
 #include "dse/sweep_cache.hpp"
@@ -214,6 +219,46 @@ TEST(SweepCache, PutGetRoundTripAndCounters) {
   EXPECT_EQ(reopened.recovered_records(), 2u);
   EXPECT_EQ(reopened.size(), 1u);
   EXPECT_DOUBLE_EQ(reopened.get(key)->predicted_ipc, 3.0);
+}
+
+TEST(SweepCache, FailedPutDoesNotBuryLaterPuts) {
+  const std::string dir = temp_dir("cache_failed_put");
+  const std::string a = SweepCache::cell_key(0xa, "gtx1060", "v1");
+  const std::string b = SweepCache::cell_key(0xb, "gtx1060", "v1");
+  const std::string c = SweepCache::cell_key(0xc, "gtx1060", "v1");
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    // In a child, so the file-size cap never reaches this process.
+    SweepCache cache(dir);
+    cache.put(a, {1.5, 2.5, 90.0});
+    ::signal(SIGXFSZ, SIG_IGN);
+    rlimit saved{};
+    ::getrlimit(RLIMIT_FSIZE, &saved);
+    rlimit cap = saved;
+    cap.rlim_cur = fs::file_size(cache.journal_path()) + 40;
+    ::setrlimit(RLIMIT_FSIZE, &cap);  // put B dies 40 bytes in
+    bool threw = false;
+    try {
+      cache.put(b, {1.5, 2.5, 90.0});
+    } catch (const CheckError&) {
+      threw = true;
+    }
+    ::setrlimit(RLIMIT_FSIZE, &saved);
+    cache.put(c, {1.5, 2.5, 90.0});  // acknowledged
+    ::_exit(threw ? 0 : 1);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid_retry(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+      << describe_wait_status(status);
+
+  SweepCache cache(dir);
+  EXPECT_EQ(cache.recovered_records(), 2u);
+  EXPECT_EQ(cache.torn_tail_bytes(), 0u);
+  EXPECT_NE(cache.get(a), nullptr);
+  EXPECT_EQ(cache.get(b), nullptr);
+  EXPECT_NE(cache.get(c), nullptr);
 }
 
 TEST(SweepCache, KeySeparatesTopologyDeviceAndBundle) {

@@ -1,6 +1,10 @@
 #include "registry/feature_store.hpp"
 
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <filesystem>
@@ -8,7 +12,7 @@
 #include <sstream>
 
 #include "cnn/zoo.hpp"
-#include "registry/hash.hpp"
+#include "common/subprocess.hpp"
 
 namespace fs = std::filesystem;
 
@@ -163,44 +167,41 @@ TEST(FeatureStore, GarbageJournalRecoversToEmpty) {
   EXPECT_EQ(again.size(), 1u);
 }
 
-TEST(FeatureStore, LegacyEntriesMigrateIntoTheJournal) {
-  const std::string root = fresh_root("legacy");
-  fs::create_directories(root);
-  // A legacy one-file-per-entry store: payload + fnv1a64 checksum line.
-  const std::string body =
-      "gpuperf-features v1\n"
-      "topology " + hex64(0x1111) + "\n"
-      "model alexnet\n"
-      "executed_instructions 123456789\n"
-      "trainable_params 62378344\n"
-      "macs 714188480\n"
-      "neurons 650000\n"
-      "weighted_layers 8\n"
-      "dca_seconds 0.125\n";
-  write_file(fs::path(root) / (hex64(0x1111) + ".features"),
-             body + "checksum " + hex64(fnv1a64(body)) + "\n");
+TEST(FeatureStore, FailedPutDoesNotBuryLaterPuts) {
+  const std::string root = fresh_root("failed_put");
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    // In a child, so the file-size cap never reaches this process.
+    FeatureStore store(root);
+    store.put(0xa, sample_features());
+    ::signal(SIGXFSZ, SIG_IGN);
+    rlimit saved{};
+    ::getrlimit(RLIMIT_FSIZE, &saved);
+    rlimit cap = saved;
+    cap.rlim_cur = fs::file_size(store.journal_path()) + 40;
+    ::setrlimit(RLIMIT_FSIZE, &cap);  // put B dies 40 bytes in
+    bool threw = false;
+    try {
+      store.put(0xb, sample_features());
+    } catch (const CheckError&) {
+      threw = true;
+    }
+    ::setrlimit(RLIMIT_FSIZE, &saved);
+    store.put(0xc, sample_features());  // acknowledged
+    ::_exit(threw ? 0 : 1);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid_retry(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+      << describe_wait_status(status);
 
   FeatureStore store(root);
-  EXPECT_EQ(store.migrated_entries(), 1u);
-  ASSERT_NE(store.get(0x1111), nullptr);
-  EXPECT_EQ(store.get(0x1111)->executed_instructions, 123456789);
-  // The legacy file is gone; the entry now lives in the journal.
-  EXPECT_FALSE(fs::exists(fs::path(root) / (hex64(0x1111) + ".features")));
-  FeatureStore again(root);
-  EXPECT_EQ(again.recovered_records(), 1u);
-  EXPECT_NE(again.get(0x1111), nullptr);
-}
-
-TEST(FeatureStore, CorruptLegacyEntryIsLeftBehindAsAMiss) {
-  const std::string root = fresh_root("legacy_corrupt");
-  fs::create_directories(root);
-  const fs::path entry = fs::path(root) / (hex64(0x2222) + ".features");
-  write_file(entry, "gpuperf-features v1\ntruncated, no checksum\n");
-  FeatureStore store(root);
-  EXPECT_EQ(store.migrated_entries(), 0u);
-  EXPECT_EQ(store.get(0x2222), nullptr);
-  // Not deleted: the damaged file stays for a human to inspect.
-  EXPECT_TRUE(fs::exists(entry));
+  EXPECT_EQ(store.recovered_records(), 2u);
+  EXPECT_EQ(store.torn_tail_bytes(), 0u);
+  EXPECT_NE(store.get(0xa), nullptr);
+  EXPECT_EQ(store.get(0xb), nullptr);
+  EXPECT_NE(store.get(0xc), nullptr);
 }
 
 TEST(FeatureStore, CompactDropsOverwrittenRecords) {
