@@ -1,11 +1,11 @@
 // Multi-threaded load generator for the serving core (docs/SERVER.md).
 // Drives many thousands of concurrent loopback connections against a
 // gpuperf server — an external one (--host/--port) or an in-process
-// one (--self) — in either framing, and reports throughput and
+// one (--self) — over the line protocol, and reports throughput and
 // latency percentiles as loadgen-native JSON that bench/summarize.py
 // folds into the standard BENCH shape.
 //
-//   loadgen --self --connections 10000 --duration-s 5 --protocol both
+//   loadgen --self --connections 10000 --duration-s 5
 //
 // Closed-loop by default: every connection keeps --pipeline requests
 // in flight and issues the next request as each response lands.
@@ -17,8 +17,8 @@
 // Each worker thread owns an epoll set and an equal share of the
 // connections; connects are issued in bounded waves so a 10k ramp
 // doesn't overflow the listen backlog.  Latency is measured per
-// request (send timestamp FIFO per connection — responses are FIFO in
-// both framings) into the serve LatencyHistogram, warmup excluded.
+// request (send timestamp FIFO per connection — responses are FIFO)
+// into the serve LatencyHistogram, warmup excluded.
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
@@ -36,15 +36,14 @@
 #include <deque>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "common/fault.hpp"
-#include "serve/binary_protocol.hpp"
 #include "serve/metrics.hpp"
 #include "serve/server.hpp"
 #include "serve/session.hpp"
@@ -53,7 +52,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 namespace serve = gpuperf::serve;
-namespace binary = serve::binary;
 
 struct LoadgenOptions {
   std::string host = "127.0.0.1";
@@ -65,10 +63,8 @@ struct LoadgenOptions {
   double duration_s = 5.0;
   int pipeline = 1;              // closed-loop in-flight per connection
   double rps = 0.0;              // >0: open-loop offered rate (total)
-  std::string protocol = "both";  // line | binary | both
-  std::string verb = "ping";      // ping | predict
-  std::string out;                // JSON report path ("" = stdout only)
-  bool require_binary_faster = false;
+  std::string verb = "ping";     // ping | predict
+  std::string out;               // JSON report path ("" = stdout only)
   /// Fault spec armed in-process before the run (common/fault.hpp
   /// grammar, e.g. "net.read=throw*100;net.write=throw*100").  Only
   /// the --self server shares the process, so faults only bite there.
@@ -76,10 +72,11 @@ struct LoadgenOptions {
 };
 
 struct RunResult {
-  std::string protocol;
   std::uint64_t connected = 0;  // connections that completed connect()
   std::uint64_t requests = 0;   // responses completed in the window
-  std::uint64_t errors = 0;     // failed connects / bad frames
+  std::uint64_t errors = 0;     // failed connects, and response lines
+                                // without "ok":true (overloaded,
+                                // invalid_request, ...)
   std::uint64_t resets = 0;     // peer resets/EOF mid-run (ECONNRESET,
                                 // EPIPE, RST) — expected under chaos,
                                 // counted separately from errors
@@ -111,16 +108,9 @@ struct Conn {
   std::deque<Clock::time_point> sent_at;  // FIFO in-flight timestamps
 };
 
-/// One request on the wire for the chosen protocol + verb.
-std::string request_bytes(const std::string& protocol,
-                          const std::string& verb) {
-  const bool predict = verb == "predict";
-  if (protocol == "binary")
-    return predict ? binary::encode_request(binary::Verb::kPredict,
-                                            "alexnet v100s")
-                   : binary::encode_request(binary::Verb::kPing, "");
-  return predict ? std::string("predict alexnet v100s\n")
-                 : std::string("ping\n");
+/// One request line for the chosen verb.
+std::string request_bytes(const std::string& verb) {
+  return verb == "predict" ? "predict alexnet v100s\n" : "ping\n";
 }
 
 void raise_fd_limit() {
@@ -132,10 +122,10 @@ void raise_fd_limit() {
 
 class Worker {
  public:
-  Worker(const LoadgenOptions& options, const std::string& protocol,
-         int port, int n_conns, double thread_rps, Shared& shared)
-      : options_(options), protocol_(protocol), port_(port),
-        request_(request_bytes(protocol, options.verb)),
+  Worker(const LoadgenOptions& options, int port, int n_conns,
+         double thread_rps, Shared& shared)
+      : options_(options), port_(port),
+        request_(request_bytes(options.verb)),
         thread_interval_ns_(thread_rps > 0 ? 1e9 / thread_rps : 0),
         shared_(shared) {
     conns_.resize(static_cast<std::size_t>(n_conns));
@@ -214,7 +204,7 @@ class Worker {
     const int one = 1;
     ::setsockopt(conn.fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     // RST on close: a 10k-connection run must not leave 10k TIME_WAIT
-    // sockets behind to slow down the next protocol's run.
+    // sockets behind to slow down the next run.
     const linger hard_close{1, 0};
     ::setsockopt(conn.fd, SOL_SOCKET, SO_LINGER, &hard_close,
                  sizeof(hard_close));
@@ -257,7 +247,7 @@ class Worker {
 
   /// `reset` distinguishes a peer that dropped us mid-run (expected
   /// under fault injection; the run carries on with one connection
-  /// fewer) from connect failures and protocol errors.
+  /// fewer) from connect and other socket failures.
   void fail_conn(Conn& conn, bool reset = false) {
     if (conn.fd >= 0) {
       ::epoll_ctl(epfd_, EPOLL_CTL_DEL, conn.fd, nullptr);
@@ -332,43 +322,28 @@ class Worker {
       if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
       if (n < 0 && errno == EINTR) continue;
       // EOF or reset mid-run: the server closed us (idle reap, chaos
-      // fault, backpressure) — count as a reset, not a protocol error.
+      // fault, backpressure) — count as a reset, not an error.
       fail_conn(conn, /*reset=*/n == 0 || errno == ECONNRESET);
       return;
     }
-    if (protocol_ == "binary")
-      parse_binary(conn);
-    else
-      parse_lines(conn);
+    parse_lines(conn);
     // Closed-loop re-issues queue on conn.out; push them out now.
     if (!conn.dead && conn.out_off < conn.out.size()) flush_out(idx);
   }
 
+  /// Completes one request per response line; a line without
+  /// "ok":true also counts as an error.
   void parse_lines(Conn& conn) {
     std::size_t start = 0;
     for (;;) {
       const std::size_t nl = conn.in.find('\n', start);
       if (nl == std::string::npos) break;
+      if (!std::string_view(conn.in)
+               .substr(start, nl - start)
+               .starts_with("{\"ok\":true"))
+        shared_.errors.fetch_add(1, std::memory_order_relaxed);
       complete_one(conn);
       start = nl + 1;
-    }
-    if (start > 0) conn.in.erase(0, start);
-  }
-
-  void parse_binary(Conn& conn) {
-    gpuperf::InputLimits limits = gpuperf::InputLimits::defaults();
-    limits.max_frame_payload_bytes = limits.max_response_bytes;
-    std::size_t start = 0;
-    for (;;) {
-      const binary::DecodeResult r = binary::decode_frame(
-          std::string_view(conn.in).substr(start), limits);
-      if (r.status == binary::DecodeStatus::kNeedMore) break;
-      if (r.status != binary::DecodeStatus::kFrame) {
-        fail_conn(conn);
-        return;
-      }
-      complete_one(conn);
-      start += r.consumed;
     }
     if (start > 0) conn.in.erase(0, start);
   }
@@ -397,7 +372,6 @@ class Worker {
   }
 
   const LoadgenOptions& options_;
-  const std::string protocol_;
   const int port_;
   const std::string request_;
   const double thread_interval_ns_;
@@ -410,16 +384,12 @@ class Worker {
   std::size_t rr_ = 0;
 };
 
-/// One measurement slice: ramp connections, warm up, measure for
-/// `duration_s`.  Counters and the latency histogram accumulate into
-/// `shared` (reused across slices of the same protocol); returns the
-/// measured wall seconds.  `connected_this_slice` reports the slice's
-/// own connection count.
-double run_slice(const LoadgenOptions& options, const std::string& protocol,
-                 int port, double duration_s, Shared& shared,
-                 std::uint64_t& connected_this_slice) {
-  shared.phase.store(Phase::kWarmup);
-  const std::uint64_t connected_before = shared.connected.load();
+/// One run: ramp the connections, warm up for --warmup-s, then
+/// measure for --duration-s.
+RunResult run(const LoadgenOptions& options, int port) {
+  std::cerr << "loadgen: " << options.verb << " x" << options.connections
+            << " conns, " << options.duration_s << "s...\n";
+  Shared shared;
   const int threads = std::max(1, options.threads);
   const double thread_rps = options.rps > 0 ? options.rps / threads : 0.0;
 
@@ -429,8 +399,8 @@ double run_slice(const LoadgenOptions& options, const std::string& protocol,
   for (int t = 0; t < threads; ++t) {
     const int share = remaining / (threads - t);
     remaining -= share;
-    workers.push_back(std::make_unique<Worker>(options, protocol, port,
-                                               share, thread_rps, shared));
+    workers.push_back(
+        std::make_unique<Worker>(options, port, share, thread_rps, shared));
   }
   for (auto& worker : workers)
     pool.emplace_back([&worker] { worker->run(); });
@@ -440,7 +410,7 @@ double run_slice(const LoadgenOptions& options, const std::string& protocol,
   const auto measure_start = Clock::now();
   shared.phase.store(Phase::kMeasure);
   std::this_thread::sleep_for(
-      std::chrono::milliseconds(static_cast<int>(duration_s * 1000)));
+      std::chrono::milliseconds(static_cast<int>(options.duration_s * 1000)));
   shared.phase.store(Phase::kDone);
   const double measured_s =
       std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
@@ -448,62 +418,20 @@ double run_slice(const LoadgenOptions& options, const std::string& protocol,
           .count() *
       1e-9;
   for (auto& thread : pool) thread.join();
-  connected_this_slice = shared.connected.load() - connected_before;
-  return measured_s;
+
+  RunResult result;
+  result.connected = shared.connected.load();
+  result.requests = shared.measured.load();
+  result.errors = shared.errors.load();
+  result.resets = shared.resets.load();
+  result.rps = measured_s > 0 ? result.requests / measured_s : 0.0;
+  result.p50_us = shared.latency.percentile(0.50) * 1e6;
+  result.p99_us = shared.latency.percentile(0.99) * 1e6;
+  result.p999_us = shared.latency.percentile(0.999) * 1e6;
+  return result;
 }
 
-/// Compare protocols with an ABBA slice schedule — line, binary,
-/// binary, line — so slow drift (scheduler, thermal, page cache) hits
-/// both protocols equally instead of whichever happened to run second.
-std::vector<RunResult> run_all(const LoadgenOptions& options, int port) {
-  std::vector<std::string> schedule;
-  double slice_s = options.duration_s;
-  if (options.protocol == "both") {
-    schedule = {"line", "binary", "binary", "line"};
-    slice_s = options.duration_s / 2.0;
-  } else {
-    schedule = {options.protocol};
-  }
-
-  std::map<std::string, Shared> shared;  // per-protocol accumulators
-  std::map<std::string, double> measured_s;
-  std::map<std::string, std::uint64_t> peak_connected;
-  for (const std::string& protocol : schedule) {
-    std::cerr << "loadgen: " << protocol << " x" << options.connections
-              << " conns, " << slice_s << "s slice...\n";
-    std::uint64_t connected = 0;
-    measured_s[protocol] += run_slice(options, protocol, port, slice_s,
-                                      shared[protocol], connected);
-    peak_connected[protocol] =
-        std::max(peak_connected[protocol], connected);
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  }
-
-  std::vector<RunResult> runs;
-  for (const std::string& protocol :
-       options.protocol == "both"
-           ? std::vector<std::string>{"line", "binary"}
-           : std::vector<std::string>{options.protocol}) {
-    const Shared& s = shared[protocol];
-    RunResult result;
-    result.protocol = protocol;
-    result.connected = peak_connected[protocol];
-    result.requests = s.measured.load();
-    result.errors = s.errors.load();
-    result.resets = s.resets.load();
-    result.rps = measured_s[protocol] > 0
-                     ? result.requests / measured_s[protocol]
-                     : 0.0;
-    result.p50_us = s.latency.percentile(0.50) * 1e6;
-    result.p99_us = s.latency.percentile(0.99) * 1e6;
-    result.p999_us = s.latency.percentile(0.999) * 1e6;
-    runs.push_back(result);
-  }
-  return runs;
-}
-
-std::string report_json(const LoadgenOptions& options,
-                        const std::vector<RunResult>& runs) {
+std::string report_json(const LoadgenOptions& options, const RunResult& r) {
   std::ostringstream out;
   out << "{\n  \"loadgen\": {"
       << "\"connections\": " << options.connections
@@ -511,19 +439,13 @@ std::string report_json(const LoadgenOptions& options,
       << ", \"duration_s\": " << options.duration_s
       << ", \"pipeline\": " << options.pipeline
       << ", \"rps_target\": " << options.rps << ", \"verb\": \""
-      << options.verb << "\"},\n  \"runs\": [\n";
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const RunResult& r = runs[i];
-    out << "    {\"protocol\": \"" << r.protocol << "\""
-        << ", \"connected\": " << r.connected
-        << ", \"requests\": " << r.requests
-        << ", \"errors\": " << r.errors << ", \"resets\": " << r.resets
-        << ", \"rps\": " << r.rps
-        << ", \"p50_us\": " << r.p50_us << ", \"p99_us\": " << r.p99_us
-        << ", \"p999_us\": " << r.p999_us << "}"
-        << (i + 1 < runs.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
+      << options.verb << "\"},\n  \"runs\": [\n"
+      << "    {\"connected\": " << r.connected
+      << ", \"requests\": " << r.requests
+      << ", \"errors\": " << r.errors << ", \"resets\": " << r.resets
+      << ", \"rps\": " << r.rps
+      << ", \"p50_us\": " << r.p50_us << ", \"p99_us\": " << r.p99_us
+      << ", \"p999_us\": " << r.p999_us << "}\n  ]\n}\n";
   return out.str();
 }
 
@@ -539,12 +461,10 @@ int usage(const char* argv0) {
       << "  --duration-s S     measured window (default 5)\n"
       << "  --pipeline N       closed-loop in-flight/conn (default 1)\n"
       << "  --rps N            open-loop offered rate (0 = closed loop)\n"
-      << "  --protocol P       line | binary | both (default both)\n"
       << "  --verb V           ping | predict (default ping)\n"
       << "  --out FILE         write loadgen-native JSON report\n"
       << "  --fault-spec S     arm in-process faults (--self only),\n"
-      << "                     e.g. net.read=throw*100;net.write=throw*50\n"
-      << "  --require-binary-faster  exit 1 unless binary rps > line\n";
+      << "                     e.g. net.read=throw*100;net.write=throw*50\n";
   return 2;
 }
 
@@ -570,18 +490,12 @@ int main(int argc, char** argv) {
     else if (arg == "--duration-s") options.duration_s = std::stod(value());
     else if (arg == "--pipeline") options.pipeline = std::stoi(value());
     else if (arg == "--rps") options.rps = std::stod(value());
-    else if (arg == "--protocol") options.protocol = value();
     else if (arg == "--verb") options.verb = value();
     else if (arg == "--out") options.out = value();
     else if (arg == "--fault-spec") options.fault_spec = value();
-    else if (arg == "--require-binary-faster")
-      options.require_binary_faster = true;
     else
       return usage(argv[0]);
   }
-  if (options.protocol != "line" && options.protocol != "binary" &&
-      options.protocol != "both")
-    return usage(argv[0]);
   if (!options.self && options.port == 0) return usage(argv[0]);
 
   raise_fd_limit();
@@ -609,33 +523,22 @@ int main(int argc, char** argv) {
     port = server->port();
   }
 
-  const std::vector<RunResult> runs = run_all(options, port);
-  for (const RunResult& r : runs) {
-    std::cerr << "  " << r.protocol << ": connected=" << r.connected
-              << " requests=" << r.requests << " errors=" << r.errors
-              << " resets=" << r.resets
-              << " rps=" << r.rps << " p50=" << r.p50_us
-              << "us p99=" << r.p99_us << "us p999=" << r.p999_us
-              << "us\n";
-  }
+  const RunResult r = run(options, port);
+  std::cerr << "  connected=" << r.connected << " requests=" << r.requests
+            << " errors=" << r.errors << " resets=" << r.resets
+            << " rps=" << r.rps << " p50=" << r.p50_us
+            << "us p99=" << r.p99_us << "us p999=" << r.p999_us << "us\n";
 
   if (server) {
     server->drain(2000);
     server->stop();
   }
 
-  const std::string report = report_json(options, runs);
+  const std::string report = report_json(options, r);
   std::cout << report;
   if (!options.out.empty()) {
     std::ofstream file(options.out);
     file << report;
-  }
-
-  if (options.require_binary_faster && runs.size() == 2 &&
-      runs[1].rps <= runs[0].rps) {
-    std::cerr << "loadgen: binary (" << runs[1].rps
-              << " rps) did not beat line (" << runs[0].rps << " rps)\n";
-    return 1;
   }
   return 0;
 }

@@ -23,7 +23,7 @@ google-benchmark appends (_mean/_median/_stddev/_cv) are skipped —
 we compute our own statistics from the raw repetitions.
 
 loadgen-native (a top-level "runs" key, written by bench/loadgen
---out): each protocol run becomes one stage — per-request latency
+--out): each run becomes one stage, loadgen_<verb> — per-request latency
 percentiles in ns and ops_per_sec = measured requests per second —
 so BENCH_serve.json has the same shape as every other BENCH file.
 """
@@ -35,8 +35,7 @@ def loadgen_stages(report):
     stages = []
     for run in report["runs"]:
         stages.append({
-            "name": "loadgen_%s_%s" % (
-                run["protocol"], report.get("loadgen", {}).get("verb", "")),
+            "name": "loadgen_%s" % report.get("loadgen", {}).get("verb", ""),
             "reps": run["requests"],
             "p50_ns": round(run["p50_us"] * 1e3, 1),
             "p99_ns": round(run["p99_us"] * 1e3, 1),

@@ -1,6 +1,6 @@
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the per-record
 // integrity check of the CRC-framed records (common/record_log.hpp,
-// docs/FILE_FORMATS.md) and of the serve binary frames.
+// docs/FILE_FORMATS.md).
 // Chosen over FNV for persistence because single-bit and burst errors
 // are guaranteed detected; FNV remains the content-address hash.
 #pragma once

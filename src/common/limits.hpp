@@ -59,9 +59,6 @@ struct InputLimits {
   std::size_t max_store_record_bytes = 64u << 10;
   /// One serve request line (server side; see TcpServer::Options).
   std::size_t max_request_line_bytes = 64u << 10;
-  /// One binary-protocol frame payload (serve/binary_protocol.hpp);
-  /// enforced from the frame header, before any payload is buffered.
-  std::size_t max_frame_payload_bytes = 64u << 10;
   /// One serve response line (client side; see TcpClient::Options).
   std::size_t max_response_bytes = 8u << 20;
 

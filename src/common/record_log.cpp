@@ -18,6 +18,25 @@ namespace fs = std::filesystem;
 
 namespace gpuperf {
 
+namespace {
+
+void put_u32_le(std::string& out, std::uint32_t v) {
+  out.push_back(static_cast<char>(v & 0xFFu));
+  out.push_back(static_cast<char>((v >> 8) & 0xFFu));
+  out.push_back(static_cast<char>((v >> 16) & 0xFFu));
+  out.push_back(static_cast<char>((v >> 24) & 0xFFu));
+}
+
+std::uint32_t get_u32_le(const char* p) {
+  const auto* b = reinterpret_cast<const unsigned char*>(p);
+  return static_cast<std::uint32_t>(b[0]) |
+         static_cast<std::uint32_t>(b[1]) << 8 |
+         static_cast<std::uint32_t>(b[2]) << 16 |
+         static_cast<std::uint32_t>(b[3]) << 24;
+}
+
+}  // namespace
+
 std::string encode_record(std::string_view magic, std::string_view payload) {
   GP_DCHECK(magic.size() == 4);
   std::string out;

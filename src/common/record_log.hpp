@@ -21,23 +21,6 @@
 
 namespace gpuperf {
 
-/// Little-endian u32, the integer encoding of every binary header in
-/// the repo (these records and the serve binary frames).
-inline void put_u32_le(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xFFu));
-  out.push_back(static_cast<char>((v >> 8) & 0xFFu));
-  out.push_back(static_cast<char>((v >> 16) & 0xFFu));
-  out.push_back(static_cast<char>((v >> 24) & 0xFFu));
-}
-
-inline std::uint32_t get_u32_le(const char* p) {
-  const auto* b = reinterpret_cast<const unsigned char*>(p);
-  return static_cast<std::uint32_t>(b[0]) |
-         static_cast<std::uint32_t>(b[1]) << 8 |
-         static_cast<std::uint32_t>(b[2]) << 16 |
-         static_cast<std::uint32_t>(b[3]) << 24;
-}
-
 /// Magic + length + CRC.
 constexpr std::size_t kRecordHeaderBytes = 12;
 

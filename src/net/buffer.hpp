@@ -3,8 +3,7 @@
 // storage compacts lazily once the dead prefix outweighs the live
 // bytes, so a long-lived connection that streams gigabytes stays at
 // its working-set size.  Parsers read the live region through data()/
-// size()/view() without copying — binary frames are validated in place
-// (serve/binary_protocol.hpp) before a single payload byte is copied.
+// size()/view() without copying, and copy out only a complete request.
 #pragma once
 
 #include <cstddef>

@@ -7,8 +7,8 @@
 // wakes the loop via an eventfd.
 //
 // Protocol-agnostic by design: the loop moves bytes and tracks
-// connection lifecycle; framing (line vs length-prefixed binary) and
-// request semantics live in the Handler (serve/server.cpp).
+// connection lifecycle; framing and request semantics live in the
+// Handler (serve/server.cpp).
 //
 // Flow control: a connection whose input buffer reaches
 // max_input_buffer stops being read (edge-triggered readiness is

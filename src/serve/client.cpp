@@ -21,7 +21,6 @@
 #include "common/check.hpp"
 #include "common/strings.hpp"
 #include "net/io.hpp"
-#include "serve/binary_protocol.hpp"
 
 namespace gpuperf::serve {
 
@@ -97,7 +96,6 @@ TcpClient::TcpClient(const std::string& host, int port, Options options) {
   set_socket_timeout(fd_, SO_RCVTIMEO, options.io_timeout_ms);
   set_socket_timeout(fd_, SO_SNDTIMEO, options.io_timeout_ms);
   max_response_bytes_ = options.max_response_bytes;
-  binary_ = options.binary;
 }
 
 TcpClient::~TcpClient() {
@@ -122,10 +120,6 @@ void TcpClient::send_all(const std::string& data) {
 }
 
 std::string TcpClient::request(const std::string& line) {
-  return binary_ ? request_binary(line) : request_line(line);
-}
-
-std::string TcpClient::request_line(const std::string& line) {
   send_all(line + "\n");
 
   char chunk[4096];
@@ -151,45 +145,6 @@ std::string TcpClient::request_line(const std::string& line) {
           "response exceeds " + std::to_string(max_response_bytes_) +
               " bytes without a newline",
           false);
-  }
-}
-
-std::string TcpClient::request_binary(const std::string& line) {
-  const std::string trimmed(trim(line));
-  const std::size_t sp = trimmed.find_first_of(" \t");
-  const std::string verb_word = trimmed.substr(0, sp);
-  binary::Verb verb;
-  if (!binary::verb_from_name(verb_word, verb))
-    throw ClientError(
-        "verb '" + verb_word + "' has no binary wire id", false);
-  const std::string args =
-      sp == std::string::npos
-          ? std::string()
-          : std::string(trim(trimmed.substr(sp + 1)));
-  send_all(binary::encode_request(verb, args));
-
-  // The client's frame budget is the response bound, not the (smaller)
-  // server-side request budget: stats and dse bodies can be large.
-  InputLimits limits = InputLimits::defaults();
-  limits.max_frame_payload_bytes = max_response_bytes_;
-  char chunk[4096];
-  for (;;) {
-    const binary::DecodeResult r = binary::decode_frame(buffer_, limits);
-    if (r.status == binary::DecodeStatus::kFrame) {
-      std::string body(r.frame.payload);
-      buffer_.erase(0, r.consumed);
-      return body;
-    }
-    if (r.status != binary::DecodeStatus::kNeedMore)
-      throw ClientError("malformed response frame: " + r.error, false);
-    const ssize_t n = net::io::read(fd_, chunk, sizeof(chunk));
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && is_timeout_errno(errno))
-      throw ClientError("response timed out", true);
-    if (n <= 0)
-      throw ClientError("server closed the connection mid-response",
-                        false);
-    buffer_.append(chunk, static_cast<std::size_t>(n));
   }
 }
 

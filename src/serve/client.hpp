@@ -42,17 +42,9 @@ class TcpClient {
     int io_timeout_ms = 30000;
     /// Longest accepted response line; a peer that streams more without
     /// a newline gets a ClientError instead of growing the buffer
-    /// without bound (docs/ROBUSTNESS.md).  In binary mode the same
-    /// bound applies to a response frame's payload.
+    /// without bound (docs/ROBUSTNESS.md).
     std::size_t max_response_bytes =
         InputLimits::defaults().max_response_bytes;
-    /// Speak the length-prefixed binary protocol
-    /// (serve/binary_protocol.hpp) instead of the line protocol.
-    /// request() keeps its line-shaped interface: the verb word is
-    /// mapped to its wire id, the rest of the line rides as the frame
-    /// payload, and the returned string is the response frame's JSON
-    /// body — so callers are framing-agnostic.
-    bool binary = false;
   };
 
   /// Connects immediately; throws ClientError if the server is
@@ -67,19 +59,15 @@ class TcpClient {
 
   /// Send one request line (the trailing newline is added here) and
   /// block for the response line, returned without its newline.
-  /// In binary mode (Options::binary) the line is framed and the
-  /// response frame's body returned instead.  Throws ClientError on a
-  /// drop, an I/O timeout, or a malformed response frame.
+  /// Throws ClientError on a drop, an I/O timeout, or a response line
+  /// past max_response_bytes.
   std::string request(const std::string& line);
 
  private:
   void send_all(const std::string& data);
-  std::string request_line(const std::string& line);
-  std::string request_binary(const std::string& line);
 
   int fd_ = -1;
   std::size_t max_response_bytes_ = 0;
-  bool binary_ = false;
   std::string buffer_;  // bytes read past the previous response
 };
 

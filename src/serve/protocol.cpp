@@ -44,6 +44,11 @@ Request parse_request(const std::string& line) {
   return request;
 }
 
+bool is_heavy_verb(std::string_view verb) {
+  return verb == "predict" || verb == "rank" || verb == "analyze" ||
+         verb == "dse";
+}
+
 Response error_response(const std::string& message) {
   // Untyped legacy form: callers that know better use the ErrorCode
   // overload in serve/errors.hpp.  Everything routed here is a request

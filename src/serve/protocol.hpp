@@ -50,6 +50,11 @@ struct Request {
 /// all-whitespace line yields an empty verb.
 Request parse_request(const std::string& line);
 
+/// The admission-controlled verbs: predict, rank, analyze and dse, the
+/// ones that run analysis.  Every other verb always gets through, so
+/// the server stays observable and stoppable under overload.
+bool is_heavy_verb(std::string_view verb);
+
 /// A serialized single-line JSON response plus the out-of-band
 /// shutdown signal the server acts on.
 struct Response {

@@ -8,20 +8,11 @@
 #include "common/check.hpp"
 #include "common/log.hpp"
 #include "net/socket.hpp"
-#include "serve/binary_protocol.hpp"
 #include "serve/errors.hpp"
 
 namespace gpuperf::serve {
 
 namespace {
-
-/// Verbs that go through admission control (mirrors the session's
-/// classification: everything analysis-heavy; ping/stats/shutdown
-/// always pass so the server stays observable and stoppable).
-bool is_heavy_verb(const std::string& verb) {
-  return verb == "predict" || verb == "rank" || verb == "analyze" ||
-         verb == "dse";
-}
 
 /// Parse batch bound per dispatch: one worker task answers at most
 /// this many pipelined requests with a single write.
@@ -35,10 +26,8 @@ constexpr std::int64_t kHeartbeatStaleMs = 5000;
 }  // namespace
 
 TcpServer::TcpServer(ServeSession& session, Options options)
-    : session_(session), options_(std::move(options)),
-      frame_limits_(InputLimits::defaults()) {
+    : session_(session), options_(std::move(options)) {
   GP_CHECK(options_.port >= 0 && options_.port <= 65535);
-  frame_limits_.max_frame_payload_bytes = options_.max_frame_payload_bytes;
 }
 
 TcpServer::~TcpServer() { stop(); }
@@ -49,10 +38,9 @@ void TcpServer::start() {
                                         options_.port, options_.backlog);
   port_ = net::bound_port(listen_fd);
 
-  // Cache the per-protocol counter refs for lock-free bumps on the
-  // loop thread (MetricsRegistry guarantees stable addresses).
+  // Cache the counter ref for lock-free bumps on the loop thread
+  // (MetricsRegistry guarantees stable addresses).
   requests_line_ = &session_.metrics().counter("requests_line");
-  requests_binary_ = &session_.metrics().counter("requests_binary");
 
   workers_ = std::make_unique<ThreadPool>(options_.worker_threads);
   net::EventLoop::Options loop_options;
@@ -61,10 +49,9 @@ void TcpServer::start() {
       options_.read_progress_timeout_ms;
   loop_options.max_output_buffer = options_.max_output_buffer;
   // Room for at least one whole oversized line (detection needs
-  // limit + 1 buffered bytes) or binary frame, plus pipelining slack.
-  loop_options.max_input_buffer = std::max<std::size_t>(
-      {64u << 10, 2 * (options_.max_line_bytes + 2),
-       2 * (options_.max_frame_payload_bytes + binary::kHeaderBytes)});
+  // limit + 1 buffered bytes), plus pipelining slack.
+  loop_options.max_input_buffer =
+      std::max<std::size_t>(64u << 10, 2 * (options_.max_line_bytes + 2));
   // Cast here: the Handler base is private, so the conversion is only
   // accessible inside TcpServer members (not within make_unique).
   loop_ = std::make_unique<net::EventLoop>(
@@ -95,24 +82,17 @@ bool TcpServer::on_data(net::ConnId id, net::Buffer& in) {
   // One batch in flight per connection: responses are written in
   // request order, so parsing resumes only once the batch is answered.
   if (loop_->in_flight(id) > 0) return true;
-  if (state.wire == Wire::kUnknown) {
-    if (in.empty()) return true;
-    state.wire = static_cast<unsigned char>(in.view()[0]) == binary::kMagic
-                     ? Wire::kBinary
-                     : Wire::kLine;
-  }
 
   std::vector<WorkItem> batch;
-  parse_batch(state, in, batch);
+  while (batch.size() < kMaxBatch && !state.closing)
+    if (!parse_line(state, in, batch)) break;
   if (batch.empty()) return !state.closing;
 
   // Inline fast path: a lone ping is answered on the loop thread —
   // no dispatch round trip for the protocol's cheapest request.
   if (batch.size() == 1 && !batch[0].preformed && !state.closing &&
       batch[0].request.verb == "ping") {
-    const Response response = session_.handle(batch[0].request);
-    loop_->enqueue_output(id,
-                          frame_response(state.wire, batch[0], response));
+    loop_->enqueue_output(id, session_.handle(batch[0].request).body + "\n");
     return true;
   }
 
@@ -121,16 +101,6 @@ bool TcpServer::on_data(net::ConnId id, net::Buffer& in) {
 }
 
 void TcpServer::on_close(net::ConnId id) { conn_state_.erase(id); }
-
-void TcpServer::parse_batch(ConnState& state, net::Buffer& in,
-                            std::vector<WorkItem>& batch) {
-  while (batch.size() < kMaxBatch && !state.closing) {
-    const bool more = state.wire == Wire::kBinary
-                          ? parse_binary(state, in, batch)
-                          : parse_line(state, in, batch);
-    if (!more) break;
-  }
-}
 
 void TcpServer::reject_oversized_line(ConnState& state,
                                       std::size_t observed,
@@ -175,37 +145,6 @@ bool TcpServer::parse_line(ConnState& state, net::Buffer& in,
   return true;
 }
 
-bool TcpServer::parse_binary(ConnState& state, net::Buffer& in,
-                             std::vector<WorkItem>& batch) {
-  const binary::DecodeResult r =
-      binary::decode_frame(in.view(), frame_limits_);
-  if (r.status == binary::DecodeStatus::kNeedMore) return false;
-  if (r.status == binary::DecodeStatus::kFrame) {
-    requests_binary_->fetch_add(1, std::memory_order_relaxed);
-    WorkItem item;
-    item.request = binary::to_request(r.frame);
-    item.binary_verb = static_cast<std::uint8_t>(r.frame.verb);
-    item.heavy = is_heavy_verb(item.request.verb);
-    admit(item);
-    batch.push_back(std::move(item));
-    in.consume(r.consumed);
-    return true;
-  }
-  // Malformed frame: one typed error response, then close — a framing
-  // error desynchronizes the stream, so it cannot be skipped over.
-  const ErrorCode code = r.status == binary::DecodeStatus::kTooLarge
-                             ? ErrorCode::kInputTooLarge
-                             : ErrorCode::kInvalidRequest;
-  if (code == ErrorCode::kInputTooLarge)
-    session_.metrics().counter("inputs_rejected").fetch_add(1);
-  WorkItem item;
-  item.preformed = true;
-  item.response = error_response(code, r.error);
-  batch.push_back(std::move(item));
-  state.closing = true;
-  return false;
-}
-
 void TcpServer::admit(WorkItem& item) {
   if (item.preformed || !item.heavy || options_.max_pending == 0) return;
   if (pending_heavy_.load(std::memory_order_relaxed) <
@@ -220,29 +159,15 @@ void TcpServer::admit(WorkItem& item) {
       /*retry_after_ms=*/100);
 }
 
-std::string TcpServer::frame_response(Wire wire, const WorkItem& item,
-                                      const Response& response) {
-  if (wire == Wire::kBinary) {
-    // Error frames for undecodable requests echo ping (the verb byte
-    // never made it off the wire); everything else echoes the request.
-    const binary::Verb verb =
-        item.binary_verb != 0 ? static_cast<binary::Verb>(item.binary_verb)
-                              : binary::Verb::kPing;
-    return binary::encode_response(verb, response.ok, response.body);
-  }
-  return response.body + "\n";
-}
-
 void TcpServer::dispatch(net::ConnId id, ConnState& state,
                          std::vector<WorkItem> batch) {
   loop_->mark_dispatch(id);
   for (const WorkItem& item : batch)
     if (!item.preformed && item.heavy)
       pending_heavy_.fetch_add(1, std::memory_order_relaxed);
-  const Wire wire = state.wire;
   const bool close_after = state.closing;
   net::EventLoop* loop = loop_.get();
-  workers_->submit([this, loop, id, wire, close_after,
+  workers_->submit([this, loop, id, close_after,
                     batch = std::move(batch)]() mutable {
     std::string out;
     bool close = close_after;
@@ -256,7 +181,8 @@ void TcpServer::dispatch(net::ConnId id, ConnState& state,
         notify_stop_requested();
         close = true;
       }
-      out += frame_response(wire, item, response);
+      out += response.body;
+      out += '\n';
     }
     loop->send(id, std::move(out), /*completes_dispatch=*/true, close);
   });

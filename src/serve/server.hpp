@@ -4,18 +4,13 @@
 // session's — the session pool fans out `dse` sweeps, and a sweep
 // started from one of that pool's own workers would run serially).
 //
-// Two framings share the port, sniffed from a connection's first byte:
-// the newline/JSON line protocol (unchanged; every existing client
-// works as before) and the length-prefixed binary protocol of
-// serve/binary_protocol.hpp (first byte 0xB7, which no line request
-// can start with).  Responses use the connection's framing; semantics
-// — typed errors, admission control, graceful drain, shutdown verb —
-// are identical in both.
+// The wire is the newline/JSON line protocol of serve/protocol.hpp:
+// one request line in, one single-line JSON response out.
 //
 // Per-connection flow: requests are parsed in batches on the loop
 // thread (bounded per dispatch), handled in order on one worker task,
 // and answered with a single write — FIFO per connection, so
-// pipelining is safe in both framings.
+// pipelining is safe.
 //
 // POSIX sockets only (the project targets Linux); loopback by default.
 #pragma once
@@ -48,10 +43,6 @@ class TcpServer : private net::EventLoop::Handler {
     /// error response and is closed (docs/ROBUSTNESS.md).
     std::size_t max_line_bytes =
         InputLimits::defaults().max_request_line_bytes;
-    /// Longest accepted binary-frame payload; enforced from the frame
-    /// header before any payload is buffered.
-    std::size_t max_frame_payload_bytes =
-        InputLimits::defaults().max_frame_payload_bytes;
     /// Listen backlog (--backlog).
     int backlog = 128;
     /// Reap connections idle for this long (--idle-timeout-ms);
@@ -69,8 +60,8 @@ class TcpServer : private net::EventLoop::Handler {
     std::size_t max_output_buffer = 8u << 20;
     /// Request-handling worker threads; 0 = hardware threads.
     std::size_t worker_threads = 0;
-    /// Loop-level shed bound: heavy requests (predict/rank/analyze/dse)
-    /// past this many dispatched-but-unanswered get an immediate
+    /// Loop-level shed bound: heavy requests (is_heavy_verb) past
+    /// this many dispatched-but-unanswered get an immediate
     /// `overloaded` response instead of queueing on the worker pool.
     /// Cheap verbs always pass, so the server stays observable.
     /// 0 = unbounded (the session's max_in_flight still applies).
@@ -116,13 +107,10 @@ class TcpServer : private net::EventLoop::Handler {
   void stop();
 
  private:
-  enum class Wire { kUnknown, kLine, kBinary };
-
   /// One parsed (or preformed) request in a dispatch batch; answered in
   /// order by a single worker task.
   struct WorkItem {
     Request request;
-    std::uint8_t binary_verb = 0;  // wire id to echo (binary conns)
     bool heavy = false;
     /// Preformed response (shed / parse error): skip the session.
     bool preformed = false;
@@ -130,7 +118,6 @@ class TcpServer : private net::EventLoop::Handler {
   };
 
   struct ConnState {
-    Wire wire = Wire::kUnknown;
     bool closing = false;
   };
 
@@ -138,17 +125,11 @@ class TcpServer : private net::EventLoop::Handler {
   bool on_data(net::ConnId id, net::Buffer& in) override;
   void on_close(net::ConnId id) override;
 
-  void parse_batch(ConnState& state, net::Buffer& in,
-                   std::vector<WorkItem>& batch);
   bool parse_line(ConnState& state, net::Buffer& in,
                   std::vector<WorkItem>& batch);
-  bool parse_binary(ConnState& state, net::Buffer& in,
-                    std::vector<WorkItem>& batch);
   void reject_oversized_line(ConnState& state, std::size_t observed,
                              std::vector<WorkItem>& batch);
   void admit(WorkItem& item);
-  static std::string frame_response(Wire wire, const WorkItem& item,
-                                    const Response& response);
   void dispatch(net::ConnId id, ConnState& state,
                 std::vector<WorkItem> batch);
   void notify_stop_requested();
@@ -156,7 +137,6 @@ class TcpServer : private net::EventLoop::Handler {
 
   ServeSession& session_;
   Options options_;
-  InputLimits frame_limits_;  // defaults + max_frame_payload_bytes
   int port_ = 0;
 
   std::unique_ptr<net::EventLoop> loop_;
@@ -168,7 +148,6 @@ class TcpServer : private net::EventLoop::Handler {
   /// shed gauge; bumped on the loop thread, dropped by worker tasks).
   std::atomic<std::int64_t> pending_heavy_{0};
   std::atomic<std::uint64_t>* requests_line_ = nullptr;
-  std::atomic<std::uint64_t>* requests_binary_ = nullptr;
 
   std::mutex mutex_;
   std::condition_variable cv_;

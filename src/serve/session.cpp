@@ -1019,15 +1019,9 @@ Response ServeSession::handle(const Request& request) {
                           "shutdown)");
   }
 
-  // Admission control: analysis-heavy verbs are shed once the in-flight
-  // gauge (which already counts this request) passes the bound.  Cheap
-  // verbs — ping, stats, shutdown — always get through, so the server
-  // stays observable and stoppable under overload.
-  // A dse sweep is the heaviest verb of all (a whole model-set × device
-  // cross product), so it is always admission-controlled.
-  const bool heavy = request.verb == "predict" || request.verb == "rank" ||
-                     request.verb == "analyze" || request.verb == "dse";
-  if (heavy && options_.max_in_flight > 0 &&
+  // Admission control: heavy verbs are shed once the in-flight gauge
+  // (which already counts this request) passes the bound.
+  if (is_heavy_verb(request.verb) && options_.max_in_flight > 0 &&
       metrics_.in_flight() >
           static_cast<std::int64_t>(options_.max_in_flight)) {
     metrics_.counter("shed_overloaded").fetch_add(1);

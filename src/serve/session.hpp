@@ -80,8 +80,8 @@ struct ServeOptions {
   /// prediction marked degraded:true instead of a typed error
   /// (overridable per request with --no-degrade).
   bool degradation = true;
-  /// Shed predict/rank/analyze with `overloaded` once this many
-  /// requests are already in flight; 0 = unlimited.
+  /// Shed the heavy verbs (is_heavy_verb) with `overloaded` once this
+  /// many requests are already in flight; 0 = unlimited.
   std::size_t max_in_flight = 0;
   /// Circuit breaker (docs/ROBUSTNESS.md): after this many consecutive
   /// DCA failures for one module fingerprint, requests for that module

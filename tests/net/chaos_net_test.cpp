@@ -364,22 +364,18 @@ TEST_F(ChaosNet, SlowReadTripsTheLoopWatchdogButAnswers) {
 #endif  // GPUPERF_FAULT_INJECTION
 
 // ---------------------------------------------------------------------
-// health/ready over both framings.
+// health/ready.
 
-TEST(HealthReady, AnswersOnBothProtocols) {
+TEST(HealthReady, AnswersOverTheLineProtocol) {
   TcpServer server(shared_session());
   server.start();
-  for (const bool binary : {false, true}) {
-    TcpClient::Options options;
-    options.binary = binary;
-    TcpClient client("127.0.0.1", server.port(), options);
-    const std::string health = client.request("health");
-    EXPECT_TRUE(has(health, "\"status\":\"ok\"")) << health;
-    EXPECT_TRUE(has(health, "\"uptime_ms\":")) << health;
-    const std::string ready = client.request("ready");
-    EXPECT_TRUE(has(ready, "\"ready\":true")) << ready;
-    EXPECT_TRUE(has(ready, "\"reasons\":[]")) << ready;
-  }
+  TcpClient client("127.0.0.1", server.port());
+  const std::string health = client.request("health");
+  EXPECT_TRUE(has(health, "\"status\":\"ok\"")) << health;
+  EXPECT_TRUE(has(health, "\"uptime_ms\":")) << health;
+  const std::string ready = client.request("ready");
+  EXPECT_TRUE(has(ready, "\"ready\":true")) << ready;
+  EXPECT_TRUE(has(ready, "\"reasons\":[]")) << ready;
   server.stop();
 }
 

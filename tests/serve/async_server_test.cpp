@@ -146,6 +146,8 @@ TEST(AsyncServer, StatsExposeEventLoopCounters) {
   ServeSession& session = shared_session();
   TcpServer server(session);
   server.start();
+  const std::uint64_t lines_before =
+      session.metrics().counter_value("requests_line");
   TcpClient client("127.0.0.1", server.port());
   ASSERT_NE(client.request("ping").find("\"ok\":true"),
             std::string::npos);
@@ -160,6 +162,9 @@ TEST(AsyncServer, StatsExposeEventLoopCounters) {
   EXPECT_GE(session.metrics().counter_value("connections_accepted"), 1u);
   EXPECT_GE(session.metrics().counter_value("bytes_in"), 5u);
   EXPECT_GE(session.metrics().counter_value("bytes_out"), 5u);
+  // One count per request line: the ping and the stats call.
+  EXPECT_EQ(session.metrics().counter_value("requests_line"),
+            lines_before + 2);
   server.stop();
 }
 

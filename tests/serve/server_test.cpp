@@ -114,6 +114,21 @@ TEST(TcpServer, BadRequestsGetErrorResponsesNotDisconnects) {
   server.stop();
 }
 
+TEST(TcpServer, HighByteLineIsAnsweredAndTheConnectionStaysOpen) {
+  // A first byte of 0xB7 starts an unknown verb like any other: a typed
+  // error line, and the connection keeps serving.
+  TcpServer server(shared_session());
+  server.start();
+  TcpClient client("127.0.0.1", server.port());
+  const std::string bad = client.request("\xB7 ping");
+  EXPECT_NE(bad.find("\"ok\":false"), std::string::npos) << bad;
+  EXPECT_NE(bad.find("\"code\":\"invalid_request\""), std::string::npos)
+      << bad;
+  const std::string pong = client.request("ping");
+  EXPECT_NE(pong.find("\"ok\":true"), std::string::npos) << pong;
+  server.stop();
+}
+
 TEST(TcpServer, ShutdownVerbRequestsStop) {
   TcpServer server(shared_session());
   server.start();

@@ -92,7 +92,7 @@ int usage() {
       "        [--version vNNNN] [--feature-store <dir>] [--poll-ms N]\n"
       "        [--deadline-ms N] [--step-budget N] [--no-degrade]\n"
       "        [--max-inflight N] [--max-line-bytes N]\n"
-      "        [--max-frame-bytes N] [--backlog N] [--idle-timeout-ms N]\n"
+      "        [--backlog N] [--idle-timeout-ms N]\n"
       "        [--read-progress-timeout-ms N] [--max-output-buffer N]\n"
       "        [--breaker-threshold N] [--breaker-cooldown-ms N]\n"
       "        [--dca-spill-dir <dir>] [--dca-spill-budget BYTES]\n"
@@ -102,8 +102,7 @@ int usage() {
       "        [--dca-quarantine-dir <dir>] (sandboxed analysis workers,\n"
       "        docs/ROBUSTNESS.md \"Crash isolation\")\n"
       "  client <request...> [--host H] [--port N] [--timeout-ms N]\n"
-      "        [--retries N] [--binary] (backoff with jitter on\n"
-      "        failure/overload; --binary uses the framed protocol)\n"
+      "        [--retries N] (backoff with jitter on failure/overload)\n"
       "        [--endpoints h:p,h:p] [--hedge] [--hedge-delay-ms N]\n"
       "        (failover across endpoints; --hedge races idempotent\n"
       "        requests on a second endpoint after the delay)\n"
@@ -517,10 +516,6 @@ int cmd_serve(const Args& args) {
       it != args.flags.end())
     server_options.max_line_bytes =
         static_cast<std::size_t>(parse_int(it->second));
-  if (const auto it = args.flags.find("max-frame-bytes");
-      it != args.flags.end())
-    server_options.max_frame_payload_bytes =
-        static_cast<std::size_t>(parse_int(it->second));
   server_options.backlog =
       static_cast<int>(parse_int(args.flag_or("backlog", "128")));
   server_options.idle_timeout_ms =
@@ -574,7 +569,6 @@ int cmd_client(const Args& args) {
       static_cast<int>(parse_int(args.flag_or("timeout-ms", "30000")));
   client_options.connect_timeout_ms =
       std::min(client_options.io_timeout_ms, 5000);
-  client_options.binary = args.has_flag("binary");
   serve::RetryPolicy policy;
   policy.attempts =
       static_cast<int>(parse_int(args.flag_or("retries", "3"))) + 1;
