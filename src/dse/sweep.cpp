@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -54,6 +55,7 @@ SweepEngine::SweepEngine(const core::PerformanceEstimator& estimator,
       cache_(options.cache),
       pool_(options.pool),
       feature_source_(std::move(options.feature_source)),
+      topology_hash_(std::move(options.topology_hash)),
       bundle_key_(options.bundle_key.empty()
                       ? make_bundle_key(estimator, "")
                       : std::move(options.bundle_key)) {
@@ -96,31 +98,29 @@ SweepResult SweepEngine::run(const SweepRequest& request) const {
     specs.push_back(&gpu::device(name));
   }
 
-  // ---- plan: deduplicate the model list by topology fingerprint -----
-  // Two names that build the identical DAG (or the same name twice)
-  // share one DCA pass and one row of cells.
+  // ---- plan: deduplicate the model list by topology hash ------------
+  // The hash covers the model name, so only a repeated name shares a
+  // DCA pass.  A model is built here only without a hash source.
   struct Topology {
     std::uint64_t hash = 0;
     std::string representative;  // first model name with this topology
-    cnn::Model model;
   };
   std::vector<Topology> topologies;
+  std::vector<std::optional<cnn::Model>> models;  // by topology
   std::vector<std::size_t> topology_of_model(request.models.size());
   {
     std::unordered_map<std::uint64_t, std::size_t> by_hash;
     for (std::size_t mi = 0; mi < request.models.size(); ++mi) {
-      cnn::Model model = cnn::zoo::build(request.models[mi]);
+      std::optional<cnn::Model> model;
+      if (!topology_hash_) model = cnn::zoo::build(request.models[mi]);
       const std::uint64_t hash =
-          registry::FeatureStore::topology_hash(model);
-      const auto it = by_hash.find(hash);
-      if (it != by_hash.end()) {
-        topology_of_model[mi] = it->second;
-        continue;
-      }
-      by_hash.emplace(hash, topologies.size());
-      topology_of_model[mi] = topologies.size();
-      topologies.push_back(
-          {hash, request.models[mi], std::move(model)});
+          model ? registry::FeatureStore::topology_hash(*model)
+                : topology_hash_(request.models[mi]);
+      const auto [it, fresh] = by_hash.emplace(hash, topologies.size());
+      topology_of_model[mi] = it->second;
+      if (!fresh) continue;
+      topologies.push_back({hash, request.models[mi]});
+      models.push_back(std::move(model));
     }
   }
 
@@ -142,6 +142,10 @@ SweepResult SweepEngine::run(const SweepRequest& request) const {
   pool.parallel_for(topologies.size(), [&](std::size_t ti) {
     const Topology& topo = topologies[ti];
     std::vector<CellValue>& row = values[ti];
+    const auto model = [&]() -> const cnn::Model& {  // built on first use
+      if (!models[ti]) models[ti] = cnn::zoo::build(topo.representative);
+      return *models[ti];
+    };
 
     // 1. Probe the persistent cache per device: a full hit row skips
     //    feature acquisition (and therefore DCA) entirely.
@@ -177,14 +181,14 @@ SweepResult SweepEngine::run(const SweepRequest& request) const {
           feature_source_
               ? feature_source_(topo.representative, deadline)
               : std::make_shared<const core::ModelFeatures>(
-                    extractor_.compute(topo.model, deadline));
+                    extractor_.compute(model(), deadline));
       GP_CHECK_MSG(features != nullptr, "feature source returned null");
       features_computed.fetch_add(1, std::memory_order_relaxed);
     } catch (const std::exception& primary) {
       features = nullptr;
       if (request.allow_degrade) {
         try {
-          features = degraded_features(topo.model, topo.representative);
+          features = degraded_features(model(), topo.representative);
           status = CellStatus::kDegraded;
         } catch (const std::exception& fallback) {
           status = CellStatus::kFailed;

@@ -1,8 +1,8 @@
 // Fleet-scale design-space exploration (docs/DSE.md): evaluate a model
 // set × device table cross product under user constraints and return
 // ranked recommendations.  This is the paper's Table IV scenario
-// productized — one DCA pass per *distinct topology* (deduplicated by
-// module fingerprint), fanned out over the process-shared thread pool,
+// productized — one DCA pass per distinct model (a repeated name is
+// analyzed once), fanned out over the process-shared thread pool,
 // every (model, device) cell answered by the trained estimator instead
 // of a profiler, and the whole sweep persisted so the next run is
 // near-free.
@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -34,8 +35,8 @@ namespace gpuperf::dse {
 /// One bulk sweep: which models on which devices, under which
 /// constraints and analysis budget.
 struct SweepRequest {
-  /// Zoo model names (duplicates allowed — identical topologies are
-  /// analyzed once).  Must not be empty.
+  /// Zoo model names (duplicates allowed — a repeated name is analyzed
+  /// once).  Must not be empty.
   std::vector<std::string> models;
   /// Device short ids; empty = the paper's seven-device Table IV fleet.
   std::vector<std::string> devices;
@@ -110,6 +111,11 @@ class SweepEngine {
         std::function<std::shared_ptr<const core::ModelFeatures>(
             const std::string& zoo_model, const Deadline& deadline)>;
     FeatureSource feature_source;
+    /// Zoo name → FeatureStore::topology_hash, e.g. the serve session's
+    /// memo.  nullptr = build and hash each model, keeping the build for
+    /// the engine's own analysis.
+    using HashSource = std::function<std::uint64_t(const std::string&)>;
+    HashSource topology_hash;
   };
 
   /// The estimator is shared, not owned, and must stay alive (and
@@ -134,6 +140,7 @@ class SweepEngine {
   SweepCache* cache_;
   ThreadPool* pool_;
   Options::FeatureSource feature_source_;
+  Options::HashSource topology_hash_;
   std::string bundle_key_;
   core::FeatureExtractor extractor_;
   cnn::StaticAnalyzer analyzer_;

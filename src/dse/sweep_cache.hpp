@@ -4,8 +4,8 @@
 // idiom as the PR-2 feature store (docs/FILE_FORMATS.md).
 //
 // Entries are keyed on model-topology × device × estimator-bundle
-// version: the topology hash makes renamed-but-identical models share
-// one entry, the device name scopes the prediction, and the bundle key
+// version: the topology hash (which covers the model name) scopes the
+// model, the device name scopes the prediction, and the bundle key
 // guarantees a hot-reloaded or retrained estimator can never serve
 // another model's numbers.  Together with the feature store this makes
 // a repeated fleet sweep near-free — a restarted process replays

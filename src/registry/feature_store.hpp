@@ -4,9 +4,9 @@
 // never re-runs slicing/symexec for a model it has seen before.
 //
 // Entries are content-addressed by the hash of the CNN's canonical
-// text serialization (cnn::serialize_model): the same architecture maps
-// to the same address regardless of its zoo name, and any topology edit
-// gets a fresh address.  The paper's DCA features (executed
+// text serialization (cnn::serialize_model), which includes the model
+// name: a renamed copy of a DAG gets its own address, and so does any
+// topology edit.  The paper's DCA features (executed
 // instructions, trainable parameters) are device-independent, so one
 // entry serves every device; device features join the vector at
 // feature_vector() time.

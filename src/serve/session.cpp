@@ -252,25 +252,22 @@ void ServeSession::start_polling() {
 }
 
 core::ModelFeatures ServeSession::run_dca(const std::string& model,
-                                          const cnn::Model& cnn_model,
                                           const Deadline& deadline) {
   if (sandbox_pool_)
     return sandbox_pool_->compute(
         model, deadline, registry::hex64(module_fingerprint(model)));
-  return extractor_.compute(cnn_model, deadline);
+  return extractor_.compute(cnn::zoo::build(model), deadline);
 }
 
 ServeSession::FeaturePtr ServeSession::compute_features(
     const std::string& model, const Deadline& deadline) {
-  const cnn::Model cnn_model = cnn::zoo::build(model);
   // In isolated mode every dca.* chaos site fires inside the worker
   // (the pool ships an armed-site snapshot with each request), so the
   // parent-side point stays quiet — otherwise it would consume the
   // firing the worker was meant to see.
   if (!sandbox_pool_) GPUPERF_FAULT_POINT_D("dca.compute", &deadline);
+  const std::uint64_t key = feature_store_ ? module_fingerprint(model) : 0;
   if (feature_store_) {
-    const std::uint64_t key =
-        registry::FeatureStore::topology_hash(cnn_model);
     try {
       if (FeaturePtr stored = feature_store_->get(key)) {
         store_hits_.fetch_add(1);
@@ -282,10 +279,12 @@ ServeSession::FeaturePtr ServeSession::compute_features(
       GP_LOG(kWarn) << "feature store read failed: " << e.what();
       metrics_.counter("store_read_failures").fetch_add(1);
     }
-    auto computed = std::make_shared<const core::ModelFeatures>(
-        run_dca(model, cnn_model, deadline));
-    dca_computes_.fetch_add(1);
-    observe_instructions(computed->executed_instructions);
+  }
+  auto computed = std::make_shared<const core::ModelFeatures>(
+      run_dca(model, deadline));
+  dca_computes_.fetch_add(1);
+  observe_instructions(computed->executed_instructions);
+  if (feature_store_) {
     try {
       feature_store_->put(key, *computed);
     } catch (const std::exception& e) {
@@ -294,12 +293,7 @@ ServeSession::FeaturePtr ServeSession::compute_features(
       GP_LOG(kWarn) << "feature store write failed: " << e.what();
       metrics_.counter("store_write_failures").fetch_add(1);
     }
-    return computed;
   }
-  auto computed = std::make_shared<const core::ModelFeatures>(
-      run_dca(model, cnn_model, deadline));
-  dca_computes_.fetch_add(1);
-  observe_instructions(computed->executed_instructions);
   return computed;
 }
 
@@ -580,6 +574,10 @@ dse::SweepResult ServeSession::sweep(const dse::SweepRequest& request) {
   engine.feature_source = [this](const std::string& model,
                                  const Deadline& deadline) {
     return features_for(model, deadline);
+  };
+  // Plan from the name → hash memo: a warm sweep builds no model.
+  engine.topology_hash = [this](const std::string& model) {
+    return module_fingerprint(model);
   };
   return dse::SweepEngine(*estimator, std::move(engine)).run(request);
 }

@@ -248,7 +248,6 @@ class ServeSession {
   /// One DCA pass: in a sandboxed worker when isolate_dca, else the
   /// in-process extractor.  Worker death throws sandbox::AnalysisCrashed.
   core::ModelFeatures run_dca(const std::string& model,
-                              const cnn::Model& cnn_model,
                               const Deadline& deadline);
   struct PredictOutcome {
     double ipc = 0.0;
@@ -282,8 +281,9 @@ class ServeSession {
     std::int64_t open_until_ms = 0;  // 0 = closed
     bool probe_in_flight = false;    // half-open: one request testing
   };
-  /// Topology fingerprint of a zoo model (cached; cheap layer-level
-  /// hash, no DCA).
+  /// FeatureStore::topology_hash of a zoo model: the session's
+  /// name → hash memo, kept across reset_caches() and used as the
+  /// sweep's hash source.  A miss builds and serializes the model.
   std::uint64_t module_fingerprint(const std::string& model);
   /// False when the breaker is open and this request must fast-fail.
   bool breaker_admit(std::uint64_t fingerprint);

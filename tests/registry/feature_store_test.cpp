@@ -11,8 +11,10 @@
 #include <fstream>
 #include <sstream>
 
+#include "cnn/model_io.hpp"
 #include "cnn/zoo.hpp"
 #include "common/subprocess.hpp"
+#include "registry/hash.hpp"
 
 namespace fs = std::filesystem;
 
@@ -257,6 +259,20 @@ TEST(FeatureStore, TopologyHashSeparatesModels) {
       FeatureStore::topology_hash(cnn::zoo::build("alexnet"));
   EXPECT_NE(h1, h2);
   EXPECT_EQ(h1, h1_again);
+  // Golden values: these hashes key the GPFR and GPSC journals, so a
+  // change here orphans every store and sweep cache on disk.
+  EXPECT_EQ(hex64(h1), "7ef8b1a725dc997f");
+  EXPECT_EQ(hex64(h2), "def4a789047253bf");
+
+  // The serialized text carries the model name, so the same DAG under
+  // another name gets another address.
+  std::string text = cnn::serialize_model(cnn::zoo::build("alexnet"));
+  EXPECT_EQ(FeatureStore::topology_hash(cnn::deserialize_model(text)), h1);
+  const std::string name_line = "name alexnet\n";
+  const std::size_t at = text.find(name_line);
+  ASSERT_NE(at, std::string::npos) << text.substr(0, 200);
+  text.replace(at, name_line.size(), "name alexnet_copy\n");
+  EXPECT_NE(FeatureStore::topology_hash(cnn::deserialize_model(text)), h1);
 }
 
 }  // namespace

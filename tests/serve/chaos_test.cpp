@@ -240,6 +240,18 @@ TEST_F(ChaosSession, RankDegradesAsAWhole) {
   EXPECT_TRUE(has(body, "\"degraded\":true")) << body;
 }
 
+TEST_F(ChaosSession, DseFeatureFaultDegradesOneTopology) {
+  // One failed feature acquisition: that model's job builds its model
+  // for the static fallback, and the other model still answers in full.
+  ServeSession session(chaos_options());
+  fault::ScopedFault fault("dse.features", {fault::Action::kThrow, 0, 1});
+  const std::string body = session.handle_line(
+      "dse alexnet,mobilenet --devices=gtx1060,teslat4");
+  EXPECT_TRUE(has(body, "\"ok\":true")) << body;
+  EXPECT_TRUE(has(body, "\"degraded_cells\":2")) << body;
+  EXPECT_TRUE(has(body, "\"failed_cells\":0")) << body;
+}
+
 TEST_F(ChaosSession, InFlightBoundShedsDeterministically) {
   ServeOptions options = chaos_options();
   options.max_in_flight = 1;

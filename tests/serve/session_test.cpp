@@ -276,6 +276,38 @@ TEST(ServeSession, DseSweepCachePersistsAcrossRestart) {
   EXPECT_EQ(restarted.dca_compute_count(), 0u);
 }
 
+TEST(ServeSession, DseSessionHashSourceMatchesTheEngineDefault) {
+  // A standalone engine builds and hashes each model; the session plans
+  // from its name → hash memo instead.  Both must key the same cells,
+  // or the session would miss everything the engine persisted.
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "gpuperf_session_dse_hash")
+          .string();
+  std::filesystem::remove_all(dir);
+  dse::SweepRequest request;
+  request.models = {"alexnet", "mobilenet", "alexnet"};
+  request.devices = {"gtx1060", "teslat4"};
+  dse::SweepResult engine_result;
+  {
+    dse::SweepCache cache(dir);
+    dse::SweepEngine::Options options;
+    options.cache = &cache;
+    engine_result =
+        dse::SweepEngine(shared_session().estimator(), options).run(request);
+    ASSERT_EQ(engine_result.failed_cells, 0u);
+    EXPECT_EQ(engine_result.duplicate_models, 1u);
+  }
+  ServeOptions options = tiny_options();
+  options.feature_store_dir = dir;
+  ServeSession session(options);
+  const dse::SweepResult result = session.sweep(request);
+  EXPECT_EQ(result.sweep_cache_hits, 4u);
+  EXPECT_EQ(result.features_computed, 0u);
+  EXPECT_EQ(session.dca_compute_count(), 0u);
+  EXPECT_EQ(result.unique_topologies, engine_result.unique_topologies);
+  EXPECT_EQ(result.duplicate_models, engine_result.duplicate_models);
+}
+
 TEST(ServeSession, EstimatorHookSharesServeCache) {
   // The injected feature provider routes one-shot estimator predicts
   // through the service's DCA cache: no second DCA for a model the
