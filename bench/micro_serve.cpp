@@ -80,8 +80,8 @@ BENCHMARK(BM_PredictFeatureHitResultMiss)->Unit(benchmark::kMicrosecond);
 // cold one.
 void BM_PredictDegraded(benchmark::State& state) {
   serve::ServeSession session(bench_options());
-  // Seed the imputation mean and the static-report cache with one
-  // healthy pass before arming the fault.
+  // Warm the analysis path and the static-report cache with one healthy
+  // pass before arming the fault.
   session.predict("alexnet", "v100s");
   session.handle_line("analyze mobilenet");
   fault::ScopedFault fail_dca("dca.compute", fault::Spec{});

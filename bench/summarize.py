@@ -18,7 +18,7 @@ benchmark name and emitted, per stage, as:
 
 p50/p95 are computed over the per-repetition real_time samples
 (linear interpolation); ops_per_sec is 1e9 / p50_ns, i.e. how many
-times the stage runs per second at the median.  Aggregate rows that
+times the stage runs per second at the median.  Summary rows that
 google-benchmark appends (_mean/_median/_stddev/_cv) are skipped —
 we compute our own statistics from the raw repetitions.
 

@@ -28,10 +28,10 @@ int main(int argc, char** argv) {
   core::DseExplorer dse(estimator);
 
   // Rank every device in the database, not just the training pair —
-  // cross-platform prediction in action.
-  std::vector<std::string> devices;
-  for (const auto& d : gpu::device_database()) devices.push_back(d.name);
-  const auto ranking = dse.rank_devices(model_name, devices);
+  // cross-platform prediction in action.  One DCA pass serves them all.
+  const std::vector<std::string>& devices = gpu::device_names();
+  const auto ranking = dse.rank_devices(
+      estimator.extractor().compute(cnn::zoo::build(model_name)), devices);
 
   TextTable table("Device ranking for " + model_name +
                   " (best predicted throughput first)");

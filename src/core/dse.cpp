@@ -16,13 +16,9 @@ DseExplorer::DseExplorer(const PerformanceEstimator& estimator)
 }
 
 std::vector<DeviceRanking> DseExplorer::rank_devices(
-    const std::string& zoo_model,
+    const ModelFeatures& features,
     const std::vector<std::string>& device_names) const {
   GP_CHECK(!device_names.empty());
-  // Extract once, predict per device through the thread-safe const
-  // overload — the model's features do not depend on the device.
-  const ModelFeatures features =
-      estimator_.extractor().compute(cnn::zoo::build(zoo_model));
   std::vector<DeviceRanking> out;
   out.reserve(device_names.size());
   for (const std::string& name : device_names) {
@@ -34,10 +30,10 @@ std::vector<DeviceRanking> DseExplorer::rank_devices(
                              device.boost_clock_mhz;
     out.push_back(std::move(r));
   }
-  std::sort(out.begin(), out.end(),
-            [](const DeviceRanking& a, const DeviceRanking& b) {
-              return a.predicted_throughput > b.predicted_throughput;
-            });
+  std::stable_sort(out.begin(), out.end(),
+                   [](const DeviceRanking& a, const DeviceRanking& b) {
+                     return a.predicted_throughput > b.predicted_throughput;
+                   });
   return out;
 }
 

@@ -41,10 +41,12 @@ class DseExplorer {
   /// one trained estimator without aliasing doubt.
   explicit DseExplorer(const PerformanceEstimator& estimator);
 
-  /// Predict the CNN's IPC on every listed device, best first (by the
-  /// throughput proxy).
+  /// Predict a CNN's IPC on every listed device from its features (one
+  /// DCA pass serves every device), best throughput proxy first; equal
+  /// proxies keep the listed order.  The one device ranker: the `rank`
+  /// verb, `gpuperf rank` and the examples all call it.
   std::vector<DeviceRanking> rank_devices(
-      const std::string& zoo_model,
+      const ModelFeatures& features,
       const std::vector<std::string>& device_names) const;
 
   /// Timing comparison for one CNN: measured t_dca / t_pm from this

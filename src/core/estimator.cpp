@@ -30,13 +30,9 @@ double PerformanceEstimator::predict(
 double PerformanceEstimator::predict(const std::string& zoo_model,
                                      const gpu::DeviceSpec& device) {
   GP_CHECK_MSG(is_trained(), "predict before train");
+  const ModelFeatures& features = extractor_.for_zoo_model(zoo_model);
+  last_dca_seconds_ = features.dca_seconds;
   Stopwatch watch;
-  std::shared_ptr<const ModelFeatures> provided;
-  if (feature_provider_) provided = feature_provider_(zoo_model);
-  const ModelFeatures& features =
-      provided ? *provided : extractor_.for_zoo_model(zoo_model);
-  last_dca_seconds_ = provided ? 0.0 : features.dca_seconds;
-  watch.reset();
   const double ipc =
       regressor_->predict(FeatureExtractor::feature_vector(features, device));
   last_predict_seconds_ = watch.elapsed_seconds();
@@ -48,10 +44,6 @@ double PerformanceEstimator::predict(const ModelFeatures& features,
   GP_CHECK_MSG(is_trained(), "predict before train");
   return regressor_->predict(
       FeatureExtractor::feature_vector(features, device));
-}
-
-void PerformanceEstimator::set_feature_provider(FeatureProvider provider) {
-  feature_provider_ = std::move(provider);
 }
 
 ml::RegressionScore PerformanceEstimator::evaluate(

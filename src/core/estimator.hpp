@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 
@@ -41,15 +40,6 @@ class PerformanceEstimator {
   /// path (src/serve), with features supplied by the DCA cache.
   double predict(const ModelFeatures& features,
                  const gpu::DeviceSpec& device) const;
-
-  /// External feature cache hook: when set, predict(zoo_model, device)
-  /// asks the provider for the model's features before falling back to
-  /// the built-in extractor (which re-runs DCA on a cold key).  A
-  /// provider returning nullptr means "not cached — compute yourself".
-  using FeatureProvider =
-      std::function<std::shared_ptr<const ModelFeatures>(
-          const std::string& zoo_model)>;
-  void set_feature_provider(FeatureProvider provider);
 
   /// Per-row predictions + the Table II metric triple on a dataset.
   ml::RegressionScore evaluate(const ml::Dataset& data) const;
@@ -91,7 +81,6 @@ class PerformanceEstimator {
   std::string regressor_id_;
   std::unique_ptr<ml::Regressor> regressor_;
   FeatureExtractor extractor_;
-  FeatureProvider feature_provider_;
   double last_dca_seconds_ = 0.0;
   double last_predict_seconds_ = 0.0;
 };

@@ -30,6 +30,21 @@ ModelFeatures FeatureExtractor::compute(const cnn::Model& model,
   return out;
 }
 
+ModelFeatures static_only_features(const cnn::ModelReport& report) {
+  // The paper's Gini analysis puts executed-instructions importance at
+  // only 0.014, so a params-proportional guess still gives a useful
+  // prediction.
+  constexpr std::int64_t kInstructionsPerParam = 16;
+  ModelFeatures out;
+  out.model_name = report.model_name;
+  out.executed_instructions = report.trainable_params * kInstructionsPerParam;
+  out.trainable_params = report.trainable_params;
+  out.macs = report.macs;
+  out.neurons = report.neurons;
+  out.weighted_layers = report.weighted_layers;
+  return out;
+}
+
 const ModelFeatures& FeatureExtractor::for_zoo_model(
     const std::string& name) {
   const auto it = cache_.find(name);

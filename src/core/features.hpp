@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "cnn/model.hpp"
+#include "cnn/static_analyzer.hpp"
 #include "common/deadline.hpp"
 #include "gpu/device_spec.hpp"
 #include "ptx/counter.hpp"
@@ -27,6 +28,14 @@ struct ModelFeatures {
   std::int64_t weighted_layers = 0;
   double dca_seconds = 0.0;  // wall time of the dynamic code analysis
 };
+
+/// The features every verb falls back to when dynamic code analysis
+/// times out, crashes or fails: the static analyzer's counts, with
+/// executed instructions imputed as 16 per trainable parameter.  A pure
+/// function of the model, so a degraded answer never depends on which
+/// verb or which session served it (docs/ROBUSTNESS.md "Graceful
+/// degradation").
+ModelFeatures static_only_features(const cnn::ModelReport& report);
 
 class FeatureExtractor {
  public:

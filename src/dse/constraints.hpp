@@ -102,7 +102,7 @@ struct DeviceCost {
   double cost_usd = -1.0;
 };
 
-/// Aggregate cells per device (in `device_order`, with `costs` parallel
+/// Summarize cells per device (in `device_order`, with `costs` parallel
 /// to it — pass an empty vector for all-unknown) and apply the
 /// constraint filter.  Failed cells make a device infeasible — an
 /// incomplete sweep must not win on the cells it happened to finish.

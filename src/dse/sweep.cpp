@@ -63,25 +63,6 @@ SweepEngine::SweepEngine(const core::PerformanceEstimator& estimator,
                "DSE sweep needs a trained estimator");
 }
 
-std::shared_ptr<const core::ModelFeatures> SweepEngine::degraded_features(
-    const cnn::Model& model, const std::string& name) const {
-  const cnn::ModelReport report = analyzer_.analyze(model);
-  auto features = std::make_shared<core::ModelFeatures>();
-  features->model_name = name;
-  features->trainable_params = report.trainable_params;
-  features->macs = report.macs;
-  features->neurons = report.neurons;
-  features->weighted_layers = report.weighted_layers;
-  // The serve layer's cold-start imputation (session.cpp): a params-
-  // proportional guess keeps executed_instructions in a plausible order
-  // of magnitude; the paper's Gini analysis puts its importance at only
-  // 0.014, so the prediction stays useful.
-  constexpr std::int64_t kInstructionsPerParam = 16;
-  features->executed_instructions =
-      report.trainable_params * kInstructionsPerParam;
-  return features;
-}
-
 SweepResult SweepEngine::run(const SweepRequest& request) const {
   Stopwatch watch;
   GP_CHECK_MSG(!request.models.empty(),
@@ -188,7 +169,8 @@ SweepResult SweepEngine::run(const SweepRequest& request) const {
       features = nullptr;
       if (request.allow_degrade) {
         try {
-          features = degraded_features(model(), topo.representative);
+          features = std::make_shared<const core::ModelFeatures>(
+              core::static_only_features(analyzer_.analyze(model())));
           status = CellStatus::kDegraded;
         } catch (const std::exception& fallback) {
           status = CellStatus::kFailed;

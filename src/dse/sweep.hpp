@@ -9,9 +9,10 @@
 //
 // Robustness contract (PR-3 semantics): a sweep with one pathological
 // model still returns every other cell.  Per-cell status is `ok`
-// (full DCA-backed prediction), `degraded` (DCA timed out or failed;
-// static-features fallback) or `failed` (no prediction; `error` says
-// why).  Only `ok` cells enter the persistent cache.
+// (full DCA-backed prediction), `degraded` (feature acquisition timed
+// out or failed; core::static_only_features fallback) or `failed` (no
+// prediction; `error` says why).  Only `ok` cells enter the persistent
+// cache.
 #pragma once
 
 #include <cstddef>
@@ -103,9 +104,10 @@ class SweepEngine {
     std::string bundle_key;
     /// Worker pool (not owned); nullptr = ThreadPool::shared().
     ThreadPool* pool = nullptr;
-    /// External feature source, e.g. the serve session's single-flight
-    /// DCA cache + persistent feature store.  Called once per distinct
-    /// topology; may throw AnalysisTimeout or any analysis error.
+    /// External feature source, e.g. the serve session's acquisition
+    /// (circuit breaker, single-flight feature cache, persistent
+    /// store).  Called once per distinct topology; may throw
+    /// AnalysisTimeout, an open-breaker error or any analysis error.
     /// nullptr = the engine runs its own extractor.
     using FeatureSource =
         std::function<std::shared_ptr<const core::ModelFeatures>(
@@ -133,9 +135,6 @@ class SweepEngine {
   SweepResult run(const SweepRequest& request) const;
 
  private:
-  std::shared_ptr<const core::ModelFeatures> degraded_features(
-      const cnn::Model& model, const std::string& name) const;
-
   const core::PerformanceEstimator& estimator_;
   SweepCache* cache_;
   ThreadPool* pool_;

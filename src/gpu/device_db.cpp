@@ -185,6 +185,15 @@ bool has_device(const std::string& name) {
   return false;
 }
 
+const std::vector<std::string>& device_names() {
+  static const std::vector<std::string> names = [] {
+    std::vector<std::string> out;
+    for (const auto& d : device_database()) out.push_back(d.name);
+    return out;
+  }();
+  return names;
+}
+
 const std::vector<std::string>& training_devices() {
   static const std::vector<std::string> names = {"gtx1080ti", "v100s"};
   return names;

@@ -20,6 +20,9 @@ const DeviceSpec& device(const std::string& name);
 
 bool has_device(const std::string& name);
 
+/// Short ids of every device_database() entry, in database order.
+const std::vector<std::string>& device_names();
+
 /// The two training devices of the paper's phase 1.
 const std::vector<std::string>& training_devices();
 

@@ -133,16 +133,4 @@ void FeatureStore::compact() {
   log_.rewrite(payloads);
 }
 
-FeatureStore::Aggregate FeatureStore::aggregate() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  Aggregate out;
-  for (const auto& [topology, features] : index_) {
-    (void)topology;
-    out.entries += 1;
-    out.executed_instruction_sum += features->executed_instructions;
-    out.trainable_param_sum += features->trainable_params;
-  }
-  return out;
-}
-
 }  // namespace gpuperf::registry

@@ -71,16 +71,6 @@ class FeatureStore {
   /// Bytes of torn/corrupt tail truncated away at open time.
   std::size_t torn_tail_bytes() const { return replayed_.torn_tail_bytes; }
 
-  /// Scan of every valid entry, for warm-starting the degraded-path
-  /// imputation (docs/ROBUSTNESS.md): corrupt entries were already
-  /// dropped at open, so this never throws for bad on-disk data.
-  struct Aggregate {
-    std::uint64_t entries = 0;
-    std::int64_t executed_instruction_sum = 0;
-    std::int64_t trainable_param_sum = 0;
-  };
-  Aggregate aggregate() const;
-
  private:
   std::string root_;
   mutable std::mutex mutex_;

@@ -12,6 +12,7 @@
 #include "common/log.hpp"
 #include "common/strings.hpp"
 #include "core/dataset_builder.hpp"
+#include "core/dse.hpp"
 #include "common/mapped_buffer.hpp"
 #include "gpu/device_db.hpp"
 #include "ptx/counter.hpp"
@@ -97,21 +98,6 @@ ServeSession::ServeSession(ServeOptions options)
   metrics_.counter("dca_spill_files");
   metrics_.counter("dca_spill_bytes");
 
-  // Warm-start the degraded-path imputation from every DCA result the
-  // persistent store already holds: a fresh process can then serve a
-  // sensible fallback before its first successful DCA pass.
-  if (feature_store_) {
-    try {
-      const auto aggregate = feature_store_->aggregate();
-      observed_instruction_sum_.store(aggregate.executed_instruction_sum);
-      observed_instruction_count_.store(aggregate.entries);
-    } catch (const std::exception& e) {
-      // The store being unreadable must not stop the server: the
-      // imputation just starts cold.
-      GP_LOG(kWarn) << "feature store scan failed: " << e.what();
-    }
-  }
-
   if (registry_) {
     registry::Bundle bundle = registry_->load(options_.registry_version);
     std::string version = bundle.version;
@@ -149,11 +135,8 @@ void ServeSession::install_estimator(core::PerformanceEstimator estimator,
                                      std::string version,
                                      registry::Manifest manifest,
                                      std::string source) {
-  auto owned = std::make_shared<core::PerformanceEstimator>(
+  auto owned = std::make_shared<const core::PerformanceEstimator>(
       std::move(estimator));
-  // One-shot estimator callers share the service's DCA cache too.
-  owned->set_feature_provider(
-      [this](const std::string& model) { return features_for(model); });
   // Sweep-cache identity of this estimator (docs/DSE.md): the registry
   // version when there is one, else a content hash — computed once per
   // install so sweeps never pay the serialization.
@@ -271,7 +254,6 @@ ServeSession::FeaturePtr ServeSession::compute_features(
     try {
       if (FeaturePtr stored = feature_store_->get(key)) {
         store_hits_.fetch_add(1);
-        observe_instructions(stored->executed_instructions);
         return stored;
       }
     } catch (const std::exception& e) {
@@ -283,7 +265,6 @@ ServeSession::FeaturePtr ServeSession::compute_features(
   auto computed = std::make_shared<const core::ModelFeatures>(
       run_dca(model, deadline));
   dca_computes_.fetch_add(1);
-  observe_instructions(computed->executed_instructions);
   if (feature_store_) {
     try {
       feature_store_->put(key, *computed);
@@ -309,17 +290,6 @@ ServeSession::FeaturePtr ServeSession::features_for(
       model, [&] { return compute_features(model, deadline); });
 }
 
-ServeSession::PredictOutcome ServeSession::predict_ipc(
-    const std::string& model, const gpu::DeviceSpec& device,
-    const Deadline& deadline) {
-  const std::string key = result_key(model, device.name);
-  if (const auto cached = results_.get(key)) return {*cached, true, false};
-  const double ipc =
-      estimator_ptr()->predict(*features_for(model, deadline), device);
-  results_.put(key, std::make_shared<const double>(ipc));
-  return {ipc, false, false};
-}
-
 std::uint64_t ServeSession::module_fingerprint(const std::string& model) {
   {
     std::lock_guard<std::mutex> lock(breaker_mutex_);
@@ -337,7 +307,9 @@ std::uint64_t ServeSession::module_fingerprint(const std::string& model) {
 
 bool ServeSession::breaker_admit(std::uint64_t fingerprint) {
   std::lock_guard<std::mutex> lock(breaker_mutex_);
-  Breaker& b = breakers_[fingerprint];
+  const auto it = breakers_.find(fingerprint);
+  if (it == breakers_.end()) return true;  // no failure since a success
+  Breaker& b = it->second;
   if (b.open_until_ms == 0) return true;  // closed
   const std::int64_t now = steady_now_ms();
   if (now < b.open_until_ms) return false;  // open: fast-fail
@@ -349,11 +321,10 @@ bool ServeSession::breaker_admit(std::uint64_t fingerprint) {
 }
 
 void ServeSession::breaker_record_success(std::uint64_t fingerprint) {
+  // Closed with no failures is the same as no entry: a module that
+  // never failed costs a lookup here, never a write.
   std::lock_guard<std::mutex> lock(breaker_mutex_);
-  Breaker& b = breakers_[fingerprint];
-  b.consecutive_failures = 0;
-  b.open_until_ms = 0;
-  b.probe_in_flight = false;
+  breakers_.erase(fingerprint);
 }
 
 void ServeSession::breaker_record_failure(std::uint64_t fingerprint) {
@@ -374,9 +345,8 @@ void ServeSession::breaker_record_failure(std::uint64_t fingerprint) {
   }
 }
 
-ServeSession::PredictOutcome ServeSession::predict_or_degrade(
-    const std::string& model, const gpu::DeviceSpec& device,
-    const Deadline& deadline, bool allow_degrade) {
+ServeSession::FeaturePtr ServeSession::acquire_features(
+    const std::string& model, const Deadline& deadline) {
   const bool breaker_on = options_.breaker_threshold > 0;
   const std::uint64_t fp = breaker_on ? module_fingerprint(model) : 0;
   if (breaker_on && !breaker_admit(fp)) {
@@ -384,74 +354,64 @@ ServeSession::PredictOutcome ServeSession::predict_or_degrade(
     // cooldown hasn't produced a successful probe — skip the doomed
     // (and expensive) analysis outright.
     metrics_.counter("breaker_fast_fail").fetch_add(1);
-    if (!allow_degrade)
-      throw ServeError(
-          ErrorCode::kAnalysisFailed,
-          "circuit breaker open for '" + model +
-              "': repeated analysis failures; retry after cooldown");
-    return predict_degraded(model, device);
+    throw ServeError(ErrorCode::kAnalysisFailed,
+                     "circuit breaker open for '" + model +
+                         "': repeated analysis failures; retry after "
+                         "cooldown");
   }
-  try {
-    PredictOutcome outcome = predict_ipc(model, device, deadline);
-    if (breaker_on) breaker_record_success(fp);
-    return outcome;
-  } catch (const AnalysisTimeout&) {
-    metrics_.counter("analysis_timeouts").fetch_add(1);
+  const auto failed = [&](const char* counter) {
+    metrics_.counter(counter).fetch_add(1);
     if (breaker_on) breaker_record_failure(fp);
-    if (!allow_degrade) throw;
+  };
+  try {
+    FeaturePtr features = features_for(model, deadline);
+    if (breaker_on) breaker_record_success(fp);
+    return features;
+  } catch (const AnalysisTimeout&) {
+    failed("analysis_timeouts");
+    throw;
   } catch (const sandbox::AnalysisCrashed&) {
     // A sandboxed worker died under this module: the strongest breaker
-    // signal there is, and exactly the failure the degraded static
-    // path exists for.
-    metrics_.counter("analysis_crashes").fetch_add(1);
-    if (breaker_on) breaker_record_failure(fp);
-    if (!allow_degrade) throw;
+    // signal there is.
+    failed("analysis_crashes");
+    throw;
   } catch (const std::exception&) {
-    metrics_.counter("analysis_failures").fetch_add(1);
-    if (breaker_on) breaker_record_failure(fp);
+    failed("analysis_failures");
+    throw;
+  }
+}
+
+ServeSession::Acquired ServeSession::features_or_fallback(
+    const std::string& model, const Deadline& deadline,
+    bool allow_degrade) {
+  try {
+    return {acquire_features(model, deadline), false};
+  } catch (const std::exception&) {
     if (!allow_degrade) throw;
   }
-  return predict_degraded(model, device);
-}
-
-void ServeSession::observe_instructions(
-    std::int64_t executed_instructions) {
-  observed_instruction_sum_.fetch_add(executed_instructions,
-                                      std::memory_order_relaxed);
-  observed_instruction_count_.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::int64_t ServeSession::imputed_executed_instructions(
-    std::int64_t trainable_params) const {
-  const std::uint64_t n = observed_instruction_count_.load();
-  if (n > 0)
-    return observed_instruction_sum_.load() /
-           static_cast<std::int64_t>(n);
-  // Cold start with no DCA observations at all: a params-proportional
-  // guess keeps the feature in a plausible order of magnitude.
-  constexpr std::int64_t kInstructionsPerParam = 16;
-  return trainable_params * kInstructionsPerParam;
-}
-
-ServeSession::PredictOutcome ServeSession::predict_degraded(
-    const std::string& model, const gpu::DeviceSpec& device) {
   const auto report = static_reports_.get_or_compute(model, [&] {
     return std::make_shared<const cnn::ModelReport>(
         analyzer_.analyze(cnn::zoo::build(model)));
   });
-  core::ModelFeatures features;
-  features.model_name = model;
-  features.trainable_params = report->trainable_params;
-  features.macs = report->macs;
-  features.neurons = report->neurons;
-  features.weighted_layers = report->weighted_layers;
-  features.executed_instructions =
-      imputed_executed_instructions(report->trainable_params);
-  const double ipc = estimator_ptr()->predict(features, device);
   metrics_.counter("degraded").fetch_add(1);
-  // Deliberately NOT stored in the result cache: the next request
-  // should attempt the full analysis, not inherit the fallback.
-  return {ipc, false, true};
+  return {std::make_shared<const core::ModelFeatures>(
+              core::static_only_features(*report)),
+          true};
+}
+
+ServeSession::Prediction ServeSession::predict_one(
+    const std::string& model, const gpu::DeviceSpec& device,
+    const Deadline& deadline, bool allow_degrade) {
+  const std::string key = result_key(model, device.name);
+  if (const auto cached = results_.get(key)) return {*cached, true, false};
+  const Acquired acquired = features_or_fallback(model, deadline,
+                                                 allow_degrade);
+  const double ipc = estimator_ptr()->predict(*acquired.features, device);
+  // A fallback answer is never cached: the next request should attempt
+  // the full analysis, not inherit the fallback.
+  if (!acquired.degraded)
+    results_.put(key, std::make_shared<const double>(ipc));
+  return {ipc, false, acquired.degraded};
 }
 
 Deadline ServeSession::deadline_for(const Request& request) const {
@@ -473,8 +433,8 @@ double ServeSession::predict(const std::string& model,
     deadline = Deadline::after_ms(options_.default_deadline_ms);
   if (options_.dca_step_budget > 0)
     deadline.with_step_budget(options_.dca_step_budget);
-  return predict_or_degrade(model, gpu::device(device), deadline,
-                            options_.degradation)
+  return predict_one(model, gpu::device(device), deadline,
+                     options_.degradation)
       .ipc;
 }
 
@@ -490,8 +450,9 @@ Response ServeSession::do_predict(const Request& request) {
 
   const bool allow_degrade =
       options_.degradation && !request.cmd.has_flag("no-degrade");
-  const PredictOutcome outcome = predict_or_degrade(
-      model, gpu::device(device), deadline_for(request), allow_degrade);
+  const Prediction outcome = predict_one(model, gpu::device(device),
+                                         deadline_for(request),
+                                         allow_degrade);
 
   JsonWriter json;
   json.begin_object()
@@ -513,42 +474,30 @@ Response ServeSession::do_rank(const Request& request) {
   if (!cnn::zoo::has_model(model))
     return error_response("unknown model '" + model + "'");
 
-  // One deadline spans the whole ranking: the expensive DCA pass runs
-  // once (features are device-independent) so per-device budgets would
-  // only multiply the allowance.
-  const Deadline deadline = deadline_for(request);
+  // One acquisition and one deadline serve the whole ranking: features
+  // are device-independent, so per-device budgets would only multiply
+  // the allowance.
   const bool allow_degrade =
       options_.degradation && !request.cmd.has_flag("no-degrade");
-  struct Row {
-    const gpu::DeviceSpec* device;
-    double ipc;
-    double throughput;
-  };
-  std::vector<Row> rows;
-  bool degraded = false;
-  for (const gpu::DeviceSpec& device : gpu::device_database()) {
-    const PredictOutcome outcome =
-        predict_or_degrade(model, device, deadline, allow_degrade);
-    degraded = degraded || outcome.degraded;
-    rows.push_back({&device, outcome.ipc,
-                    outcome.ipc * device.sm_count * device.boost_clock_mhz});
-  }
-  std::stable_sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
-    return a.throughput > b.throughput;
-  });
+  const Acquired acquired =
+      features_or_fallback(model, deadline_for(request), allow_degrade);
+  const auto estimator = estimator_ptr();
+  const std::vector<core::DeviceRanking> ranking =
+      core::DseExplorer(*estimator).rank_devices(*acquired.features,
+                                                 gpu::device_names());
 
   JsonWriter json;
   json.begin_object()
       .field("ok", true)
       .field("endpoint", "rank")
       .field("model", std::string_view(model))
-      .field("degraded", degraded);
+      .field("degraded", acquired.degraded);
   json.begin_array("ranking");
-  for (const Row& row : rows) {
+  for (const core::DeviceRanking& row : ranking) {
     json.begin_object()
-        .field("device", std::string_view(row.device->name))
-        .field("ipc", row.ipc)
-        .field("throughput_proxy", row.throughput)
+        .field("device", std::string_view(row.device))
+        .field("ipc", row.predicted_ipc)
+        .field("throughput_proxy", row.predicted_throughput)
         .end_object();
   }
   json.end_array().end_object();
@@ -568,12 +517,13 @@ dse::SweepResult ServeSession::sweep(const dse::SweepRequest& request) {
   }
   engine.cache = sweep_cache_.get();
   engine.pool = &pool_;
-  // Route feature acquisition through the session's single-flight path
-  // so sweeps share the feature cache and persistent store with every
-  // other verb (and concurrent sweeps never duplicate a DCA pass).
+  // Acquire features as every other verb does: through the breaker
+  // and the single-flight feature cache and persistent store, so
+  // concurrent sweeps never duplicate a DCA pass and an open breaker
+  // skips it.
   engine.feature_source = [this](const std::string& model,
                                  const Deadline& deadline) {
-    return features_for(model, deadline);
+    return acquire_features(model, deadline);
   };
   // Plan from the name → hash memo: a warm sweep builds no model.
   engine.topology_hash = [this](const std::string& model) {

@@ -3,7 +3,14 @@
 // caches (static analysis, DCA features, predictions) and the metrics
 // registry; tests, examples and benches drive it directly, the TCP
 // server forwards lines to it.  A predict runs inline on the calling
-// thread: result-cache lookup, single-flight features, one tree walk.
+// thread: result-cache lookup, feature acquisition, one tree walk.
+//
+// Every verb gets a model's features one way (acquire_features): the
+// module's circuit breaker, then single-flight DCA through the feature
+// cache and persistent store.  When that fails, predict and rank fall
+// back to core::static_only_features and dse cells degrade to the same
+// features, so a degraded answer does not depend on the verb or on what
+// the session analyzed before.
 //
 // handle() is safe to call from many threads at once: all caches are
 // internally synchronized, feature computation is single-flight per
@@ -84,10 +91,10 @@ struct ServeOptions {
   /// many requests are already in flight; 0 = unlimited.
   std::size_t max_in_flight = 0;
   /// Circuit breaker (docs/ROBUSTNESS.md): after this many consecutive
-  /// DCA failures for one module fingerprint, requests for that module
-  /// fail fast to the degraded path without re-attempting the full
-  /// analysis, until a half-open probe succeeds.  0 disables the
-  /// breaker.
+  /// DCA failures for one module fingerprint, feature acquisitions for
+  /// that module (predict, rank, each dse topology) fail fast to the
+  /// degraded path without re-attempting the full analysis, until a
+  /// half-open probe succeeds.  0 disables the breaker.
   int breaker_threshold = 5;
   /// How long an open breaker rejects before admitting one half-open
   /// probe request.
@@ -177,10 +184,10 @@ class ServeSession {
   }
 
   /// Run one DSE sweep through the session's shared machinery: the
-  /// estimator snapshot, the single-flight DCA path (feature cache +
-  /// persistent store), and the persistent sweep cache when a
-  /// --store directory is configured.  This is what the `dse` verb
-  /// calls; exposed for in-process benches and tests.
+  /// estimator snapshot, the session's feature acquisition (circuit
+  /// breaker, feature cache, persistent store), and the persistent
+  /// sweep cache when a --store directory is configured.  This is what
+  /// the `dse` verb calls; exposed for in-process benches and tests.
   dse::SweepResult sweep(const dse::SweepRequest& request);
 
   /// The persistent sweep cache (nullptr without a feature store dir).
@@ -249,25 +256,33 @@ class ServeSession {
   /// in-process extractor.  Worker death throws sandbox::AnalysisCrashed.
   core::ModelFeatures run_dca(const std::string& model,
                               const Deadline& deadline);
-  struct PredictOutcome {
-    double ipc = 0.0;
-    bool cached = false;    // served from the result cache
-    bool degraded = false;  // static-features fallback, not full DCA
+  /// The one feature acquisition, for a predict on a result-cache
+  /// miss, a rank and each dse topology: admit through the module's
+  /// circuit breaker, then single-flight features_for.  Counts
+  /// analysis_* failures and feeds the breaker.  Throws on failure: a
+  /// ServeError(kAnalysisFailed) when the breaker is open, else the
+  /// analysis error itself.
+  FeaturePtr acquire_features(const std::string& model,
+                              const Deadline& deadline);
+  struct Acquired {
+    FeaturePtr features;
+    bool degraded = false;  // static-only fallback, not full DCA
   };
-  PredictOutcome predict_ipc(const std::string& model,
-                             const gpu::DeviceSpec& device,
-                             const Deadline& deadline);
-  /// predict_ipc, falling back to predict_degraded on AnalysisTimeout
-  /// or analysis failure when `allow_degrade`.
-  PredictOutcome predict_or_degrade(const std::string& model,
-                                    const gpu::DeviceSpec& device,
-                                    const Deadline& deadline,
-                                    bool allow_degrade);
-  /// Static-features-only prediction: trainable params from the (cheap)
-  /// static analyzer, executed instructions imputed from the running
-  /// mean of completed DCA passes.  Never cached as a fresh result.
-  PredictOutcome predict_degraded(const std::string& model,
-                                  const gpu::DeviceSpec& device);
+  /// acquire_features, or, when it throws and `allow_degrade`, the
+  /// core::static_only_features fallback, counted as one `degraded`.
+  Acquired features_or_fallback(const std::string& model,
+                                const Deadline& deadline,
+                                bool allow_degrade);
+  struct Prediction {
+    double ipc = 0.0;
+    bool cached = false;  // served from the result cache
+    bool degraded = false;
+  };
+  /// Result cache, else features_or_fallback and one tree walk.  Only
+  /// full-DCA answers enter the result cache.
+  Prediction predict_one(const std::string& model,
+                         const gpu::DeviceSpec& device,
+                         const Deadline& deadline, bool allow_degrade);
   /// The per-request deadline: --deadline-ms on the request, else the
   /// configured default; plus the configured step budget.
   Deadline deadline_for(const Request& request) const;
@@ -275,7 +290,8 @@ class ServeSession {
   // ---- circuit breaker (per module fingerprint) ----------------------
   /// One breaker per distinct module topology: consecutive DCA
   /// failures open it, a cooldown admits one half-open probe, a
-  /// successful probe closes it again.
+  /// successful probe closes it again.  A module with no failure since
+  /// its last success has no entry.
   struct Breaker {
     int consecutive_failures = 0;
     std::int64_t open_until_ms = 0;  // 0 = closed
@@ -289,12 +305,9 @@ class ServeSession {
   bool breaker_admit(std::uint64_t fingerprint);
   void breaker_record_success(std::uint64_t fingerprint);
   void breaker_record_failure(std::uint64_t fingerprint);
-  void observe_instructions(std::int64_t executed_instructions);
-  std::int64_t imputed_executed_instructions(
-      std::int64_t trainable_params) const;
 
-  /// Publish `estimator` as the live model (wires the feature-provider
-  /// hook, swaps the shared_ptr).
+  /// Publish `estimator` as the live model (computes its sweep-cache
+  /// key, swaps the shared_ptr).
   void install_estimator(core::PerformanceEstimator estimator,
                          std::string version, registry::Manifest manifest,
                          std::string source);
@@ -334,14 +347,6 @@ class ServeSession {
   std::atomic<std::uint64_t> reloads_{0};
   std::atomic<std::uint64_t> dca_computes_{0};
   std::atomic<std::uint64_t> store_hits_{0};
-
-  // Running mean of executed_instructions over every DCA result this
-  // session has seen (warm-started from the feature store) — the
-  // degraded path's imputation source.  The paper's Gini analysis puts
-  // executed-instructions importance at only 0.014, so an imputed value
-  // still yields a useful prediction.
-  std::atomic<std::int64_t> observed_instruction_sum_{0};
-  std::atomic<std::uint64_t> observed_instruction_count_{0};
 
   std::mutex stats_hook_mutex_;
   std::function<void()> stats_hook_;  // guarded by stats_hook_mutex_

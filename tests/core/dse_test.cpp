@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cnn/zoo.hpp"
 #include "common/check.hpp"
 #include "core/dataset_builder.hpp"
 #include "gpu/device_db.hpp"
@@ -28,8 +29,9 @@ TEST(Dse, RequiresTrainedEstimator) {
 TEST(Dse, RankDevicesSortedByThroughput) {
   PerformanceEstimator est = make_trained_estimator();
   DseExplorer dse(est);
-  const auto ranking =
-      dse.rank_devices("alexnet", gpu::dse_devices());
+  const auto ranking = dse.rank_devices(
+      FeatureExtractor().compute(cnn::zoo::build("alexnet")),
+      gpu::dse_devices());
   ASSERT_EQ(ranking.size(), gpu::dse_devices().size());
   for (std::size_t i = 1; i < ranking.size(); ++i)
     EXPECT_GE(ranking[i - 1].predicted_throughput,

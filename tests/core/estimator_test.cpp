@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <memory>
 
 #include "cnn/zoo.hpp"
 #include "common/check.hpp"
@@ -111,30 +110,6 @@ TEST(Estimator, ThreadSafeConstPredictMatchesNamedPredict) {
   const core::ModelFeatures features =
       FeatureExtractor().compute(cnn::zoo::build("alexnet"));
   EXPECT_DOUBLE_EQ(est.predict(features, gpu::device("v100s")), by_name);
-}
-
-TEST(Estimator, FeatureProviderShortCircuitsDca) {
-  PerformanceEstimator est("dt", 42);
-  est.train(tiny_dataset());
-  const double baseline = est.predict("alexnet", gpu::device("v100s"));
-
-  auto cached = std::make_shared<const ModelFeatures>(
-      FeatureExtractor().compute(cnn::zoo::build("alexnet")));
-  int provider_calls = 0;
-  est.set_feature_provider(
-      [&](const std::string& name)
-          -> std::shared_ptr<const ModelFeatures> {
-        ++provider_calls;
-        return name == "alexnet" ? cached : nullptr;
-      });
-
-  EXPECT_DOUBLE_EQ(est.predict("alexnet", gpu::device("v100s")), baseline);
-  EXPECT_EQ(provider_calls, 1);
-  EXPECT_EQ(est.last_dca_seconds(), 0.0);  // features came from the cache
-  // A provider miss falls back to the built-in extractor.
-  const double fallback = est.predict("vgg16", gpu::device("v100s"));
-  EXPECT_GT(fallback, 0.0);
-  EXPECT_EQ(provider_calls, 2);
 }
 
 TEST(Estimator, SaveLoadRoundTrip) {

@@ -114,7 +114,8 @@ TEST(Pipeline, DseRankingPrefersStrongerSilicon) {
   estimator.train(pipeline_dataset());
   core::DseExplorer dse(estimator);
   const auto ranking = dse.rank_devices(
-      "resnet50v2", {"v100s", "quadrop1000", "gtx1080ti"});
+      core::FeatureExtractor().compute(cnn::zoo::build("resnet50v2")),
+      {"v100s", "quadrop1000", "gtx1080ti"});
   // The Quadro P1000 (5 SMs, 80 GB/s) must not be ranked first among
   // these three for a heavy CNN.
   EXPECT_NE(ranking.front().device, "quadrop1000");

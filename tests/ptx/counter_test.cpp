@@ -22,7 +22,7 @@ TEST(Counter, ProfilesWholeModel) {
   EXPECT_GT(profile.total_instructions, 0);
   EXPECT_GT(profile.total_threads, 0);
 
-  // Aggregates equal the per-launch sums.
+  // The totals equal the per-launch sums.
   std::int64_t sum = 0;
   for (std::int64_t v : profile.per_launch) sum += v;
   EXPECT_EQ(sum, profile.total_instructions);

@@ -227,21 +227,6 @@ TEST(FeatureStore, CompactDropsOverwrittenRecords) {
   EXPECT_EQ(again.get(0xabcd)->executed_instructions, 7);
 }
 
-TEST(FeatureStore, AggregateSumsLiveEntries) {
-  FeatureStore store(fresh_root("aggregate"));
-  core::ModelFeatures f = sample_features();
-  f.executed_instructions = 100;
-  f.trainable_params = 10;
-  store.put(0x1, f);
-  f.executed_instructions = 200;
-  f.trainable_params = 20;
-  store.put(0x2, f);
-  const auto agg = store.aggregate();
-  EXPECT_EQ(agg.entries, 2u);
-  EXPECT_EQ(agg.executed_instruction_sum, 300);
-  EXPECT_EQ(agg.trainable_param_sum, 30);
-}
-
 TEST(FeatureStore, OversizedRecordIsRejectedTyped) {
   InputLimits limits = InputLimits::defaults();
   limits.max_store_record_bytes = 64;

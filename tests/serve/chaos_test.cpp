@@ -20,6 +20,7 @@
 #include "common/deadline.hpp"
 #include "common/fault.hpp"
 #include "core/dataset_builder.hpp"
+#include "gpu/device_db.hpp"
 #include "ptx/parser.hpp"
 #include "ptx/symexec.hpp"
 #include "registry/registry.hpp"
@@ -238,6 +239,70 @@ TEST_F(ChaosSession, RankDegradesAsAWhole) {
   const std::string body = session.handle_line("rank alexnet");
   EXPECT_TRUE(has(body, "\"ok\":true")) << body;
   EXPECT_TRUE(has(body, "\"degraded\":true")) << body;
+  // One acquisition serves all ten devices: one DCA attempt, one
+  // failure, one degraded answer, and the breaker (threshold 5) stays
+  // closed.
+  EXPECT_EQ(fault::hits("dca.compute"), 1u);
+  EXPECT_EQ(session.metrics().counter_value("analysis_failures"), 1u);
+  EXPECT_EQ(session.metrics().counter_value("breaker_open"), 0u);
+  EXPECT_EQ(session.metrics().counter_value("degraded"), 1u);
+}
+
+/// The `"ipc":` number text of the first `"device":"<device>"` entry at
+/// or after `from` ("" when there is none).
+std::string ipc_text(const std::string& body, const std::string& device,
+                     std::size_t from = 0) {
+  const std::size_t entry = body.find("\"device\":\"" + device + "\"", from);
+  if (entry == std::string::npos) return "";
+  const std::size_t ipc = body.find("\"ipc\":", entry);
+  if (ipc == std::string::npos) return "";
+  const std::size_t start = ipc + 6;
+  return body.substr(start, body.find_first_of(",}", start) - start);
+}
+
+TEST_F(ChaosSession, DegradedAnswersAgreeAcrossVerbsAndHistory) {
+  // The fallback is a pure function of the model: predict, rank and dse
+  // degrade to the same IPC, in a fresh session and in one that has
+  // analyzed another CNN first.
+  ServeSession fresh(chaos_options());
+  ServeSession seasoned(chaos_options());
+  ASSERT_TRUE(has(seasoned.handle_line("predict mobilenet v100s"),
+                  "\"degraded\":false"));
+  fault::arm("dca.compute", fault::Spec{});
+
+  // With this training set the estimator's answer for m-r154x4 moves
+  // with the imputed instruction count, so an imputation that depends
+  // on session history shows here.
+  const std::string model = "m-r154x4";
+  std::string devices;
+  for (const gpu::DeviceSpec& device : gpu::device_database())
+    devices += (devices.empty() ? "" : ",") + device.name;
+  std::vector<std::string> expected;  // by device, from the first session
+  for (ServeSession* session : {&fresh, &seasoned}) {
+    const std::string rank = session->handle_line("rank " + model);
+    ASSERT_TRUE(has(rank, "\"degraded\":true")) << rank;
+    const std::string sweep =
+        session->handle_line("dse " + model + " --devices=" + devices +
+                             " --cells");
+    ASSERT_TRUE(has(sweep, "\"degraded_cells\":10")) << sweep;
+    const std::size_t cells = sweep.find("\"cells\":");
+    ASSERT_NE(cells, std::string::npos) << sweep;
+    std::size_t i = 0;
+    for (const gpu::DeviceSpec& device : gpu::device_database()) {
+      const std::string predict =
+          session->handle_line("predict " + model + " " + device.name);
+      ASSERT_TRUE(has(predict, "\"degraded\":true")) << predict;
+      const std::string ipc = ipc_text(predict, device.name);
+      ASSERT_FALSE(ipc.empty()) << predict;
+      EXPECT_EQ(ipc_text(rank, device.name), ipc) << device.name;
+      EXPECT_EQ(ipc_text(sweep, device.name, cells), ipc) << device.name;
+      if (session == &fresh)
+        expected.push_back(ipc);
+      else
+        EXPECT_EQ(ipc, expected[i]) << device.name;
+      ++i;
+    }
+  }
 }
 
 TEST_F(ChaosSession, DseFeatureFaultDegradesOneTopology) {
@@ -438,6 +503,46 @@ TEST_F(ChaosSession, OpenBreakerWithNoDegradeIsATypedError) {
   EXPECT_TRUE(has(body, "\"ok\":false")) << body;
   EXPECT_TRUE(has(body, "\"code\":\"analysis_failed\"")) << body;
   EXPECT_TRUE(has(body, "circuit breaker open")) << body;
+}
+
+TEST_F(ChaosSession, OpenBreakerFastFailsDse) {
+  ServeOptions options = chaos_options();
+  options.breaker_threshold = 1;
+  options.breaker_cooldown_ms = 60000;  // stays open for the test
+  ServeSession session(options);
+  fault::arm("dca.compute", fault::Spec{});
+  EXPECT_TRUE(has(session.handle_line("predict alexnet v100s"),
+                  "\"degraded\":true"));
+  ASSERT_EQ(session.metrics().counter_value("breaker_open"), 1u);
+
+  // A sweep acquires through the same breaker: no DCA attempt, one
+  // fast-fail for the topology, and both of its cells degrade.
+  const std::uint64_t hits = fault::hits("dca.compute");
+  const std::uint64_t fast_fails =
+      session.metrics().counter_value("breaker_fast_fail");
+  const std::string body =
+      session.handle_line("dse alexnet --devices=gtx1060,teslat4");
+  EXPECT_TRUE(has(body, "\"ok\":true")) << body;
+  EXPECT_TRUE(has(body, "\"degraded_cells\":2")) << body;
+  EXPECT_EQ(fault::hits("dca.compute"), hits);
+  EXPECT_EQ(session.metrics().counter_value("breaker_fast_fail"),
+            fast_fails + 1);
+
+  // Without the fallback the cells fail with the breaker's message, and
+  // a sweep with no cell left is a typed analysis_failed.
+  const std::string strict = session.handle_line(
+      "dse alexnet --devices=gtx1060,teslat4 --no-degrade");
+  EXPECT_TRUE(has(strict, "\"code\":\"analysis_failed\"")) << strict;
+  dse::SweepRequest request;
+  request.models = {"alexnet"};
+  request.devices = {"gtx1060", "teslat4"};
+  request.allow_degrade = false;
+  const dse::SweepResult result = session.sweep(request);
+  EXPECT_EQ(result.failed_cells, 2u);
+  for (const dse::SweepCell& cell : result.cells)
+    EXPECT_TRUE(has(cell.error, "circuit breaker open for 'alexnet'"))
+        << cell.error;
+  EXPECT_EQ(fault::hits("dca.compute"), hits);
 }
 
 TEST_F(ChaosSession, BreakerIsPerModuleNotGlobal) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <thread>
@@ -11,6 +12,7 @@
 #include "cnn/zoo.hpp"
 #include "common/mapped_buffer.hpp"
 #include "core/dataset_builder.hpp"
+#include "core/dse.hpp"
 #include "gpu/device_db.hpp"
 
 namespace gpuperf::serve {
@@ -129,6 +131,30 @@ TEST(ServeSession, RankListsEveryDevice) {
     const double value = json_number(body.substr(pos), "throughput_proxy");
     EXPECT_LE(value, previous + 1e-9);
     previous = value;
+  }
+}
+
+TEST(ServeSession, CliRankerMatchesServerRank) {
+  // `gpuperf rank`, the examples and the rank verb share one ranker:
+  // the same device order and bit-identical IPCs.
+  ServeSession& session = shared_session();
+  const std::string body = session.handle_line("rank alexnet");
+  ASSERT_TRUE(is_ok(body)) << body;
+  const std::vector<core::DeviceRanking> ranking =
+      core::DseExplorer(*session.estimator_ptr())
+          .rank_devices(
+              core::FeatureExtractor().compute(cnn::zoo::build("alexnet")),
+              gpu::device_names());
+  ASSERT_EQ(ranking.size(), gpu::device_database().size());
+  std::size_t pos = 0;
+  for (const core::DeviceRanking& row : ranking) {
+    char ipc[32];
+    std::snprintf(ipc, sizeof(ipc), "%.17g", row.predicted_ipc);
+    const std::string entry =
+        "{\"device\":\"" + row.device + "\",\"ipc\":" + ipc + ",";
+    pos = body.find(entry, pos);
+    ASSERT_NE(pos, std::string::npos)
+        << entry << " missing or out of order in " << body;
   }
 }
 
@@ -306,21 +332,6 @@ TEST(ServeSession, DseSessionHashSourceMatchesTheEngineDefault) {
   EXPECT_EQ(session.dca_compute_count(), 0u);
   EXPECT_EQ(result.unique_topologies, engine_result.unique_topologies);
   EXPECT_EQ(result.duplicate_models, engine_result.duplicate_models);
-}
-
-TEST(ServeSession, EstimatorHookSharesServeCache) {
-  // The injected feature provider routes one-shot estimator predicts
-  // through the service's DCA cache: no second DCA for a model the
-  // service already analyzed.
-  ServeSession session(tiny_options());
-  session.predict("vgg16", "gtx1080ti");
-  const CacheStats before = session.feature_cache_stats();
-  auto& estimator =
-      const_cast<core::PerformanceEstimator&>(session.estimator());
-  estimator.predict("vgg16", gpu::device("teslat4"));
-  const CacheStats after = session.feature_cache_stats();
-  EXPECT_EQ(after.misses, before.misses);
-  EXPECT_GT(after.hits, before.hits);
 }
 
 }  // namespace

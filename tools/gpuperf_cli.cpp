@@ -9,11 +9,17 @@
 //   gpuperf dataset [--out <csv>] [--devices a,b] [--extended]
 //   gpuperf train --out <file> | --registry <dir>   train + save/publish
 //   gpuperf predict <model> <device> [--tree <file>] [--registry <dir>]
-//   gpuperf rank <model>                    DSE ranking over all devices
+//   gpuperf rank <model> [--tree <file>] [--registry <dir>]
+//                                           ranking over all devices
 //   gpuperf dse <models|all> [--devices a,b] [--max-latency-ms N] ...
 //                                           constraint-aware fleet sweep
 //   gpuperf serve [--port N] [--threads K]  long-lived estimation daemon
 //   gpuperf client <request...> [--port N]  one request to a daemon
+//
+// predict, rank and dse share one model source: --tree (a file from
+// `train --out`, any regressor), then a registry bundle (--registry or
+// $GPUPERF_REGISTRY, --version), then a --regressor/--seed model
+// trained from scratch.
 //
 // Flags accept both `--key value` and the explicit `--key=value` form
 // (required when the value itself starts with "--"); the grammar is
@@ -44,7 +50,6 @@
 #include "dse/sweep_cache.hpp"
 #include "gpu/device_db.hpp"
 #include "ml/cross_validation.hpp"
-#include "ml/model_io.hpp"
 #include "ptx/codegen.hpp"
 #include "ptx/counter.hpp"
 #include "registry/registry.hpp"
@@ -80,8 +85,11 @@ int usage() {
       "        [--regressor id] [--seed N] [--models a,b] [--devices a,b]\n"
       "        [--folds K] [--max-regress PP] [--force]\n"
       "  predict <model> <device> [--tree <file>] [--registry <dir>]\n"
-      "        (also honors $GPUPERF_REGISTRY when no --tree is given)\n"
-      "  rank <model>                   DSE ranking over all devices\n"
+      "  rank <model> [--tree <file>] [--registry <dir>]\n"
+      "        ranking over all devices; predict, rank and dse load\n"
+      "        --tree, else a registry bundle (--registry, else\n"
+      "        $GPUPERF_REGISTRY; --version vNNNN), else train\n"
+      "        [--regressor id] [--seed N] from scratch\n"
       "  dse <models|all> [--devices a,b] [--max-latency-ms N]\n"
       "        [--max-power-w N] [--max-cost-usd N] [--w-latency N]\n"
       "        [--w-power N] [--w-cost N] [--store <dir>] [--tree <file>]\n"
@@ -264,6 +272,36 @@ int cmd_train(const Args& args) {
   return 0;
 }
 
+/// The estimator `predict`, `rank` and `dse` answer with: an explicit
+/// --tree file (any regressor), then a registry bundle (--registry or
+/// $GPUPERF_REGISTRY, pinned by --version), then a --regressor/--seed
+/// model trained from scratch on the full zoo.  `bundle_version`, when
+/// given, gets the registry version ("" otherwise).
+core::PerformanceEstimator load_estimator(
+    const Args& args, std::string* bundle_version = nullptr) {
+  if (const auto it = args.flags.find("tree"); it != args.flags.end())
+    return core::PerformanceEstimator::load(it->second);
+  std::string registry_dir = args.flag_or("registry", "");
+  if (registry_dir.empty())
+    if (const char* env = std::getenv("GPUPERF_REGISTRY"))
+      registry_dir = env;
+  if (!registry_dir.empty() &&
+      !registry::ModelRegistry(registry_dir).empty()) {
+    registry::Bundle bundle = registry::ModelRegistry(registry_dir)
+                                  .load(args.flag_or("version", ""));
+    std::fprintf(stderr, "loaded %s bundle %s from %s\n",
+                 bundle.manifest.regressor_id.c_str(),
+                 bundle.version.c_str(), registry_dir.c_str());
+    if (bundle_version != nullptr) *bundle_version = bundle.version;
+    return std::move(bundle.estimator);
+  }
+  std::fprintf(stderr, "no --tree given; training from scratch...\n");
+  core::PerformanceEstimator estimator(args.flag_or("regressor", "dt"),
+                                       seed_from(args));
+  estimator.train(core::DatasetBuilder().build());
+  return estimator;
+}
+
 int cmd_predict(const Args& args) {
   if (args.positional.size() < 2) return usage();
   const std::string& model_name = args.positional[0];
@@ -272,43 +310,12 @@ int cmd_predict(const Args& args) {
     std::fprintf(stderr, "unknown model or device\n");
     return 1;
   }
-
-  core::FeatureExtractor extractor;
-  const core::ModelFeatures& features =
-      extractor.for_zoo_model(model_name);
-  const auto x = core::FeatureExtractor::feature_vector(
-      features, gpu::device(device_name));
-
-  // Model source precedence: an explicit --tree file, then a registry
-  // (--registry flag or $GPUPERF_REGISTRY) with a published bundle,
-  // then the historical retrain-from-scratch slow path.
-  std::string registry_dir = args.flag_or("registry", "");
-  if (registry_dir.empty())
-    if (const char* env = std::getenv("GPUPERF_REGISTRY"))
-      registry_dir = env;
-
-  double ipc = 0.0;
-  if (const auto it = args.flags.find("tree"); it != args.flags.end()) {
-    const ml::DecisionTree tree = ml::load_tree(it->second);
-    ipc = tree.predict(x);
-  } else if (!registry_dir.empty() &&
-             !registry::ModelRegistry(registry_dir).empty()) {
-    const registry::Bundle bundle =
-        registry::ModelRegistry(registry_dir)
-            .load(args.flag_or("version", ""));
-    std::fprintf(stderr, "loaded %s bundle %s from %s\n",
-                 bundle.manifest.regressor_id.c_str(),
-                 bundle.version.c_str(), registry_dir.c_str());
-    ipc = bundle.estimator.predict(x);
-  } else {
-    std::fprintf(stderr, "no --tree given; training from scratch...\n");
-    core::DatasetBuilder builder;
-    core::PerformanceEstimator estimator("dt", seed_from(args));
-    estimator.train(builder.build());
-    ipc = estimator.predict(x);
-  }
+  const core::PerformanceEstimator estimator = load_estimator(args);
+  const core::ModelFeatures features =
+      core::FeatureExtractor().compute(cnn::zoo::build(model_name));
   std::printf("%s on %s: predicted IPC %.4f\n", model_name.c_str(),
-              device_name.c_str(), ipc);
+              device_name.c_str(),
+              estimator.predict(features, gpu::device(device_name)));
   return 0;
 }
 
@@ -333,32 +340,9 @@ int cmd_dse(const Args& args) {
   }
   if (models.empty()) return usage();
 
-  // Model source precedence, as in `predict`: --tree file, then a
-  // registry bundle (--registry / $GPUPERF_REGISTRY), then the
-  // retrain-from-scratch slow path.
-  std::string registry_dir = args.flag_or("registry", "");
-  if (registry_dir.empty())
-    if (const char* env = std::getenv("GPUPERF_REGISTRY"))
-      registry_dir = env;
-  core::PerformanceEstimator estimator;
   std::string bundle_version;
-  if (const auto it = args.flags.find("tree"); it != args.flags.end()) {
-    estimator = core::PerformanceEstimator::load(it->second);
-  } else if (!registry_dir.empty() &&
-             !registry::ModelRegistry(registry_dir).empty()) {
-    registry::Bundle bundle = registry::ModelRegistry(registry_dir)
-                                  .load(args.flag_or("version", ""));
-    std::fprintf(stderr, "loaded %s bundle %s from %s\n",
-                 bundle.manifest.regressor_id.c_str(),
-                 bundle.version.c_str(), registry_dir.c_str());
-    bundle_version = bundle.version;
-    estimator = std::move(bundle.estimator);
-  } else {
-    std::fprintf(stderr, "no --tree given; training from scratch...\n");
-    estimator = core::PerformanceEstimator(args.flag_or("regressor", "dt"),
-                                           seed_from(args));
-    estimator.train(core::DatasetBuilder().build());
-  }
+  const core::PerformanceEstimator estimator =
+      load_estimator(args, &bundle_version);
 
   // A --store directory persists sweep cells across runs (shared with
   // the server's --feature-store layout).
@@ -434,16 +418,14 @@ int cmd_rank(const Args& args) {
     std::fprintf(stderr, "unknown model '%s'\n", model_name.c_str());
     return 1;
   }
-  core::DatasetBuilder builder;
-  core::PerformanceEstimator estimator("dt", seed_from(args));
-  estimator.train(builder.build());
-  core::DseExplorer dse(estimator);
-  std::vector<std::string> devices;
-  for (const auto& d : gpu::device_database()) devices.push_back(d.name);
+  const core::PerformanceEstimator estimator = load_estimator(args);
+  const core::ModelFeatures features =
+      core::FeatureExtractor().compute(cnn::zoo::build(model_name));
   TextTable table("predicted ranking for " + model_name);
   table.set_header({"rank", "device", "predicted IPC"});
   int rank = 1;
-  for (const auto& r : dse.rank_devices(model_name, devices))
+  for (const auto& r : core::DseExplorer(estimator).rank_devices(
+           features, gpu::device_names()))
     table.add_row({std::to_string(rank++), r.device,
                    fixed(r.predicted_ipc, 4)});
   std::printf("%s", table.render().c_str());
