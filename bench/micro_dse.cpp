@@ -1,12 +1,12 @@
 // Microbenchmarks of the DSE sweep subsystem (docs/DSE.md): the cold
-// cross-product sweep, the DCA-memo-warm sweep, the persistent
-// sweep-cache replay, and the constraint/Pareto ranking pass in
-// isolation.  main() runs the acceptance checks unconditionally before
-// any benchmark: a warm full-zoo × seven-device sweep must beat naive
+// cross-product sweep, the DCA-memo-warm sweep, the sweep over a warm
+// feature store, and the constraint/Pareto ranking pass in isolation.
+// main() runs the acceptance checks unconditionally before any
+// benchmark: a warm full-zoo × seven-device sweep must beat naive
 // per-pair evaluation by ≥ 10×, and a restarted process (fresh
-// SweepCache over the same directory) must replay the whole sweep with
-// zero DCA runs — asserted via the sweep's features_computed counter,
-// the cache hit counter, and the process-wide DCA memo-miss delta.
+// FeatureStore over the same directory) must replay the whole sweep
+// with zero DCA runs — asserted via the store's recovered records and
+// the process-wide DCA memo-miss delta.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -21,9 +21,9 @@
 #include "core/features.hpp"
 #include "dse/constraints.hpp"
 #include "dse/sweep.hpp"
-#include "dse/sweep_cache.hpp"
 #include "gpu/device_db.hpp"
 #include "ptx/counter.hpp"
+#include "registry/feature_store.hpp"
 
 namespace {
 
@@ -38,7 +38,7 @@ std::string bench_dir(const std::string& name) {
 }
 
 /// One dt estimator trained on a small subset, built once.  Sweep cost
-/// is dominated by DCA and cache I/O, not by which regressor answers
+/// is dominated by DCA and store I/O, not by which regressor answers
 /// the per-cell predictions.
 const core::PerformanceEstimator& bench_estimator() {
   static const core::PerformanceEstimator* est = [] {
@@ -59,8 +59,8 @@ std::vector<std::string> zoo_names() {
   return names;
 }
 
-// The full cross-product sweep with a cold DCA memo and no sweep
-// cache: every distinct topology pays static analysis + PTX codegen +
+// The full cross-product sweep with a cold DCA memo and no feature
+// store: every distinct topology pays static analysis + PTX codegen +
 // sliced symbolic execution, fanned over the shared pool.
 void BM_SweepCold(benchmark::State& state) {
   const dse::SweepEngine engine(bench_estimator());
@@ -90,35 +90,36 @@ void BM_SweepMemoWarm(benchmark::State& state) {
 }
 BENCHMARK(BM_SweepMemoWarm)->Unit(benchmark::kMillisecond);
 
-// Sweep against a populated persistent cache: every cell streams from
-// the journal-backed store, zero DCA.  This is the latency a repeat
-// `dse` request (or a restarted server) pays.
-void BM_SweepCacheWarm(benchmark::State& state) {
-  const std::string dir = bench_dir("dse_bm_cache");
+// Sweep against a populated feature store: every topology's features
+// come from the journal-backed store, zero DCA, and every cell is
+// predicted.  This is the latency a repeat `gpuperf dse --store` run
+// pays once the process has the store open.
+void BM_SweepStoreWarm(benchmark::State& state) {
+  const std::string dir = bench_dir("dse_bm_store");
   std::filesystem::remove_all(dir);
-  dse::SweepCache cache(dir);
+  registry::FeatureStore store(dir);
   dse::SweepEngine::Options options;
-  options.cache = &cache;
+  options.store = &store;
   const dse::SweepEngine engine(bench_estimator(), options);
   dse::SweepRequest request;
   request.models = kBenchModels;
-  engine.run(request);  // populate the cache
-  for (auto _ : state) {
-    const dse::SweepResult result = engine.run(request);
-    if (result.features_computed != 0) {
-      state.SkipWithError("warm sweep ran DCA — sweep cache broken");
-      return;
-    }
-  }
+  engine.run(request);  // populate the store
+  // With the memo emptied, any analysis would show as memo misses.
+  ptx::InstructionCounter::reset_memo();
+  const std::uint64_t misses = ptx::InstructionCounter::memo_stats().misses;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(engine.run(request));
+  if (ptx::InstructionCounter::memo_stats().misses != misses)
+    state.SkipWithError("warm sweep ran DCA — feature store broken");
   state.SetItemsProcessed(static_cast<std::int64_t>(
       state.iterations() * kBenchModels.size() * gpu::dse_devices().size()));
 }
-BENCHMARK(BM_SweepCacheWarm)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_SweepStoreWarm)->Unit(benchmark::kMicrosecond);
 
 // The constraint engine alone: summarize cells per device, mark the
 // Pareto frontier, scalarize and rank.  Pure arithmetic over an
 // in-memory sweep result — this bounds what the `dse` verb adds on top
-// of a fully cached sweep.
+// of the per-cell predictions.
 void BM_ConstraintRanking(benchmark::State& state) {
   const dse::SweepEngine engine(bench_estimator());
   dse::SweepRequest request;
@@ -148,7 +149,7 @@ BENCHMARK(BM_ConstraintRanking)->Unit(benchmark::kMicrosecond);
 /// must be ≥ 10× faster than naive per-pair evaluation, where naive
 /// means a cold DCA pass for every (model, device) pair — the
 /// cost structure the paper's Table IV replaces with t_dca + n·t_pm.
-/// Acceptance check 2: a fresh SweepCache over the same directory (a
+/// Acceptance check 2: a fresh FeatureStore over the same directory (a
 /// restarted process) replays the sweep with zero DCA runs.
 bool verify_sweep_acceptance() {
   const core::PerformanceEstimator& estimator = bench_estimator();
@@ -170,19 +171,17 @@ bool verify_sweep_acceptance() {
   }
   const double naive_s = naive_watch.elapsed_seconds();
 
-  // ---- sweep: cold run populates the cache, second run is warm ------
-  const std::string dir = bench_dir("dse_verify_cache");
+  // ---- sweep: cold run populates the store, second run is warm ------
+  const std::string dir = bench_dir("dse_verify_store");
   std::filesystem::remove_all(dir);
   dse::SweepRequest request;
   request.models = zoo;
-  std::string bundle_key;
   double warm_s = 0.0;
   {
-    dse::SweepCache cache(dir);
+    registry::FeatureStore store(dir);
     dse::SweepEngine::Options options;
-    options.cache = &cache;
+    options.store = &store;
     const dse::SweepEngine engine(estimator, options);
-    bundle_key = engine.bundle_key();
     ptx::InstructionCounter::reset_memo();
     const dse::SweepResult cold = engine.run(request);
     if (cold.failed_cells != 0 || cold.degraded_cells != 0) {
@@ -190,14 +189,18 @@ bool verify_sweep_acceptance() {
                    cold.failed_cells, cold.degraded_cells);
       return false;
     }
+    // Emptied, so an analysis in the warm run would show as memo misses.
+    ptx::InstructionCounter::reset_memo();
+    const std::uint64_t misses = ptx::InstructionCounter::memo_stats().misses;
     Stopwatch warm_watch;
-    const dse::SweepResult warm = engine.run(request);
+    benchmark::DoNotOptimize(engine.run(request));
     warm_s = warm_watch.elapsed_seconds();
-    if (warm.features_computed != 0 || warm.sweep_cache_hits != n_cells) {
+    if (ptx::InstructionCounter::memo_stats().misses != misses ||
+        store.size() != zoo.size()) {
       std::fprintf(stderr,
-                   "warm sweep missed the cache: %zu features computed, "
-                   "%zu/%zu cache hits\n",
-                   warm.features_computed, warm.sweep_cache_hits, n_cells);
+                   "warm sweep missed the store: %zu of %zu topologies "
+                   "stored\n",
+                   store.size(), zoo.size());
       return false;
     }
   }
@@ -211,28 +214,29 @@ bool verify_sweep_acceptance() {
     return false;
   }
 
-  // ---- restart: a fresh cache over the same journal replays the
-  // sweep with zero DCA — no feature passes, no memo misses.
+  // ---- restart: a fresh store over the same journal replays the
+  // sweep with zero DCA — with the memo emptied, any analysis would
+  // show as memo misses.
+  ptx::InstructionCounter::reset_memo();
   const ptx::InstructionCounter::MemoStats before =
       ptx::InstructionCounter::memo_stats();
-  dse::SweepCache restarted(dir);
+  registry::FeatureStore restarted(dir);
   dse::SweepEngine::Options options;
-  options.cache = &restarted;
-  options.bundle_key = bundle_key;
+  options.store = &restarted;
   const dse::SweepEngine engine(estimator, options);
   const dse::SweepResult replay = engine.run(request);
   const ptx::InstructionCounter::MemoStats after =
       ptx::InstructionCounter::memo_stats();
   const std::uint64_t memo_misses = after.misses - before.misses;
   std::printf(
-      "restart replay: %zu journal records recovered, %zu/%zu store hits, "
-      "%zu DCA feature passes, %llu dca_memo_misses\n",
-      restarted.recovered_records(), replay.sweep_cache_hits, n_cells,
-      replay.features_computed,
-      static_cast<unsigned long long>(memo_misses));
-  if (replay.features_computed != 0 || memo_misses != 0 ||
-      replay.sweep_cache_hits != n_cells) {
-    std::fprintf(stderr, "FAIL: restarted sweep did not replay from cache\n");
+      "restart replay: %zu journal records recovered, %zu cells, %zu "
+      "degraded, %llu dca_memo_misses\n",
+      restarted.recovered_records(), replay.cells.size(),
+      replay.degraded_cells, static_cast<unsigned long long>(memo_misses));
+  if (memo_misses != 0 || restarted.recovered_records() != zoo.size() ||
+      replay.cells.size() != n_cells || replay.degraded_cells != 0 ||
+      replay.failed_cells != 0) {
+    std::fprintf(stderr, "FAIL: restarted sweep did not replay from the store\n");
     return false;
   }
   return true;

@@ -1,8 +1,9 @@
 // Microbenchmarks of the estimation service: cold predictions (full
-// DCA) vs cache hits, the protocol overhead on a warm path, and a burst
-// of concurrent predicts sharing one DCA.  The cold/hit pair is the
-// headline number — the service exists because a warm predict is
-// orders of magnitude cheaper than a cold one.
+// DCA) vs warm ones (feature-cache hit + tree walk), the protocol
+// overhead on a warm path, and a burst of concurrent predicts sharing
+// one DCA.  The cold/warm pair is the headline number — the service
+// exists because a warm predict is orders of magnitude cheaper than a
+// cold one.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -42,32 +43,15 @@ void BM_PredictCold(benchmark::State& state) {
 }
 BENCHMARK(BM_PredictCold)->Unit(benchmark::kMicrosecond);
 
-// A warm predict is a result-cache lookup.
-void BM_PredictCacheHit(benchmark::State& state) {
+// A warm predict: DCA is amortized, so a feature-cache hit (through
+// the circuit breaker) and one tree walk run.
+void BM_PredictWarm(benchmark::State& state) {
   serve::ServeSession& session = shared_session();
-  session.predict("mobilenet", "v100s");  // prime
+  session.predict("mobilenet", "v100s");  // prime the feature cache
   for (auto _ : state)
     benchmark::DoNotOptimize(session.predict("mobilenet", "v100s"));
 }
-BENCHMARK(BM_PredictCacheHit)->Unit(benchmark::kMicrosecond);
-
-// Feature-cache hit but result-cache miss: DCA is amortized, only the
-// tree walk and bookkeeping run.  Alternating devices on one model
-// keeps the feature entry warm while forcing a fresh prediction.
-void BM_PredictFeatureHitResultMiss(benchmark::State& state) {
-  serve::ServeSession& session = shared_session();
-  session.predict("mobilenet", "v100s");  // prime the feature cache
-  const std::string devices[] = {"gtx1080ti", "teslat4"};
-  std::size_t i = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    session.reset_result_cache();
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(
-        session.predict("mobilenet", devices[i++ % 2]));
-  }
-}
-BENCHMARK(BM_PredictFeatureHitResultMiss)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_PredictWarm)->Unit(benchmark::kMicrosecond);
 
 #ifdef GPUPERF_FAULT_INJECTION
 // The degraded path: DCA is forced to fail, so every predict falls

@@ -1,6 +1,6 @@
 // The estimation service as a library: ServeSession is everything
 // `gpuperf serve` does minus the sockets — a resident trained
-// estimator with DCA and prediction caches and metrics.
+// estimator with a DCA feature cache and metrics.
 // Useful when the consumer is another C++ loop (a NAS search, a DSE
 // sweep) rather than a remote client.
 //
@@ -35,8 +35,8 @@ int main(int argc, char** argv) {
   std::printf("training %s estimator...\n", options.regressor_id.c_str());
   serve::ServeSession session(options);
 
-  // First predict pays for dynamic code analysis; the repeat is a
-  // cache lookup.
+  // First predict pays for dynamic code analysis; a repeat, on any
+  // device, is a feature-cache hit plus one tree walk.
   const auto timed = [&](const char* label, const std::string& device) {
     const auto t0 = Clock::now();
     const double ipc = session.predict(model, device);
@@ -48,8 +48,8 @@ int main(int argc, char** argv) {
   };
   std::printf("\npredictions for %s:\n", model.c_str());
   timed("cold (runs DCA)", "gtx1080ti");
-  timed("result-cache hit", "gtx1080ti");
-  timed("feature-cache hit", "v100s");  // same model, new device
+  timed("warm (feature-cache hit)", "gtx1080ti");
+  timed("warm, another device", "v100s");
 
   // Concurrent callers each predict on their own thread; the
   // single-flight feature cache runs at most one DCA pass per model.

@@ -1,6 +1,6 @@
 // CRC-framed records (docs/FILE_FORMATS.md "CRC-framed records"): the
-// one byte layout behind the feature-store journal ("GPFR"), the sweep-
-// cache journal ("GPSC") and the sandbox worker pipe frames ("GPWK"):
+// one byte layout behind the feature-store journal ("GPFR") and the
+// sandbox worker pipe frames ("GPWK"):
 //
 //   magic (4 bytes) | u32 LE payload length | u32 LE crc32(payload) | payload
 //

@@ -39,7 +39,7 @@ struct Constraints {
 };
 
 enum class CellStatus {
-  kOk,        ///< full DCA-backed prediction (fresh or cached)
+  kOk,        ///< full DCA-backed prediction
   kDegraded,  ///< static-features fallback — DCA timed out or failed
   kFailed,    ///< no prediction at all; `error` says why
 };
@@ -51,8 +51,6 @@ struct SweepCell {
   std::string model;
   std::string device;
   CellStatus status = CellStatus::kFailed;
-  /// Served from the persistent sweep cache (no prediction ran).
-  bool cached = false;
   double predicted_ipc = 0.0;
   double latency_ms = 0.0;
   double power_w = 0.0;

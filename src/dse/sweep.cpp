@@ -11,9 +11,7 @@
 #include "common/fault.hpp"
 #include "common/stopwatch.hpp"
 #include "gpu/device_db.hpp"
-#include "ml/model_io.hpp"
 #include "registry/feature_store.hpp"
-#include "registry/hash.hpp"
 
 namespace gpuperf::dse {
 
@@ -34,31 +32,16 @@ std::vector<core::DseTiming> time_models(
   return out;
 }
 
-std::string make_bundle_key(const core::PerformanceEstimator& estimator,
-                            const std::string& registry_version) {
-  if (!registry_version.empty()) return registry_version;
-  GP_CHECK_MSG(estimator.is_trained(),
-               "bundle key needs a trained estimator");
-  // Content-address the whole regressor: two ad-hoc estimators trained
-  // on different data (or seeds) must never share sweep-cache entries.
-  return "adhoc-" +
-         registry::hex64(
-             registry::fnv1a64(ml::serialize_regressor(estimator.model())));
-}
-
 SweepEngine::SweepEngine(const core::PerformanceEstimator& estimator)
     : SweepEngine(estimator, Options()) {}
 
 SweepEngine::SweepEngine(const core::PerformanceEstimator& estimator,
                          Options options)
     : estimator_(estimator),
-      cache_(options.cache),
+      store_(options.store),
       pool_(options.pool),
       feature_source_(std::move(options.feature_source)),
-      topology_hash_(std::move(options.topology_hash)),
-      bundle_key_(options.bundle_key.empty()
-                      ? make_bundle_key(estimator, "")
-                      : std::move(options.bundle_key)) {
+      topology_hash_(std::move(options.topology_hash)) {
   GP_CHECK_MSG(estimator_.is_trained(),
                "DSE sweep needs a trained estimator");
 }
@@ -108,7 +91,6 @@ SweepResult SweepEngine::run(const SweepRequest& request) const {
   // ---- execute: one parallel job per distinct topology --------------
   struct CellValue {
     CellStatus status = CellStatus::kFailed;
-    bool cached = false;
     double ipc = 0.0;
     double latency_ms = 0.0;
     double power_w = 0.0;
@@ -116,7 +98,6 @@ SweepResult SweepEngine::run(const SweepRequest& request) const {
   };
   std::vector<std::vector<CellValue>> values(
       topologies.size(), std::vector<CellValue>(devices.size()));
-  std::atomic<std::size_t> cache_hits{0};
   std::atomic<std::size_t> features_computed{0};
 
   ThreadPool& pool = pool_ != nullptr ? *pool_ : ThreadPool::shared();
@@ -128,41 +109,27 @@ SweepResult SweepEngine::run(const SweepRequest& request) const {
       return *models[ti];
     };
 
-    // 1. Probe the persistent cache per device: a full hit row skips
-    //    feature acquisition (and therefore DCA) entirely.
-    std::vector<std::size_t> missing;
-    for (std::size_t di = 0; di < devices.size(); ++di) {
-      if (cache_ != nullptr) {
-        try {
-          if (const auto hit = cache_->get(SweepCache::cell_key(
-                  topo.hash, devices[di], bundle_key_))) {
-            row[di] = {CellStatus::kOk, true, hit->predicted_ipc,
-                       hit->latency_ms, hit->power_w, ""};
-            cache_hits.fetch_add(1, std::memory_order_relaxed);
-            continue;
-          }
-        } catch (const std::exception&) {
-          // An unreadable cache is a miss, not a failed cell.
-        }
-      }
-      missing.push_back(di);
-    }
-    if (missing.empty()) return;
-
-    // 2. Features once per topology.  Each job charges a private copy
-    //    of the request deadline: the wall clock is naturally shared,
-    //    a shared step counter would race across worker threads.
+    // Features once per topology.  Each job charges a private copy of
+    // the request deadline: the wall clock is naturally shared, a
+    // shared step counter would race across worker threads.
     const Deadline deadline = request.deadline;
+    // Without a feature source: read through the store, if any.
+    const auto own_features = [&] {
+      const auto compute = [&] {
+        return extractor_.compute(model(), deadline);
+      };
+      return store_ != nullptr
+                 ? store_->get_or_compute(topo.hash, compute).features
+                 : std::make_shared<const core::ModelFeatures>(compute());
+    };
     std::shared_ptr<const core::ModelFeatures> features;
     CellStatus status = CellStatus::kOk;
     std::string error;
     try {
       GPUPERF_FAULT_POINT_D("dse.features", &deadline);
-      features =
-          feature_source_
-              ? feature_source_(topo.representative, deadline)
-              : std::make_shared<const core::ModelFeatures>(
-                    extractor_.compute(model(), deadline));
+      features = feature_source_
+                     ? feature_source_(topo.representative, deadline)
+                     : own_features();
       GP_CHECK_MSG(features != nullptr, "feature source returned null");
       features_computed.fetch_add(1, std::memory_order_relaxed);
     } catch (const std::exception& primary) {
@@ -182,29 +149,17 @@ SweepResult SweepEngine::run(const SweepRequest& request) const {
       }
     }
 
-    // 3. Fill the missing cells from the (full or fallback) features.
-    for (const std::size_t di : missing) {
+    for (std::size_t di = 0; di < devices.size(); ++di) {
       CellValue& cell = row[di];
       if (!features) {
-        cell = {CellStatus::kFailed, false, 0.0, 0.0, 0.0, error};
+        cell = {CellStatus::kFailed, 0.0, 0.0, 0.0, error};
         continue;
       }
       cell.status = status;
-      cell.cached = false;
       cell.ipc = estimator_.predict(*features, *specs[di]);
       cell.latency_ms = estimate_latency_ms(
           features->executed_instructions, cell.ipc, *specs[di]);
       cell.power_w = estimate_power_w(cell.ipc, *specs[di]);
-      if (cache_ != nullptr && status == CellStatus::kOk) {
-        try {
-          cache_->put(
-              SweepCache::cell_key(topo.hash, devices[di], bundle_key_),
-              {cell.ipc, cell.latency_ms, cell.power_w});
-        } catch (const std::exception&) {
-          // The cell is in hand — failing to persist it must not fail
-          // the sweep.
-        }
-      }
     }
   });
 
@@ -212,7 +167,6 @@ SweepResult SweepEngine::run(const SweepRequest& request) const {
   SweepResult result;
   result.unique_topologies = topologies.size();
   result.duplicate_models = request.models.size() - topologies.size();
-  result.sweep_cache_hits = cache_hits.load();
   result.features_computed = features_computed.load();
   result.cells.reserve(request.models.size() * devices.size());
   for (std::size_t mi = 0; mi < request.models.size(); ++mi) {
@@ -223,7 +177,6 @@ SweepResult SweepEngine::run(const SweepRequest& request) const {
       cell.model = request.models[mi];
       cell.device = devices[di];
       cell.status = v.status;
-      cell.cached = v.cached;
       cell.predicted_ipc = v.ipc;
       cell.latency_ms = v.latency_ms;
       cell.power_w = v.power_w;

@@ -2,17 +2,18 @@
 // set × device table cross product under user constraints and return
 // ranked recommendations.  This is the paper's Table IV scenario
 // productized — one DCA pass per distinct model (a repeated name is
-// analyzed once), fanned out over the process-shared thread pool,
+// analyzed once), fanned out over the process-shared thread pool, and
 // every (model, device) cell answered by the trained estimator instead
-// of a profiler, and the whole sweep persisted so the next run is
-// near-free.
+// of a profiler.  Features are the only thing worth keeping between
+// runs (t_dca dominates T_est = t_dca + n·t_pm): with a feature store
+// the next run performs no DCA, and every cell is predicted afresh.
 //
 // Robustness contract (PR-3 semantics): a sweep with one pathological
 // model still returns every other cell.  Per-cell status is `ok`
 // (full DCA-backed prediction), `degraded` (feature acquisition timed
 // out or failed; core::static_only_features fallback) or `failed` (no
-// prediction; `error` says why).  Only `ok` cells enter the persistent
-// cache.
+// prediction; `error` says why).  Only full-DCA features enter the
+// feature store.
 #pragma once
 
 #include <cstddef>
@@ -29,7 +30,7 @@
 #include "core/estimator.hpp"
 #include "core/features.hpp"
 #include "dse/constraints.hpp"
-#include "dse/sweep_cache.hpp"
+#include "registry/feature_store.hpp"
 
 namespace gpuperf::dse {
 
@@ -63,10 +64,10 @@ struct SweepResult {
   std::size_t unique_topologies = 0;
   /// Requested models that shared a fingerprint with an earlier one.
   std::size_t duplicate_models = 0;
-  /// Cells answered straight from the persistent sweep cache.
-  std::size_t sweep_cache_hits = 0;
-  /// Topologies whose features this sweep had to obtain (cache misses
-  /// that reached the DCA path — the warm-replay bench asserts 0).
+  /// Topologies answered from full-DCA features, however they were
+  /// acquired: a fresh DCA pass, a feature cache or the feature store.
+  /// A warm sweep counts every topology; whether DCA actually ran shows
+  /// in the DCA memo counters (and the serve session's dca_compute_count).
   std::size_t features_computed = 0;
   std::size_t degraded_cells = 0;
   std::size_t failed_cells = 0;
@@ -85,23 +86,17 @@ std::vector<core::DseTiming> time_models(
     const std::vector<std::string>& models,
     const std::vector<std::string>& devices);
 
-/// Estimator identity for sweep-cache keying: the registry bundle
-/// version when serving from a registry, else a content hash of the
-/// serialized regressor ("adhoc-<hex>") so two differently-trained
-/// ad-hoc models never share cache entries.
-std::string make_bundle_key(const core::PerformanceEstimator& estimator,
-                            const std::string& registry_version);
-
 class SweepEngine {
  public:
-  /// Every knob is optional: a default-constructed Options gives an
-  /// uncached, shared-pool engine that computes features itself.
+  /// Every knob is optional: a default-constructed Options gives a
+  /// shared-pool engine that computes features itself and keeps none.
   struct Options {
-    /// Persistent sweep-result cache (not owned; may be nullptr).
-    SweepCache* cache = nullptr;
-    /// Estimator identity for cache keys; empty = derived via
-    /// make_bundle_key from the estimator content.
-    std::string bundle_key;
+    /// Persistent feature store (not owned; may be nullptr), keyed by
+    /// the plan's topology hashes.  Used only when the engine computes
+    /// features itself (no feature_source), through
+    /// FeatureStore::get_or_compute: a hit skips the DCA pass, a fresh
+    /// full-DCA result is put, and store I/O errors never fail a cell.
+    registry::FeatureStore* store = nullptr;
     /// Worker pool (not owned); nullptr = ThreadPool::shared().
     ThreadPool* pool = nullptr;
     /// External feature source, e.g. the serve session's acquisition
@@ -127,8 +122,6 @@ class SweepEngine {
   SweepEngine(const core::PerformanceEstimator& estimator,
               Options options);
 
-  const std::string& bundle_key() const { return bundle_key_; }
-
   /// Run one sweep.  Throws CheckError on unknown model/device names or
   /// an empty model list; per-cell analysis failures do NOT throw (they
   /// become degraded/failed cells).  Safe to call concurrently.
@@ -136,11 +129,10 @@ class SweepEngine {
 
  private:
   const core::PerformanceEstimator& estimator_;
-  SweepCache* cache_;
+  registry::FeatureStore* store_;
   ThreadPool* pool_;
   Options::FeatureSource feature_source_;
   Options::HashSource topology_hash_;
-  std::string bundle_key_;
   core::FeatureExtractor extractor_;
   cnn::StaticAnalyzer analyzer_;
 };

@@ -9,6 +9,7 @@
 #include "cnn/model_io.hpp"
 #include "common/check.hpp"
 #include "common/fault.hpp"
+#include "common/log.hpp"
 #include "common/strings.hpp"
 #include "registry/hash.hpp"
 
@@ -117,6 +118,31 @@ void FeatureStore::put(std::uint64_t topology,
   std::lock_guard<std::mutex> lock(mutex_);
   log_.append(payload);
   index_[topology] = std::make_shared<core::ModelFeatures>(features);
+}
+
+FeatureStore::Lookup FeatureStore::get_or_compute(
+    std::uint64_t topology,
+    const std::function<core::ModelFeatures()>& compute) {
+  Lookup out;
+  try {
+    out.features = get(topology);
+  } catch (const std::exception& e) {
+    GP_LOG(kWarn) << "feature store read failed: " << e.what();
+    out.read_failed = true;
+  }
+  if (out.features) {
+    out.hit = true;
+    return out;
+  }
+  auto computed = std::make_shared<const core::ModelFeatures>(compute());
+  try {
+    put(topology, *computed);
+  } catch (const std::exception& e) {
+    GP_LOG(kWarn) << "feature store write failed: " << e.what();
+    out.write_failed = true;
+  }
+  out.features = std::move(computed);
+  return out;
 }
 
 std::size_t FeatureStore::size() const {

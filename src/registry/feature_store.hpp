@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -56,6 +57,21 @@ class FeatureStore {
   /// Append one record to the journal and fsync it; overwrites any
   /// previous entry at this address (last writer wins on replay).
   void put(std::uint64_t topology, const core::ModelFeatures& features);
+
+  /// What get_or_compute did, for the caller's counters.
+  struct Lookup {
+    std::shared_ptr<const core::ModelFeatures> features;
+    bool hit = false;           // read from the store; compute not called
+    bool read_failed = false;   // the read threw (logged); taken as a miss
+    bool write_failed = false;  // the put threw (logged); features kept
+  };
+
+  /// Read-through: the stored features at `topology`, else `compute()`,
+  /// which is then put.  Store I/O never fails the call: an unreadable
+  /// store is a miss and a failed put leaves the computed features in
+  /// hand.  Whatever `compute` throws propagates, and nothing is put.
+  Lookup get_or_compute(std::uint64_t topology,
+                        const std::function<core::ModelFeatures()>& compute);
 
   /// Number of distinct live entries.
   std::size_t size() const;

@@ -25,9 +25,13 @@ namespace gpuperf::serve {
 
 namespace {
 
-std::string result_key(const std::string& model,
-                       const std::string& device) {
-  return model + '\x1f' + device;
+// The session's caches hold one entry per zoo model.  Every shard has
+// room for the whole zoo, so however std::hash spreads the names over
+// the shards, none evicts.
+constexpr std::size_t kCacheShards = 8;
+
+std::size_t zoo_capacity() {
+  return cnn::zoo::all_models().size() * kCacheShards;
 }
 
 std::int64_t steady_now_ms() {
@@ -51,21 +55,15 @@ ServeOptions ServeSession::apply_dca_spill_knobs(ServeOptions options) {
 
 ServeSession::ServeSession(ServeOptions options)
     : options_(apply_dca_spill_knobs(std::move(options))),
-      static_reports_(options_.cache_capacity, options_.cache_shards),
-      features_(options_.cache_capacity, options_.cache_shards),
-      results_(options_.cache_capacity, options_.cache_shards),
+      static_reports_(zoo_capacity(), kCacheShards),
+      features_(zoo_capacity(), kCacheShards),
       pool_(options_.n_threads) {
   if (!options_.registry_dir.empty())
     registry_ =
         std::make_unique<registry::ModelRegistry>(options_.registry_dir);
-  if (!options_.feature_store_dir.empty()) {
+  if (!options_.feature_store_dir.empty())
     feature_store_ =
         std::make_unique<registry::FeatureStore>(options_.feature_store_dir);
-    // The sweep cache shares the store directory (distinct journal
-    // names), so one --store flag warm-starts both halves of a sweep.
-    sweep_cache_ =
-        std::make_unique<dse::SweepCache>(options_.feature_store_dir);
-  }
 
   // Pre-register the breaker counters so dashboards (and the stats
   // verb) show them at zero instead of omitting them until the first
@@ -137,13 +135,8 @@ void ServeSession::install_estimator(core::PerformanceEstimator estimator,
                                      std::string source) {
   auto owned = std::make_shared<const core::PerformanceEstimator>(
       std::move(estimator));
-  // Sweep-cache identity of this estimator (docs/DSE.md): the registry
-  // version when there is one, else a content hash — computed once per
-  // install so sweeps never pay the serialization.
-  std::string bundle_key = dse::make_bundle_key(*owned, version);
   std::lock_guard<std::mutex> lock(estimator_mutex_);
   estimator_ = std::move(owned);
-  bundle_key_ = std::move(bundle_key);
   live_version_ = std::move(version);
   live_manifest_ = std::move(manifest);
   model_source_ = std::move(source);
@@ -179,9 +172,6 @@ std::string ServeSession::reload(const std::string& version) {
   const std::string installed = bundle.version;
   install_estimator(std::move(bundle.estimator), installed,
                     std::move(bundle.manifest), "registry");
-  // Predictions from the previous model must not be served as fresh;
-  // DCA features are model-intrinsic and stay warm.
-  results_.clear();
   reloads_.fetch_add(1);
   return installed;
 }
@@ -249,33 +239,21 @@ ServeSession::FeaturePtr ServeSession::compute_features(
   // parent-side point stays quiet — otherwise it would consume the
   // firing the worker was meant to see.
   if (!sandbox_pool_) GPUPERF_FAULT_POINT_D("dca.compute", &deadline);
-  const std::uint64_t key = feature_store_ ? module_fingerprint(model) : 0;
-  if (feature_store_) {
-    try {
-      if (FeaturePtr stored = feature_store_->get(key)) {
-        store_hits_.fetch_add(1);
-        return stored;
-      }
-    } catch (const std::exception& e) {
-      // An unreadable store is a miss, not a failed request.
-      GP_LOG(kWarn) << "feature store read failed: " << e.what();
-      metrics_.counter("store_read_failures").fetch_add(1);
-    }
-  }
-  auto computed = std::make_shared<const core::ModelFeatures>(
-      run_dca(model, deadline));
-  dca_computes_.fetch_add(1);
-  if (feature_store_) {
-    try {
-      feature_store_->put(key, *computed);
-    } catch (const std::exception& e) {
-      // The features are in hand — failing to persist them must not
-      // fail the prediction.
-      GP_LOG(kWarn) << "feature store write failed: " << e.what();
-      metrics_.counter("store_write_failures").fetch_add(1);
-    }
-  }
-  return computed;
+  const auto compute = [&] {
+    core::ModelFeatures computed = run_dca(model, deadline);
+    dca_computes_.fetch_add(1);
+    return computed;
+  };
+  if (!feature_store_)
+    return std::make_shared<const core::ModelFeatures>(compute());
+  registry::FeatureStore::Lookup lookup =
+      feature_store_->get_or_compute(module_fingerprint(model), compute);
+  if (lookup.hit) store_hits_.fetch_add(1);
+  if (lookup.read_failed)
+    metrics_.counter("store_read_failures").fetch_add(1);
+  if (lookup.write_failed)
+    metrics_.counter("store_write_failures").fetch_add(1);
+  return std::move(lookup.features);
 }
 
 ServeSession::FeaturePtr ServeSession::features_for(
@@ -402,16 +380,10 @@ ServeSession::Acquired ServeSession::features_or_fallback(
 ServeSession::Prediction ServeSession::predict_one(
     const std::string& model, const gpu::DeviceSpec& device,
     const Deadline& deadline, bool allow_degrade) {
-  const std::string key = result_key(model, device.name);
-  if (const auto cached = results_.get(key)) return {*cached, true, false};
   const Acquired acquired = features_or_fallback(model, deadline,
                                                  allow_degrade);
-  const double ipc = estimator_ptr()->predict(*acquired.features, device);
-  // A fallback answer is never cached: the next request should attempt
-  // the full analysis, not inherit the fallback.
-  if (!acquired.degraded)
-    results_.put(key, std::make_shared<const double>(ipc));
-  return {ipc, false, acquired.degraded};
+  return {estimator_ptr()->predict(*acquired.features, device),
+          acquired.degraded};
 }
 
 Deadline ServeSession::deadline_for(const Request& request) const {
@@ -461,7 +433,9 @@ Response ServeSession::do_predict(const Request& request) {
       .field("model", std::string_view(model))
       .field("device", std::string_view(device))
       .field("ipc", outcome.ipc)
-      .field("cached", outcome.cached)
+      // Always false: predictions are not cached.  The field stays so
+      // existing clients parse the same body.
+      .field("cached", false)
       .field("degraded", outcome.degraded)
       .end_object();
   return Response{true, json.str(), false};
@@ -505,17 +479,11 @@ Response ServeSession::do_rank(const Request& request) {
 }
 
 dse::SweepResult ServeSession::sweep(const dse::SweepRequest& request) {
-  // One estimator snapshot (and its matching cache identity) for the
-  // whole sweep: a hot-reload mid-flight can neither mix two models'
-  // predictions nor poison the sweep cache with a stale bundle key.
-  std::shared_ptr<const core::PerformanceEstimator> estimator;
+  // One estimator snapshot for the whole sweep: a hot-reload mid-flight
+  // cannot mix two models' predictions.
+  const std::shared_ptr<const core::PerformanceEstimator> estimator =
+      estimator_ptr();
   dse::SweepEngine::Options engine;
-  {
-    std::lock_guard<std::mutex> lock(estimator_mutex_);
-    estimator = estimator_;
-    engine.bundle_key = bundle_key_;
-  }
-  engine.cache = sweep_cache_.get();
   engine.pool = &pool_;
   // Acquire features as every other verb does: through the breaker
   // and the single-flight feature cache and persistent store, so
@@ -611,8 +579,8 @@ Response ServeSession::do_dse(const Request& request) {
              static_cast<std::uint64_t>(result.unique_topologies))
       .field("duplicate_models",
              static_cast<std::uint64_t>(result.duplicate_models))
-      .field("sweep_cache_hits",
-             static_cast<std::uint64_t>(result.sweep_cache_hits))
+      // Always 0: sweep cells are not cached.  Kept for existing clients.
+      .field("sweep_cache_hits", std::uint64_t{0})
       .field("features_computed",
              static_cast<std::uint64_t>(result.features_computed))
       .field("degraded_cells",
@@ -649,7 +617,7 @@ Response ServeSession::do_dse(const Request& request) {
           .field("model", std::string_view(cell.model))
           .field("device", std::string_view(cell.device))
           .field("status", dse::cell_status_name(cell.status))
-          .field("cached", cell.cached)
+          .field("cached", false)  // cells are not cached; kept for clients
           .field("ipc", cell.predicted_ipc)
           .field("latency_ms", cell.latency_ms)
           .field("power_w", cell.power_w);
@@ -812,7 +780,6 @@ std::string ServeSession::stats_json() {
   json.begin_object("caches");
   write_cache_json(json, "static", static_reports_.stats());
   write_cache_json(json, "features", features_.stats());
-  write_cache_json(json, "results", results_.stats());
   json.end_object();
   json.begin_object("dca")
       .field("computes", dca_compute_count())
@@ -833,16 +800,6 @@ std::string ServeSession::stats_json() {
                static_cast<std::int64_t>(options_.dca_hard_timeout_ms))
         .field("worker_rss_mb",
                static_cast<std::uint64_t>(options_.dca_worker_rss_mb))
-        .end_object();
-  }
-  if (sweep_cache_) {
-    json.begin_object("dse")
-        .field("sweep_cache_hits", sweep_cache_->hits())
-        .field("sweep_cache_misses", sweep_cache_->misses())
-        .field("sweep_cache_size",
-               static_cast<std::uint64_t>(sweep_cache_->size()))
-        .field("sweep_cache_recovered",
-               static_cast<std::uint64_t>(sweep_cache_->recovered_records()))
         .end_object();
   }
   json.begin_object("limits")
@@ -1038,7 +995,6 @@ std::string ServeSession::handle_line(const std::string& line) {
 void ServeSession::reset_caches() {
   static_reports_.clear();
   features_.clear();
-  results_.clear();
 }
 
 std::string ServeSession::summary() const {
@@ -1058,7 +1014,6 @@ std::string ServeSession::summary() const {
   };
   line("static", static_reports_.stats());
   line("feature", features_.stats());
-  line("result", results_.stats());
   os << "  dca: " << dca_computes_.load() << " computed, "
      << store_hits_.load() << " from the persistent store\n";
   return os.str();

@@ -1,9 +1,10 @@
 // In-process estimation service: everything `gpuperf serve` does minus
-// the sockets.  Owns a trained PerformanceEstimator, the three result
-// caches (static analysis, DCA features, predictions) and the metrics
-// registry; tests, examples and benches drive it directly, the TCP
-// server forwards lines to it.  A predict runs inline on the calling
-// thread: result-cache lookup, feature acquisition, one tree walk.
+// the sockets.  Owns a trained PerformanceEstimator, the static-report
+// and DCA-feature caches and the metrics registry; tests, examples and
+// benches drive it directly, the TCP server forwards lines to it.  A
+// predict runs inline on the calling thread: feature acquisition, then
+// one regressor evaluation.  Predictions are never cached: an
+// evaluation costs microseconds at most, DCA costs milliseconds.
 //
 // Every verb gets a model's features one way (acquire_features): the
 // module's circuit breaker, then single-flight DCA through the feature
@@ -17,8 +18,8 @@
 // model, and the estimator is published behind a swappable shared_ptr —
 // every request takes one snapshot and uses it throughout, so a
 // concurrent hot-reload (the `reload` endpoint, or registry polling)
-// can never produce a torn read.  Swapping in a new bundle invalidates
-// the prediction cache; DCA features are model-intrinsic and survive.
+// can never produce a torn read.  DCA features are model-intrinsic, so
+// swapping in a new bundle invalidates nothing.
 #pragma once
 
 #include <atomic>
@@ -38,7 +39,6 @@
 #include "common/thread_pool.hpp"
 #include "core/estimator.hpp"
 #include "dse/sweep.hpp"
-#include "dse/sweep_cache.hpp"
 #include "registry/feature_store.hpp"
 #include "registry/registry.hpp"
 #include "serve/metrics.hpp"
@@ -72,9 +72,6 @@ struct ServeOptions {
   /// When > 0 and a registry is configured, poll the LATEST pointer
   /// every this many milliseconds and hot-reload on a version change.
   int registry_poll_ms = 0;
-  /// Entry budget for each of the three caches.
-  std::size_t cache_capacity = 256;
-  std::size_t cache_shards = 8;
   /// Worker pool size for `dse` sweeps; 0 = hardware threads.
   std::size_t n_threads = 0;
   /// Analysis deadline applied to predict/rank requests that don't
@@ -146,23 +143,22 @@ class ServeSession {
   /// Parse + handle + serialize: the line in, the JSON line out.
   std::string handle_line(const std::string& line);
 
-  /// Convenience predict with the full cache path (used by the
-  /// in-process examples and benches).  Throws on unknown names.
+  /// Convenience predict through the feature acquisition every verb
+  /// uses (for the in-process examples and benches).  Throws on unknown
+  /// names.
   double predict(const std::string& model, const std::string& device);
 
-  /// Hot-swap the estimator to a registry bundle (empty = LATEST) and
-  /// drop cached predictions.  Requires a configured registry; throws
-  /// on a missing/corrupt bundle, in which case the live model keeps
-  /// serving.  Returns the installed version.  In-flight predicts
-  /// finish on whichever estimator they snapshotted.
+  /// Hot-swap the estimator to a registry bundle (empty = LATEST).
+  /// Requires a configured registry; throws on a missing/corrupt
+  /// bundle, in which case the live model keeps serving.  Returns the
+  /// installed version.  In-flight predicts finish on whichever
+  /// estimator they snapshotted; every predict that starts after the
+  /// swap answers from the new one.
   std::string reload(const std::string& version = "");
 
-  /// Drop every cached static report, feature vector and prediction
-  /// (for cold-path measurements; counters are not reset).
+  /// Drop every cached static report and feature vector (for
+  /// cold-path measurements; counters are not reset).
   void reset_caches();
-
-  /// Drop only cached predictions; DCA features stay warm.
-  void reset_result_cache() { results_.clear(); }
 
   /// The live estimator.  The reference stays valid until the next
   /// reload; concurrent readers should hold estimator_ptr() instead.
@@ -184,21 +180,16 @@ class ServeSession {
   }
 
   /// Run one DSE sweep through the session's shared machinery: the
-  /// estimator snapshot, the session's feature acquisition (circuit
-  /// breaker, feature cache, persistent store), and the persistent
-  /// sweep cache when a --store directory is configured.  This is what
-  /// the `dse` verb calls; exposed for in-process benches and tests.
+  /// estimator snapshot and the session's feature acquisition (circuit
+  /// breaker, feature cache, persistent store).  This is what the `dse`
+  /// verb calls; exposed for in-process benches and tests.
   dse::SweepResult sweep(const dse::SweepRequest& request);
-
-  /// The persistent sweep cache (nullptr without a feature store dir).
-  const dse::SweepCache* sweep_cache() const { return sweep_cache_.get(); }
 
   /// The sandboxed DCA worker pool (nullptr unless isolate_dca).
   sandbox::WorkerPool* sandbox_pool() { return sandbox_pool_.get(); }
 
   MetricsRegistry& metrics() { return metrics_; }
   CacheStats feature_cache_stats() const { return features_.stats(); }
-  CacheStats result_cache_stats() const { return results_.stats(); }
 
   /// The stats endpoint's JSON (also handy without a Request).
   std::string stats_json();
@@ -256,12 +247,11 @@ class ServeSession {
   /// in-process extractor.  Worker death throws sandbox::AnalysisCrashed.
   core::ModelFeatures run_dca(const std::string& model,
                               const Deadline& deadline);
-  /// The one feature acquisition, for a predict on a result-cache
-  /// miss, a rank and each dse topology: admit through the module's
-  /// circuit breaker, then single-flight features_for.  Counts
-  /// analysis_* failures and feeds the breaker.  Throws on failure: a
-  /// ServeError(kAnalysisFailed) when the breaker is open, else the
-  /// analysis error itself.
+  /// The one feature acquisition, for a predict, a rank and each dse
+  /// topology: admit through the module's circuit breaker, then
+  /// single-flight features_for.  Counts analysis_* failures and feeds
+  /// the breaker.  Throws on failure: a ServeError(kAnalysisFailed)
+  /// when the breaker is open, else the analysis error itself.
   FeaturePtr acquire_features(const std::string& model,
                               const Deadline& deadline);
   struct Acquired {
@@ -275,11 +265,9 @@ class ServeSession {
                                 bool allow_degrade);
   struct Prediction {
     double ipc = 0.0;
-    bool cached = false;  // served from the result cache
     bool degraded = false;
   };
-  /// Result cache, else features_or_fallback and one tree walk.  Only
-  /// full-DCA answers enter the result cache.
+  /// features_or_fallback and one tree walk on the live estimator.
   Prediction predict_one(const std::string& model,
                          const gpu::DeviceSpec& device,
                          const Deadline& deadline, bool allow_degrade);
@@ -306,8 +294,7 @@ class ServeSession {
   void breaker_record_success(std::uint64_t fingerprint);
   void breaker_record_failure(std::uint64_t fingerprint);
 
-  /// Publish `estimator` as the live model (computes its sweep-cache
-  /// key, swaps the shared_ptr).
+  /// Publish `estimator` as the live model (swaps the shared_ptr).
   void install_estimator(core::PerformanceEstimator estimator,
                          std::string version, registry::Manifest manifest,
                          std::string source);
@@ -323,7 +310,6 @@ class ServeSession {
   ServeOptions options_;
   std::unique_ptr<registry::ModelRegistry> registry_;
   std::unique_ptr<registry::FeatureStore> feature_store_;
-  std::unique_ptr<dse::SweepCache> sweep_cache_;
   // Declared before the thread pool so it is destroyed after it:
   // worker-pool shutdown must not race in-flight work still running on
   // session threads.
@@ -331,7 +317,6 @@ class ServeSession {
 
   mutable std::mutex estimator_mutex_;
   std::shared_ptr<const core::PerformanceEstimator> estimator_;
-  std::string bundle_key_;            // guarded by estimator_mutex_
   std::string live_version_;          // guarded by estimator_mutex_
   registry::Manifest live_manifest_;  // guarded by estimator_mutex_
   std::string model_source_;          // "registry" | "file" | "trained"
@@ -340,7 +325,6 @@ class ServeSession {
   cnn::StaticAnalyzer analyzer_;
   ShardedLruCache<cnn::ModelReport> static_reports_;
   ShardedLruCache<core::ModelFeatures> features_;
-  ShardedLruCache<double> results_;
   ThreadPool pool_;  // dse sweep fan-out
   MetricsRegistry metrics_;
 

@@ -1,10 +1,6 @@
 #include "dse/sweep.hpp"
 
 #include <gtest/gtest.h>
-#include <signal.h>
-#include <sys/resource.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <filesystem>
 #include <string>
@@ -12,11 +8,11 @@
 
 #include "common/check.hpp"
 #include "common/fault.hpp"
-#include "common/subprocess.hpp"
 #include "core/dataset_builder.hpp"
 #include "core/estimator.hpp"
-#include "dse/sweep_cache.hpp"
 #include "gpu/device_db.hpp"
+#include "ptx/counter.hpp"
+#include "registry/feature_store.hpp"
 
 namespace gpuperf::dse {
 namespace {
@@ -60,7 +56,6 @@ TEST(SweepEngine, CrossProductIsModelMajorAndComplete) {
       EXPECT_EQ(cell.model, request.models[mi]);
       EXPECT_EQ(cell.device, request.devices[di]);
       EXPECT_EQ(cell.status, CellStatus::kOk);
-      EXPECT_FALSE(cell.cached);
       EXPECT_GT(cell.predicted_ipc, 0.0);
       EXPECT_GT(cell.latency_ms, 0.0);
       EXPECT_GT(cell.power_w, 0.0);
@@ -131,141 +126,38 @@ TEST(SweepEngine, RejectsBadInput) {
   EXPECT_THROW(SweepEngine{untrained}, CheckError);
 }
 
-TEST(SweepEngine, PersistentCacheReplaysWithZeroFeaturePasses) {
+TEST(SweepEngine, FeatureStoreReplaysWithZeroDca) {
   const std::string dir = temp_dir("replay");
   const SweepRequest request = small_request();
   SweepResult cold;
-  std::string bundle_key;
   {
-    SweepCache cache(dir);
+    registry::FeatureStore store(dir);
     SweepEngine::Options options;
-    options.cache = &cache;
-    const SweepEngine engine(trained_estimator(), options);
-    bundle_key = engine.bundle_key();
-    cold = engine.run(request);
+    options.store = &store;
+    cold = SweepEngine(trained_estimator(), options).run(request);
     EXPECT_EQ(cold.features_computed, 2u);
-    EXPECT_EQ(cold.sweep_cache_hits, 0u);
-    EXPECT_EQ(cache.size(), 6u);
+    EXPECT_EQ(store.size(), 2u);
   }
-  // "Restart": a fresh cache object replays the journal from disk.
-  SweepCache reopened(dir);
-  EXPECT_EQ(reopened.recovered_records(), 6u);
+  // "Restart": a fresh store object replays the journal from disk, and
+  // with the DCA memo emptied any analysis would show as memo misses.
+  registry::FeatureStore reopened(dir);
+  EXPECT_EQ(reopened.recovered_records(), 2u);
   SweepEngine::Options options;
-  options.cache = &reopened;
-  options.bundle_key = bundle_key;
-  const SweepEngine engine(trained_estimator(), options);
-  const SweepResult warm = engine.run(request);
-  EXPECT_EQ(warm.features_computed, 0u);
-  EXPECT_EQ(warm.sweep_cache_hits, 6u);
+  options.store = &reopened;
+  ptx::InstructionCounter::reset_memo();
+  const std::uint64_t misses_before =
+      ptx::InstructionCounter::memo_stats().misses;
+  const SweepResult warm =
+      SweepEngine(trained_estimator(), options).run(request);
+  EXPECT_EQ(ptx::InstructionCounter::memo_stats().misses, misses_before);
+  EXPECT_EQ(warm.features_computed, 2u);
   ASSERT_EQ(warm.cells.size(), cold.cells.size());
   for (std::size_t c = 0; c < cold.cells.size(); ++c) {
-    EXPECT_TRUE(warm.cells[c].cached);
-    EXPECT_DOUBLE_EQ(warm.cells[c].predicted_ipc,
-                     cold.cells[c].predicted_ipc);
-    EXPECT_DOUBLE_EQ(warm.cells[c].latency_ms, cold.cells[c].latency_ms);
-    EXPECT_DOUBLE_EQ(warm.cells[c].power_w, cold.cells[c].power_w);
+    EXPECT_EQ(warm.cells[c].status, CellStatus::kOk);
+    EXPECT_EQ(warm.cells[c].predicted_ipc, cold.cells[c].predicted_ipc);
+    EXPECT_EQ(warm.cells[c].latency_ms, cold.cells[c].latency_ms);
+    EXPECT_EQ(warm.cells[c].power_w, cold.cells[c].power_w);
   }
-}
-
-TEST(SweepEngine, DifferentBundleKeyNeverSharesCacheEntries) {
-  const std::string dir = temp_dir("bundle_key");
-  SweepCache cache(dir);
-  const SweepRequest request = small_request();
-  SweepEngine::Options a;
-  a.cache = &cache;
-  a.bundle_key = "v0001";
-  EXPECT_EQ(SweepEngine(trained_estimator(), a).run(request)
-                .sweep_cache_hits,
-            0u);
-  SweepEngine::Options b;
-  b.cache = &cache;
-  b.bundle_key = "v0002";
-  const SweepResult other =
-      SweepEngine(trained_estimator(), b).run(request);
-  // Same cache, different estimator identity: all misses, recomputed.
-  EXPECT_EQ(other.sweep_cache_hits, 0u);
-  EXPECT_EQ(other.features_computed, 2u);
-  EXPECT_EQ(cache.size(), 12u);
-}
-
-TEST(SweepEngine, BundleKeyIsRegistryVersionOrContentHash) {
-  EXPECT_EQ(make_bundle_key(trained_estimator(), "v0042"), "v0042");
-  const std::string adhoc = make_bundle_key(trained_estimator(), "");
-  EXPECT_EQ(adhoc.rfind("adhoc-", 0), 0u) << adhoc;
-  // Deterministic: same estimator content, same key.
-  EXPECT_EQ(make_bundle_key(trained_estimator(), ""), adhoc);
-  const SweepEngine engine(trained_estimator());
-  EXPECT_EQ(engine.bundle_key(), adhoc);
-}
-
-TEST(SweepCache, PutGetRoundTripAndCounters) {
-  const std::string dir = temp_dir("cache_unit");
-  SweepCache cache(dir);
-  const std::string key = SweepCache::cell_key(0x1234u, "gtx1060", "v1");
-  EXPECT_EQ(cache.get(key), nullptr);
-  EXPECT_EQ(cache.misses(), 1u);
-  cache.put(key, {1.5, 2.5, 90.0});
-  const auto hit = cache.get(key);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_DOUBLE_EQ(hit->predicted_ipc, 1.5);
-  EXPECT_DOUBLE_EQ(hit->latency_ms, 2.5);
-  EXPECT_DOUBLE_EQ(hit->power_w, 90.0);
-  EXPECT_EQ(cache.hits(), 1u);
-  // Last writer wins, in memory and across a reopen.
-  cache.put(key, {3.0, 4.0, 95.0});
-  EXPECT_EQ(cache.size(), 1u);
-  SweepCache reopened(dir);
-  // Two append records on disk, one key after last-writer-wins replay.
-  EXPECT_EQ(reopened.recovered_records(), 2u);
-  EXPECT_EQ(reopened.size(), 1u);
-  EXPECT_DOUBLE_EQ(reopened.get(key)->predicted_ipc, 3.0);
-}
-
-TEST(SweepCache, FailedPutDoesNotBuryLaterPuts) {
-  const std::string dir = temp_dir("cache_failed_put");
-  const std::string a = SweepCache::cell_key(0xa, "gtx1060", "v1");
-  const std::string b = SweepCache::cell_key(0xb, "gtx1060", "v1");
-  const std::string c = SweepCache::cell_key(0xc, "gtx1060", "v1");
-  const pid_t pid = ::fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    // In a child, so the file-size cap never reaches this process.
-    SweepCache cache(dir);
-    cache.put(a, {1.5, 2.5, 90.0});
-    ::signal(SIGXFSZ, SIG_IGN);
-    rlimit saved{};
-    ::getrlimit(RLIMIT_FSIZE, &saved);
-    rlimit cap = saved;
-    cap.rlim_cur = fs::file_size(cache.journal_path()) + 40;
-    ::setrlimit(RLIMIT_FSIZE, &cap);  // put B dies 40 bytes in
-    bool threw = false;
-    try {
-      cache.put(b, {1.5, 2.5, 90.0});
-    } catch (const CheckError&) {
-      threw = true;
-    }
-    ::setrlimit(RLIMIT_FSIZE, &saved);
-    cache.put(c, {1.5, 2.5, 90.0});  // acknowledged
-    ::_exit(threw ? 0 : 1);
-  }
-  int status = 0;
-  ASSERT_EQ(waitpid_retry(pid, &status, 0), pid);
-  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
-      << describe_wait_status(status);
-
-  SweepCache cache(dir);
-  EXPECT_EQ(cache.recovered_records(), 2u);
-  EXPECT_EQ(cache.torn_tail_bytes(), 0u);
-  EXPECT_NE(cache.get(a), nullptr);
-  EXPECT_EQ(cache.get(b), nullptr);
-  EXPECT_NE(cache.get(c), nullptr);
-}
-
-TEST(SweepCache, KeySeparatesTopologyDeviceAndBundle) {
-  const std::string base = SweepCache::cell_key(1, "a", "v1");
-  EXPECT_NE(base, SweepCache::cell_key(2, "a", "v1"));
-  EXPECT_NE(base, SweepCache::cell_key(1, "b", "v1"));
-  EXPECT_NE(base, SweepCache::cell_key(1, "a", "v2"));
 }
 
 #ifdef GPUPERF_FAULT_INJECTION
@@ -323,11 +215,11 @@ TEST(SweepChaos, NoDegradeTurnsFaultIntoFailedCells) {
     EXPECT_EQ(s.infeasible_reason, "incomplete (failed cells)");
 }
 
-TEST(SweepChaos, DegradedCellsNeverEnterTheCache) {
-  const std::string dir = temp_dir("chaos_cache");
-  SweepCache cache(dir);
+TEST(SweepChaos, DegradedCellsNeverEnterTheStore) {
+  const std::string dir = temp_dir("chaos_store");
+  registry::FeatureStore store(dir);
   SweepEngine::Options options;
-  options.cache = &cache;
+  options.store = &store;
   const SweepEngine engine(trained_estimator(), options);
   SweepRequest request = small_request();
   request.models = {"alexnet"};
@@ -337,13 +229,32 @@ TEST(SweepChaos, DegradedCellsNeverEnterTheCache) {
     const SweepResult degraded = engine.run(request);
     EXPECT_EQ(degraded.degraded_cells, request.devices.size());
   }
-  // The fallback answers were not persisted: the healthy re-run misses
-  // the cache and computes real features.
-  EXPECT_EQ(cache.size(), 0u);
+  // The fallback features were not persisted: the healthy re-run misses
+  // the store and computes real features.
+  EXPECT_EQ(store.size(), 0u);
   const SweepResult healthy = engine.run(request);
-  EXPECT_EQ(healthy.sweep_cache_hits, 0u);
+  EXPECT_EQ(healthy.degraded_cells, 0u);
   EXPECT_EQ(healthy.features_computed, 1u);
-  EXPECT_EQ(cache.size(), request.devices.size());
+  EXPECT_EQ(store.size(), 1u);
+}
+
+TEST(SweepChaos, StoreFaultsNeverFailACell) {
+  const std::string dir = temp_dir("chaos_store_io");
+  registry::FeatureStore store(dir);
+  SweepEngine::Options options;
+  options.store = &store;
+  const SweepEngine engine(trained_estimator(), options);
+  // A dead volume: every read and every write throws.  The reads count
+  // as misses, the features are computed, and the cells are ok.
+  fault::ScopedFault read("store.get", {fault::Action::kThrow, 0, -1});
+  fault::ScopedFault write("store.put", {fault::Action::kThrow, 0, -1});
+  const SweepResult result = engine.run(small_request());
+  EXPECT_EQ(result.degraded_cells, 0u);
+  EXPECT_EQ(result.failed_cells, 0u);
+  EXPECT_EQ(result.features_computed, 2u);
+  EXPECT_EQ(fault::hits("store.get"), 2u);
+  EXPECT_EQ(fault::hits("store.put"), 2u);
+  EXPECT_EQ(store.size(), 0u);
 }
 
 #endif  // GPUPERF_FAULT_INJECTION

@@ -10,9 +10,11 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 #include "cnn/model_io.hpp"
 #include "cnn/zoo.hpp"
+#include "common/fault.hpp"
 #include "common/subprocess.hpp"
 #include "registry/hash.hpp"
 
@@ -83,6 +85,70 @@ TEST(FeatureStore, OverwriteReplacesEntry) {
   EXPECT_EQ(store.size(), 1u);
   EXPECT_EQ(store.get(0xabcd)->executed_instructions, 42);
 }
+
+TEST(FeatureStore, GetOrComputeReadsThroughAndFillsTheStore) {
+  FeatureStore store(fresh_root("read_through"));
+  int computes = 0;
+  const auto compute = [&] {
+    ++computes;
+    return sample_features();
+  };
+  const FeatureStore::Lookup miss = store.get_or_compute(0xabcd, compute);
+  EXPECT_FALSE(miss.hit);
+  EXPECT_FALSE(miss.read_failed);
+  EXPECT_FALSE(miss.write_failed);
+  ASSERT_NE(miss.features, nullptr);
+  EXPECT_EQ(computes, 1);
+  EXPECT_EQ(store.size(), 1u);
+
+  const FeatureStore::Lookup hit = store.get_or_compute(0xabcd, compute);
+  EXPECT_TRUE(hit.hit);
+  EXPECT_EQ(computes, 1);
+  ASSERT_NE(hit.features, nullptr);
+  EXPECT_EQ(hit.features->executed_instructions,
+            sample_features().executed_instructions);
+}
+
+TEST(FeatureStore, GetOrComputePutsNothingWhenTheComputeThrows) {
+  FeatureStore store(fresh_root("compute_throws"));
+  EXPECT_THROW(store.get_or_compute(0xabcd,
+                                    []() -> core::ModelFeatures {
+                                      throw std::runtime_error("no DCA");
+                                    }),
+               std::runtime_error);
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_EQ(store.get(0xabcd), nullptr);
+}
+
+#ifdef GPUPERF_FAULT_INJECTION
+TEST(FeatureStore, GetOrComputeReportsStoreFaultsWithoutFailing) {
+  FeatureStore store(fresh_root("read_through_faults"));
+  int computes = 0;
+  const auto compute = [&] {
+    ++computes;
+    return sample_features();
+  };
+  {
+    fault::ScopedFault read("store.get", {fault::Action::kThrow, 0, 1});
+    const FeatureStore::Lookup lookup = store.get_or_compute(0xa, compute);
+    EXPECT_TRUE(lookup.read_failed);
+    EXPECT_FALSE(lookup.hit);
+    EXPECT_FALSE(lookup.write_failed);
+    EXPECT_NE(lookup.features, nullptr);
+  }
+  EXPECT_EQ(computes, 1);
+  EXPECT_NE(store.get(0xa), nullptr);  // the put after a failed read lands
+  {
+    fault::ScopedFault write("store.put", {fault::Action::kThrow, 0, 1});
+    const FeatureStore::Lookup lookup = store.get_or_compute(0xb, compute);
+    EXPECT_FALSE(lookup.read_failed);
+    EXPECT_TRUE(lookup.write_failed);
+    EXPECT_NE(lookup.features, nullptr);
+  }
+  EXPECT_EQ(computes, 2);
+  EXPECT_EQ(store.get(0xb), nullptr);
+}
+#endif  // GPUPERF_FAULT_INJECTION
 
 TEST(FeatureStore, EntriesSurviveReopen) {
   const std::string root = fresh_root("reopen");
@@ -244,8 +310,8 @@ TEST(FeatureStore, TopologyHashSeparatesModels) {
       FeatureStore::topology_hash(cnn::zoo::build("alexnet"));
   EXPECT_NE(h1, h2);
   EXPECT_EQ(h1, h1_again);
-  // Golden values: these hashes key the GPFR and GPSC journals, so a
-  // change here orphans every store and sweep cache on disk.
+  // Golden values: these hashes key the GPFR journal, so a change here
+  // orphans every feature store on disk.
   EXPECT_EQ(hex64(h1), "7ef8b1a725dc997f");
   EXPECT_EQ(hex64(h2), "def4a789047253bf");
 

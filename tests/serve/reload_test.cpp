@@ -9,8 +9,11 @@
 #include <thread>
 #include <vector>
 
+#include "cnn/zoo.hpp"
 #include "common/fault.hpp"
 #include "core/dataset_builder.hpp"
+#include "core/features.hpp"
+#include "gpu/device_db.hpp"
 #include "registry/registry.hpp"
 #include "serve/session.hpp"
 
@@ -67,6 +70,15 @@ bool is_ok(const std::string& body) {
   return body.find("\"ok\":true") != std::string::npos;
 }
 
+/// What the session's live bundle predicts from freshly computed DCA
+/// features, bypassing every session cache.
+double live_prediction(const ServeSession& session, const std::string& model,
+                       const std::string& device) {
+  return session.estimator_ptr()->predict(
+      core::FeatureExtractor().compute(cnn::zoo::build(model)),
+      gpu::device(device));
+}
+
 TEST(ServeReload, ServesFromRegistryLatest) {
   ServeSession session(registry_options());
   EXPECT_EQ(session.live_version(), "v0002");
@@ -88,7 +100,7 @@ TEST(ServeReload, PinsARequestedVersion) {
   EXPECT_EQ(session.estimator().regressor_id(), "dt");
 }
 
-TEST(ServeReload, ReloadSwapsModelAndDropsResults) {
+TEST(ServeReload, ReloadSwapsTheModelEveryPredictUses) {
   ServeSession session(registry_options("v0001"));
   const double before = session.predict("alexnet", "gtx1080ti");
   EXPECT_GT(before, 0.0);
@@ -99,9 +111,11 @@ TEST(ServeReload, ReloadSwapsModelAndDropsResults) {
   EXPECT_EQ(session.live_version(), "v0002");
   EXPECT_EQ(session.reload_count(), 1u);
   EXPECT_EQ(session.estimator().regressor_id(), "knn");
-  // The prediction cache was invalidated, DCA features stayed warm.
-  EXPECT_EQ(session.result_cache_stats().size, 0u);
+  // The next predict answers from the knn bundle; DCA features stayed
+  // warm.
   EXPECT_GT(session.feature_cache_stats().size, 0u);
+  EXPECT_EQ(session.predict("alexnet", "gtx1080ti"),
+            live_prediction(session, "alexnet", "gtx1080ti"));
 
   // Rollback to a pinned version via the endpoint's --version flag.
   const std::string back = session.handle_line("reload --version v0001");
@@ -200,6 +214,13 @@ TEST(ServeReload, PredictsRacingHotReloadSeeNoErrors) {
   EXPECT_EQ(errors.load(), 0);
   EXPECT_EQ(session.reload_count(),
             static_cast<std::uint64_t>(kReloads));
+  // Once the reloads are over, every answer comes from the live bundle:
+  // nothing the racing readers did can leave an old bundle's answer.
+  for (const std::string& model : kTinyModels)
+    for (const std::string& device : devices)
+      EXPECT_EQ(session.predict(model, device),
+                live_prediction(session, model, device))
+          << model << " on " << device;
   // The final reload installed v0001; model_info agrees.
   const std::string info = session.handle_line("model_info");
   EXPECT_NE(info.find("\"version\":\"v0001\""), std::string::npos) << info;

@@ -14,6 +14,7 @@
 #include "core/dataset_builder.hpp"
 #include "core/dse.hpp"
 #include "gpu/device_db.hpp"
+#include "registry/feature_store.hpp"
 
 namespace gpuperf::serve {
 namespace {
@@ -56,19 +57,26 @@ TEST(ServeSession, PredictMatchesStandaloneEstimator) {
                    expected);
 }
 
-TEST(ServeSession, RepeatedPredictHitsResultCache) {
+TEST(ServeSession, RepeatedPredictIsByteIdentical) {
   ServeSession& session = shared_session();
-  const CacheStats before = session.result_cache_stats();
   const std::string first =
       session.handle_line("predict MobileNetV2 teslat4");
   const std::string second =
       session.handle_line("predict MobileNetV2 teslat4");
   ASSERT_TRUE(is_ok(first)) << first;
-  ASSERT_TRUE(is_ok(second)) << second;
+  EXPECT_EQ(second, first);
   EXPECT_NE(first.find("\"cached\":false"), std::string::npos) << first;
-  EXPECT_NE(second.find("\"cached\":true"), std::string::npos) << second;
-  EXPECT_DOUBLE_EQ(json_number(first, "ipc"), json_number(second, "ipc"));
-  EXPECT_GT(session.result_cache_stats().hits, before.hits);
+}
+
+TEST(ServeSession, FeatureCacheHoldsTheWholeZoo) {
+  // std::hash spreads the zoo names unevenly over the shards; every
+  // shard still has room for all of them.
+  ServeSession session(tiny_options());
+  for (const cnn::zoo::ZooEntry& entry : cnn::zoo::all_models())
+    session.predict(entry.name, "v100s");
+  const CacheStats features = session.feature_cache_stats();
+  EXPECT_EQ(features.evictions, 0u);
+  EXPECT_EQ(features.size, 31u);
 }
 
 TEST(ServeSession, FeatureCacheSharedAcrossDevices) {
@@ -165,9 +173,10 @@ TEST(ServeSession, StatsReportsEndpointsAndCaches) {
   ASSERT_TRUE(is_ok(body)) << body;
   for (const char* field :
        {"\"endpoints\"", "\"predict\"", "\"p50_ms\"", "\"p95_ms\"",
-        "\"caches\"", "\"features\"", "\"results\"", "\"in_flight\"",
+        "\"caches\"", "\"features\"", "\"in_flight\"",
         "\"uptime_seconds\"", "\"regressor\""})
     EXPECT_NE(body.find(field), std::string::npos) << field;
+  EXPECT_EQ(body.find("\"results\""), std::string::npos) << body;
   // Out-of-core graph counters are pre-registered, so they appear (at
   // least at zero) before any graph has ever spilled.
   for (const char* field : {"\"depgraph_csr_bytes\"", "\"dca_spill_files\"",
@@ -276,7 +285,15 @@ TEST(ServeSession, DseValidatesModelsAndDevices) {
             std::string::npos);
 }
 
-TEST(ServeSession, DseSweepCachePersistsAcrossRestart) {
+/// A dse body from its "pareto" field on: the answer without the
+/// telemetry fields before it.
+std::string dse_answer(const std::string& body) {
+  const std::size_t pos = body.find("\"pareto\":");
+  EXPECT_NE(pos, std::string::npos) << body;
+  return pos == std::string::npos ? body : body.substr(pos);
+}
+
+TEST(ServeSession, DseFeatureStorePersistsAcrossRestart) {
   const std::string dir =
       (std::filesystem::temp_directory_path() / "gpuperf_session_dse_store")
           .string();
@@ -284,28 +301,29 @@ TEST(ServeSession, DseSweepCachePersistsAcrossRestart) {
   ServeOptions options = tiny_options();
   options.feature_store_dir = dir;
   const std::string command = "dse alexnet,vgg16 --devices=gtx1060,teslat4";
+  std::string cold;
   {
     ServeSession session(options);
-    const std::string cold = session.handle_line(command);
+    cold = session.handle_line(command);
     ASSERT_TRUE(is_ok(cold)) << cold;
-    EXPECT_EQ(json_number(cold, "sweep_cache_hits"), 0.0);
-    const std::string stats = session.handle_line("stats");
-    EXPECT_NE(stats.find("\"dse\""), std::string::npos) << stats;
+    EXPECT_EQ(session.dca_compute_count(), 2u);
   }
-  // A restarted session replays the whole sweep from the journal:
-  // every cell a cache hit, zero DCA feature passes.
+  // A restarted session answers the sweep from the persistent feature
+  // store: zero DCA passes, the same answer, every cell predicted anew.
   ServeSession restarted(options);
   const std::string warm = restarted.handle_line(command);
   ASSERT_TRUE(is_ok(warm)) << warm;
-  EXPECT_EQ(json_number(warm, "sweep_cache_hits"), 4.0);
-  EXPECT_EQ(json_number(warm, "features_computed"), 0.0);
   EXPECT_EQ(restarted.dca_compute_count(), 0u);
+  EXPECT_EQ(restarted.feature_store_hit_count(), 2u);
+  EXPECT_EQ(json_number(warm, "sweep_cache_hits"), 0.0);
+  EXPECT_EQ(json_number(warm, "features_computed"), 2.0);
+  EXPECT_EQ(dse_answer(warm), dse_answer(cold));
 }
 
 TEST(ServeSession, DseSessionHashSourceMatchesTheEngineDefault) {
   // A standalone engine builds and hashes each model; the session plans
-  // from its name → hash memo instead.  Both must key the same cells,
-  // or the session would miss everything the engine persisted.
+  // from its name → hash memo instead.  Both must key the same store
+  // entries, or the session would miss everything the engine persisted.
   const std::string dir =
       (std::filesystem::temp_directory_path() / "gpuperf_session_dse_hash")
           .string();
@@ -315,23 +333,28 @@ TEST(ServeSession, DseSessionHashSourceMatchesTheEngineDefault) {
   request.devices = {"gtx1060", "teslat4"};
   dse::SweepResult engine_result;
   {
-    dse::SweepCache cache(dir);
+    registry::FeatureStore store(dir);
     dse::SweepEngine::Options options;
-    options.cache = &cache;
+    options.store = &store;
     engine_result =
         dse::SweepEngine(shared_session().estimator(), options).run(request);
     ASSERT_EQ(engine_result.failed_cells, 0u);
     EXPECT_EQ(engine_result.duplicate_models, 1u);
+    EXPECT_EQ(store.size(), 2u);
   }
   ServeOptions options = tiny_options();
   options.feature_store_dir = dir;
   ServeSession session(options);
   const dse::SweepResult result = session.sweep(request);
-  EXPECT_EQ(result.sweep_cache_hits, 4u);
-  EXPECT_EQ(result.features_computed, 0u);
+  EXPECT_EQ(result.features_computed, 2u);
   EXPECT_EQ(session.dca_compute_count(), 0u);
+  EXPECT_EQ(session.feature_store_hit_count(), 2u);
   EXPECT_EQ(result.unique_topologies, engine_result.unique_topologies);
   EXPECT_EQ(result.duplicate_models, engine_result.duplicate_models);
+  ASSERT_EQ(result.cells.size(), engine_result.cells.size());
+  for (std::size_t c = 0; c < result.cells.size(); ++c)
+    EXPECT_EQ(result.cells[c].predicted_ipc,
+              engine_result.cells[c].predicted_ipc);
 }
 
 }  // namespace

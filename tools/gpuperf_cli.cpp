@@ -47,11 +47,11 @@
 #include "core/dse.hpp"
 #include "core/estimator.hpp"
 #include "dse/sweep.hpp"
-#include "dse/sweep_cache.hpp"
 #include "gpu/device_db.hpp"
 #include "ml/cross_validation.hpp"
 #include "ptx/codegen.hpp"
 #include "ptx/counter.hpp"
+#include "registry/feature_store.hpp"
 #include "registry/registry.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
@@ -275,10 +275,8 @@ int cmd_train(const Args& args) {
 /// The estimator `predict`, `rank` and `dse` answer with: an explicit
 /// --tree file (any regressor), then a registry bundle (--registry or
 /// $GPUPERF_REGISTRY, pinned by --version), then a --regressor/--seed
-/// model trained from scratch on the full zoo.  `bundle_version`, when
-/// given, gets the registry version ("" otherwise).
-core::PerformanceEstimator load_estimator(
-    const Args& args, std::string* bundle_version = nullptr) {
+/// model trained from scratch on the full zoo.
+core::PerformanceEstimator load_estimator(const Args& args) {
   if (const auto it = args.flags.find("tree"); it != args.flags.end())
     return core::PerformanceEstimator::load(it->second);
   std::string registry_dir = args.flag_or("registry", "");
@@ -292,7 +290,6 @@ core::PerformanceEstimator load_estimator(
     std::fprintf(stderr, "loaded %s bundle %s from %s\n",
                  bundle.manifest.regressor_id.c_str(),
                  bundle.version.c_str(), registry_dir.c_str());
-    if (bundle_version != nullptr) *bundle_version = bundle.version;
     return std::move(bundle.estimator);
   }
   std::fprintf(stderr, "no --tree given; training from scratch...\n");
@@ -340,19 +337,16 @@ int cmd_dse(const Args& args) {
   }
   if (models.empty()) return usage();
 
-  std::string bundle_version;
-  const core::PerformanceEstimator estimator =
-      load_estimator(args, &bundle_version);
+  const core::PerformanceEstimator estimator = load_estimator(args);
 
-  // A --store directory persists sweep cells across runs (shared with
-  // the server's --feature-store layout).
-  std::unique_ptr<dse::SweepCache> cache;
+  // A --store directory is a feature store (the server's
+  // --feature-store): a rerun over it performs no DCA.
+  std::unique_ptr<registry::FeatureStore> store;
   dse::SweepEngine::Options engine_options;
   if (const auto it = args.flags.find("store"); it != args.flags.end()) {
-    cache = std::make_unique<dse::SweepCache>(it->second);
-    engine_options.cache = cache.get();
+    store = std::make_unique<registry::FeatureStore>(it->second);
+    engine_options.store = store.get();
   }
-  engine_options.bundle_key = dse::make_bundle_key(estimator, bundle_version);
   const dse::SweepEngine engine(estimator, std::move(engine_options));
 
   dse::SweepRequest request;
@@ -399,11 +393,10 @@ int cmd_dse(const Args& args) {
   std::printf("%s", table.render().c_str());
   std::printf(
       "%zu cells in %.2fs: %zu unique topologies (%zu duplicate models), "
-      "%zu cache hits, %zu DCA feature passes, %zu degraded, %zu failed\n",
+      "%zu with full features, %zu degraded, %zu failed\n",
       result.cells.size(), result.elapsed_seconds,
       result.unique_topologies, result.duplicate_models,
-      result.sweep_cache_hits, result.features_computed,
-      result.degraded_cells, result.failed_cells);
+      result.features_computed, result.degraded_cells, result.failed_cells);
   if (!result.feasible()) {
     std::fprintf(stderr, "no device satisfies the constraints\n");
     return 1;
@@ -450,9 +443,6 @@ int cmd_serve(const Args& args) {
   options.seed = seed_from(args);
   if (const auto it = args.flags.find("threads"); it != args.flags.end())
     options.n_threads = static_cast<std::size_t>(parse_int(it->second));
-  if (const auto it = args.flags.find("cache"); it != args.flags.end())
-    options.cache_capacity =
-        static_cast<std::size_t>(parse_int(it->second));
   options.default_deadline_ms =
       static_cast<int>(parse_int(args.flag_or("deadline-ms", "0")));
   options.dca_step_budget = static_cast<std::uint64_t>(
