@@ -18,70 +18,46 @@ int main() {
 
   const PtxModule lib = parse_ptx(CodeGenerator::kernel_library().to_ptx());
 
-  struct Case {
-    const char* kernel;
-    KernelLaunch launch;
+  const std::vector<KernelLaunch> cases = {
+      bind_launch(lib.kernel("gp_relu"), 64, 256,
+                  {{"p_dst", 1}, {"p_a", 2}, {"p_n", 16000}}),
+      bind_launch(lib.kernel("gp_gemm"), 32, 256,
+                  {{"p_c", 1}, {"p_a", 2}, {"p_b", 3}, {"p_bias", 4},
+                   {"p_total", 8000}, {"p_n", 40}, {"p_kt", 18}}),
+      bind_launch(lib.kernel("gp_dwconv"), 16, 256,
+                  {{"p_dst", 1}, {"p_src", 2}, {"p_out", 4000},
+                   {"p_window", 9}, {"p_w", 3}}),
+      bind_launch(lib.kernel("gp_softmax"), 1, 256,
+                  {{"p_dst", 1}, {"p_src", 2}, {"p_n", 1000}}),
   };
-  std::vector<Case> cases;
-  {
-    KernelLaunch l;
-    l.grid_dim = 64;
-    l.block_dim = 256;
-    l.args = {{"p_dst", 1}, {"p_a", 2}, {"p_n", 16000}};
-    cases.push_back({"gp_relu", l});
-  }
-  {
-    KernelLaunch l;
-    l.grid_dim = 32;
-    l.block_dim = 256;
-    l.args = {{"p_c", 1}, {"p_a", 2}, {"p_b", 3}, {"p_bias", 4},
-              {"p_total", 8000}, {"p_n", 40}, {"p_kt", 18}};
-    cases.push_back({"gp_gemm", l});
-  }
-  {
-    KernelLaunch l;
-    l.grid_dim = 16;
-    l.block_dim = 256;
-    l.args = {{"p_dst", 1}, {"p_src", 2}, {"p_out", 4000},
-              {"p_window", 9}, {"p_w", 3}};
-    cases.push_back({"gp_dwconv", l});
-  }
-  {
-    KernelLaunch l;
-    l.grid_dim = 1;
-    l.block_dim = 256;
-    l.args = {{"p_dst", 1}, {"p_src", 2}, {"p_n", 1000}};
-    cases.push_back({"gp_softmax", l});
-  }
 
   TextTable table(
       "Slicing ablation: sliced symbolic execution vs full interpretation");
   table.set_header({"kernel", "threads", "instructions", "slice/total",
                     "t_sliced (ms)", "t_full (ms)", "speedup"});
 
-  for (auto& c : cases) {
-    c.launch.kernel = c.kernel;
-    const PtxKernel& kernel = lib.kernel(c.kernel);
+  for (const KernelLaunch& launch : cases) {
+    const PtxKernel& kernel = lib.kernel(launch.kernel);
     const SymbolicExecutor sym(kernel);
     const Interpreter interp(kernel);
 
     Stopwatch w1;
-    const ExecutionCounts sc = sym.run(c.launch);
+    const ExecutionCounts sc = sym.run(launch);
     const double t_sliced = w1.elapsed_ms();
 
     Stopwatch w2;
-    const ThreadCounts ic = interp.run_all(c.launch);
+    const ThreadCounts ic = interp.run_all(launch);
     const double t_full = w2.elapsed_ms();
 
     if (sc.total != ic.total) {
-      std::fprintf(stderr, "COUNT MISMATCH on %s: %lld vs %lld\n", c.kernel,
-                   static_cast<long long>(sc.total),
+      std::fprintf(stderr, "COUNT MISMATCH on %s: %lld vs %lld\n",
+                   launch.kernel.c_str(), static_cast<long long>(sc.total),
                    static_cast<long long>(ic.total));
       return 1;
     }
 
     table.add_row(
-        {c.kernel, with_commas(c.launch.total_threads()),
+        {launch.kernel, with_commas(launch.total_threads()),
          with_commas(sc.total),
          std::to_string(sym.slice().slice_size()) + "/" +
              std::to_string(kernel.instructions.size()),

@@ -41,13 +41,11 @@ BENCHMARK(BM_BuildSliceGemm);
 void BM_SymExecGemm(benchmark::State& state) {
   const PtxModule lib = parse_ptx(CodeGenerator::kernel_library().to_ptx());
   const SymbolicExecutor sym(lib.kernel("gp_gemm"));
-  KernelLaunch l;
-  l.kernel = "gp_gemm";
-  l.block_dim = 256;
   const std::int64_t total = state.range(0);
-  l.grid_dim = (total + 255) / 256;
-  l.args = {{"p_c", 1}, {"p_a", 2}, {"p_b", 3}, {"p_bias", 4},
-            {"p_total", total}, {"p_n", 64}, {"p_kt", 36}};
+  const KernelLaunch l =
+      bind_launch(lib.kernel("gp_gemm"), (total + 255) / 256, 256,
+                  {{"p_c", 1}, {"p_a", 2}, {"p_b", 3}, {"p_bias", 4},
+                   {"p_total", total}, {"p_n", 64}, {"p_kt", 36}});
   std::int64_t instructions = 0;
   for (auto _ : state) {
     const ExecutionCounts counts = sym.run(l);
@@ -80,8 +78,8 @@ void BM_CountWholeModelCold(benchmark::State& state) {
 BENCHMARK(BM_CountWholeModelCold)->Arg(0)->Arg(1)->Arg(2);
 
 /// Warm DCA: repeated counting of the same model — the zoo-sweep /
-/// serve-traffic shape.  After the first iteration every launch is a
-/// memo hit; this is the paper's t_dca term for repeat requests.
+/// serve-traffic shape.  Every distinct launch key is a memo hit, so an
+/// iteration is grouping, one probe per key and the launch-order sum.
 void BM_CountWholeModelWarm(benchmark::State& state) {
   const cnn::Model model = cnn::zoo::build(kModelNames[state.range(0)]);
   const CodeGenerator codegen;

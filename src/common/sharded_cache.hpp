@@ -1,7 +1,8 @@
 // Sharded single-flight LRU cache.  Originally built for the serve
-// layer (static-analysis reports, DCA feature vectors, predictions);
-// now shared infrastructure — the PTX instruction counter memoizes
-// per-launch symbolic execution results through the same template.
+// layer (static-analysis reports, DCA feature vectors); now shared
+// infrastructure — the PTX instruction counter memoizes per-launch
+// symbolic execution results through the same template, keyed on an
+// integer tuple instead of a string (the `Key`/`Hash` parameters).
 //
 // Design: N independent shards (hash of the key picks one), each a
 // mutex-guarded LRU list + map.  Entries hold shared_futures so that
@@ -13,6 +14,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <future>
@@ -34,7 +36,8 @@ struct CacheStats {
   std::size_t size = 0;
 };
 
-template <typename Value>
+template <typename Value, typename Key = std::string,
+          typename Hash = std::hash<Key>>
 class ShardedLruCache {
  public:
   using ValuePtr = std::shared_ptr<const Value>;
@@ -53,7 +56,7 @@ class ShardedLruCache {
   /// and publish the result.  Concurrent callers of the same missing
   /// key block on the first caller's computation instead of repeating
   /// it.  A computation that throws is erased so later calls retry.
-  ValuePtr get_or_compute(const std::string& key,
+  ValuePtr get_or_compute(const Key& key,
                           const std::function<ValuePtr()>& compute) {
     Shard& shard = shard_for(key);
     std::promise<ValuePtr> promise;
@@ -83,40 +86,28 @@ class ShardedLruCache {
     }
   }
 
-  /// Plain lookup; returns nullptr on a miss.  Blocks if the entry is
-  /// still being computed by a get_or_compute() winner.
-  ValuePtr get(const std::string& key) {
-    Shard& shard = shard_for(key);
-    std::shared_future<ValuePtr> future;
-    {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      auto* entry = find_and_touch(shard, key);
-      if (!entry) {
-        ++misses_;
-        return nullptr;
-      }
-      ++hits_;
-      future = entry->future;
-    }
-    try {
-      return future.get();
-    } catch (...) {
-      return nullptr;  // the failed compute already erased itself
-    }
-  }
-
-  /// Insert (or overwrite) a ready value.
-  void put(const std::string& key, ValuePtr value) {
-    GP_CHECK(value != nullptr);
-    std::promise<ValuePtr> promise;
-    promise.set_value(std::move(value));
+  /// Non-blocking probe: the value when `key` holds a finished
+  /// computation (counted as a hit), nullptr at once when it is absent
+  /// or still being computed (counted as nothing; a get_or_compute()
+  /// that follows counts the hit or miss).
+  ValuePtr try_get(const Key& key) {
     Shard& shard = shard_for(key);
     std::lock_guard<std::mutex> lock(shard.mutex);
-    if (auto* entry = find_and_touch(shard, key)) {
-      entry->future = promise.get_future().share();
-      return;
+    const auto it = shard.map.find(key);
+    if (it == shard.map.end()) return nullptr;
+    const std::shared_future<ValuePtr>& future = it->second.future;
+    if (future.wait_for(std::chrono::seconds(0)) !=
+        std::future_status::ready)
+      return nullptr;
+    ValuePtr value;
+    try {
+      value = future.get();
+    } catch (...) {
+      return nullptr;  // a failed compute, about to erase itself
     }
-    insert_locked(shard, key, promise.get_future().share());
+    shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
+    ++hits_;
+    return value;
   }
 
   void clear() {
@@ -144,21 +135,21 @@ class ShardedLruCache {
  private:
   struct Entry {
     std::shared_future<ValuePtr> future;
-    std::list<std::string>::iterator lru_it;
+    typename std::list<Key>::iterator lru_it;
     std::uint64_t generation = 0;
   };
 
   struct Shard {
     mutable std::mutex mutex;
-    std::list<std::string> lru;  // front = most recently used
-    std::unordered_map<std::string, Entry> map;
+    std::list<Key> lru;  // front = most recently used
+    std::unordered_map<Key, Entry, Hash> map;
   };
 
-  Shard& shard_for(const std::string& key) {
-    return shards_[std::hash<std::string>{}(key) % shards_.size()];
+  Shard& shard_for(const Key& key) {
+    return shards_[Hash{}(key) % shards_.size()];
   }
 
-  Entry* find_and_touch(Shard& shard, const std::string& key) {
+  Entry* find_and_touch(Shard& shard, const Key& key) {
     const auto it = shard.map.find(key);
     if (it == shard.map.end()) return nullptr;
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
@@ -167,7 +158,7 @@ class ShardedLruCache {
 
   /// Insert under the shard lock; evicts from the LRU tail if over
   /// budget.  Returns the new entry's generation tag (never 0).
-  std::uint64_t insert_locked(Shard& shard, const std::string& key,
+  std::uint64_t insert_locked(Shard& shard, const Key& key,
                               std::shared_future<ValuePtr> future) {
     shard.lru.push_front(key);
     const std::uint64_t gen = ++generation_;
@@ -177,9 +168,8 @@ class ShardedLruCache {
     entry.generation = gen;
     shard.map[key] = std::move(entry);
     while (shard.map.size() > per_shard_capacity_) {
-      const std::string victim = shard.lru.back();
+      shard.map.erase(shard.lru.back());
       shard.lru.pop_back();
-      shard.map.erase(victim);
       ++evictions_;
     }
     return gen;
@@ -187,7 +177,7 @@ class ShardedLruCache {
 
   /// Remove the entry for `key` only if it is still the generation we
   /// inserted (a failed compute must not erase a newer entry).
-  void erase_generation(Shard& shard, const std::string& key,
+  void erase_generation(Shard& shard, const Key& key,
                         std::uint64_t gen) {
     std::lock_guard<std::mutex> lock(shard.mutex);
     const auto it = shard.map.find(key);

@@ -807,27 +807,34 @@ class Lowering {
     return addr;
   }
 
-  void launch(const std::string& kernel, std::int64_t threads,
-              std::map<std::string, std::int64_t> args, LaunchStats stats,
-              bool grid_stride_capped = false) {
-    KernelLaunch l;
+  /// Emit one launch of `grid` blocks.  `args` are the kernel's
+  /// parameter values in the order its emitter above declares them.
+  void emit(const char* kernel, std::int64_t grid,
+            std::initializer_list<std::int64_t> args, LaunchStats stats) {
+    KernelLaunch& l = out_.launches.emplace_back();
     l.kernel = kernel;
+    l.grid_dim = grid;
     l.block_dim = CodeGenerator::kBlockDim;
-    std::int64_t blocks = ceil_div(std::max<std::int64_t>(threads, 1),
-                                   l.block_dim);
-    if (grid_stride_capped) blocks = std::min<std::int64_t>(blocks, 4096);
-    l.grid_dim = std::max<std::int64_t>(blocks, 1);
-    l.args = std::move(args);
-    out_.launches.push_back(std::move(l));
+    l.args.assign(args);
     out_.stats.push_back(stats);
     out_.sources.push_back(source_);
   }
 
-  /// Elementwise-style launch over n elements (grid-stride kernels).
-  void elementwise(const std::string& kernel, std::int64_t dst,
-                   std::int64_t a, std::int64_t n, LaunchStats stats) {
-    launch(kernel, n, {{"p_dst", dst}, {"p_a", a}, {"p_n", n}}, stats,
-           /*grid_stride_capped=*/true);
+  /// A launch covering `threads` threads (one per output element).
+  void launch(const char* kernel, std::int64_t threads,
+              std::initializer_list<std::int64_t> args, LaunchStats stats,
+              bool grid_stride_capped = false) {
+    std::int64_t blocks = ceil_div(std::max<std::int64_t>(threads, 1),
+                                   CodeGenerator::kBlockDim);
+    if (grid_stride_capped) blocks = std::min<std::int64_t>(blocks, 4096);
+    emit(kernel, std::max<std::int64_t>(blocks, 1), args, stats);
+  }
+
+  /// Elementwise-style launch over n elements (grid-stride kernels):
+  /// p_dst, p_a, p_n.
+  void elementwise(const char* kernel, std::int64_t dst, std::int64_t a,
+                   std::int64_t n, LaunchStats stats) {
+    launch(kernel, n, {dst, a, n}, stats, /*grid_stride_capped=*/true);
   }
 
  private:
@@ -852,8 +859,6 @@ CompiledModel CodeGenerator::compile(const cnn::Model& model,
   Lowering lower(out);
   // Per-node output buffer addresses.
   std::vector<std::int64_t> buf(model.node_count(), 0);
-  // Layer currently being lowered (captured by the emit helpers).
-  std::string current_source;
 
   auto act_kernel = [](cnn::ActivationKind act) -> const char* {
     switch (act) {
@@ -869,14 +874,9 @@ CompiledModel CodeGenerator::compile(const cnn::Model& model,
   auto emit_activation = [&](cnn::ActivationKind act, std::int64_t addr,
                              std::int64_t n) {
     if (act == cnn::ActivationKind::kSoftmax) {
-      KernelLaunch l;
-      l.kernel = "gp_softmax";
-      l.grid_dim = batch;  // one block per batch row
-      l.block_dim = kBlockDim;
-      l.args = {{"p_dst", addr}, {"p_src", addr}, {"p_n", n / batch}};
-      out.launches.push_back(std::move(l));
-      out.stats.push_back(LaunchStats{n * 8, n * 8, 4 * n});
-      out.sources.push_back(current_source);
+      // One block per batch row: p_dst, p_src, p_n.
+      lower.emit("gp_softmax", batch, {addr, addr, n / batch},
+                 LaunchStats{n * 8, n * 8, 4 * n});
       return;
     }
     if (const char* kname = act_kernel(act))
@@ -894,22 +894,17 @@ CompiledModel CodeGenerator::compile(const cnn::Model& model,
     stats.bytes_read = (m * k + k * n_cols + n_cols) * 4;
     stats.bytes_written = m * n_cols * 4;
     stats.flops = 2 * m * n_cols * k;
+    // p_c, p_a, p_b, p_bias, p_total, p_n, p_kt
     lower.launch("gp_gemm", m * n_cols,
-                 {{"p_c", c_addr},
-                  {"p_a", a_addr},
-                  {"p_b", w_addr},
-                  {"p_bias", bias_addr},
-                  {"p_total", m * n_cols},
-                  {"p_n", n_cols},
-                  {"p_kt", k_padded / kGemmTile}},
+                 {c_addr, a_addr, w_addr, bias_addr, m * n_cols, n_cols,
+                  k_padded / kGemmTile},
                  stats);
   };
 
   for (std::size_t ni = 0; ni < model.node_count(); ++ni) {
     const cnn::ModelNode& node = model.node(static_cast<cnn::NodeId>(ni));
     const cnn::Layer& layer = node.layer;
-    current_source = layer.name;
-    lower.set_source(current_source);
+    lower.set_source(layer.name);
     const cnn::TensorShape& out_shape = shapes[ni];
     const std::int64_t out_elems = out_shape.elements() * batch;
 
@@ -943,12 +938,9 @@ CompiledModel CodeGenerator::compile(const cnn::Model& model,
           LaunchStats im_stats;
           im_stats.bytes_read = in_elems / groups * 4;
           im_stats.bytes_written = patches * window * 4;
+          // p_col, p_src, p_patches, p_window
           lower.launch("gp_im2col", patches,
-                       {{"p_col", col_addr},
-                        {"p_src", in0},
-                        {"p_patches", patches},
-                        {"p_window", window}},
-                       im_stats);
+                       {col_addr, in0, patches, window}, im_stats);
           emit_gemm(patches, layer.filters / groups, window, col_addr,
                     buf[ni]);
         }
@@ -965,13 +957,9 @@ CompiledModel CodeGenerator::compile(const cnn::Model& model,
         stats.bytes_read = (in_elems + window * out_shape.c) * 4;
         stats.bytes_written = out_elems * 4;
         stats.flops = 2 * out_elems * window;
+        // p_dst, p_src, p_w, p_out, p_window
         lower.launch("gp_dwconv", out_elems,
-                     {{"p_dst", buf[ni]},
-                      {"p_src", in0},
-                      {"p_w", w_addr},
-                      {"p_out", out_elems},
-                      {"p_window", window}},
-                     stats);
+                     {buf[ni], in0, w_addr, out_elems, window}, stats);
         break;
       }
 
@@ -991,14 +979,10 @@ CompiledModel CodeGenerator::compile(const cnn::Model& model,
         stats.bytes_read = in_elems * 4;
         stats.bytes_written = out_elems * 4;
         stats.flops = out_elems * window;
+        // p_dst, p_src, p_out, p_window
         lower.launch(layer.kind == LayerKind::kMaxPool ? "gp_pool_max"
                                                        : "gp_pool_avg",
-                     out_elems,
-                     {{"p_dst", buf[ni]},
-                      {"p_src", in0},
-                      {"p_out", out_elems},
-                      {"p_window", window}},
-                     stats);
+                     out_elems, {buf[ni], in0, out_elems, window}, stats);
         break;
       }
 
@@ -1010,11 +994,10 @@ CompiledModel CodeGenerator::compile(const cnn::Model& model,
         stats.bytes_read = in_elems * 4;
         stats.bytes_written = out_elems * 4;
         stats.flops = in_elems;
+        // p_dst, p_src, p_c, p_hw
         lower.launch("gp_gap", in_shape.c * batch,
-                     {{"p_dst", buf[ni]},
-                      {"p_src", in0},
-                      {"p_c", in_shape.c * batch},
-                      {"p_hw", in_shape.h * in_shape.w}},
+                     {buf[ni], in0, in_shape.c * batch,
+                      in_shape.h * in_shape.w},
                      stats);
         break;
       }
@@ -1023,17 +1006,10 @@ CompiledModel CodeGenerator::compile(const cnn::Model& model,
         buf[ni] = lower.alloc(out_elems * 4);
         // Standalone activation writes a fresh buffer: dst != src.
         if (layer.act == cnn::ActivationKind::kSoftmax) {
-          KernelLaunch l;
-          l.kernel = "gp_softmax";
-          l.grid_dim = batch;
-          l.block_dim = kBlockDim;
-          l.args = {{"p_dst", buf[ni]},
-                    {"p_src", in0},
-                    {"p_n", out_elems / batch}};
-          out.launches.push_back(std::move(l));
-          out.stats.push_back(
-              LaunchStats{out_elems * 8, out_elems * 8, 4 * out_elems});
-          out.sources.push_back(current_source);
+          // One block per batch row: p_dst, p_src, p_n.
+          lower.emit("gp_softmax", batch, {buf[ni], in0, out_elems / batch},
+                     LaunchStats{out_elems * 8, out_elems * 8,
+                                 4 * out_elems});
         } else if (const char* kname = act_kernel(layer.act)) {
           lower.elementwise(kname, buf[ni], in0, out_elems,
                             LaunchStats{out_elems * 4, out_elems * 4,
@@ -1055,14 +1031,10 @@ CompiledModel CodeGenerator::compile(const cnn::Model& model,
         stats.bytes_read = (out_elems + 2 * c) * 4;
         stats.bytes_written = out_elems * 4;
         stats.flops = 2 * out_elems;
+        // p_dst, p_a, p_scale, p_shift, p_n, p_c
         lower.launch("gp_bn", out_elems,
-                     {{"p_dst", buf[ni]},
-                      {"p_a", in0},
-                      {"p_scale", scale},
-                      {"p_shift", shift},
-                      {"p_n", out_elems},
-                      {"p_c", c}},
-                     stats, /*grid_stride_capped=*/true);
+                     {buf[ni], in0, scale, shift, out_elems, c}, stats,
+                     /*grid_stride_capped=*/true);
         break;
       }
 
@@ -1092,25 +1064,19 @@ CompiledModel CodeGenerator::compile(const cnn::Model& model,
             stats.bytes_read = (out_elems + c) * 4;
             stats.bytes_written = out_elems * 4;
             stats.flops = out_elems;
+            // p_dst, p_a, p_se, p_n, p_c
             lower.launch("gp_mul_bcast", out_elems,
-                         {{"p_dst", buf[ni]},
-                          {"p_a", map},
-                          {"p_se", vec},
-                          {"p_n", out_elems},
-                          {"p_c", c}},
-                         stats, /*grid_stride_capped=*/true);
+                         {buf[ni], map, vec, out_elems, c}, stats,
+                         /*grid_stride_capped=*/true);
           } else {
             LaunchStats stats;
             stats.bytes_read = 2 * out_elems * 4;
             stats.bytes_written = out_elems * 4;
             stats.flops = out_elems;
+            // p_dst, p_a, p_b, p_n
             lower.launch(layer.kind == LayerKind::kAdd ? "gp_add" : "gp_mul",
-                         out_elems,
-                         {{"p_dst", buf[ni]},
-                          {"p_a", acc},
-                          {"p_b", other},
-                          {"p_n", out_elems}},
-                         stats, /*grid_stride_capped=*/true);
+                         out_elems, {buf[ni], acc, other, out_elems}, stats,
+                         /*grid_stride_capped=*/true);
           }
           acc = buf[ni];
           acc_shape = out_shape;

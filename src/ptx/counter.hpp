@@ -6,16 +6,18 @@
 // Fast path (the t_dca term of the paper's T_est = t_dca + n*t_pm):
 //   - the default constructor shares one process-wide parsed kernel
 //     library and its per-kernel executors (parse + slice once, ever);
-//   - count_launch() results are memoized in a process-wide sharded
-//     single-flight cache keyed on (module fingerprint, kernel, grid,
-//     block, slice-relevant parameter values) — launches differing only
-//     in buffer pointers hit the same entry;
-//   - count() fans independent launches across ThreadPool::shared()
-//     with a deterministic index-ordered reduction.
+//   - launch results are memoized in a process-wide sharded
+//     single-flight cache keyed on an integer tuple (module
+//     fingerprint, kernel index, grid, block, the values of the
+//     parameter slots the slice reads) — launches differing only in
+//     buffer pointers hit the same entry;
+//   - count() groups a model's launches by that key, probes the memo
+//     once per distinct key, runs only the misses (fanned across
+//     ThreadPool::shared() when there are enough of them) and sums the
+//     results in launch order.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -51,11 +53,13 @@ class InstructionCounter {
   explicit InstructionCounter(const PtxModule& module);
 
   /// `deadline` spans the whole model (every launch shares it); expiry
-  /// throws AnalysisTimeout from inside the symbolic executor.  When
-  /// the model has enough launches the per-launch work is spread across
-  /// ThreadPool::shared(); each task charges a private deadline copy
-  /// and the totals are folded back afterwards, so step accounting
-  /// matches the serial path.
+  /// throws AnalysisTimeout from inside the symbolic executor.  Each
+  /// distinct memo key costs one memo lookup per call; when enough of
+  /// them miss, the symbolic runs are spread across
+  /// ThreadPool::shared(), each task charging a private deadline copy
+  /// whose totals are folded back afterwards, so step accounting
+  /// matches the serial path.  GP_CHECK-fails on a launch of an
+  /// unknown kernel or with the wrong argument count.
   ModelInstructionProfile count(const CompiledModel& model,
                                 const Deadline& deadline = {}) const;
 
@@ -66,7 +70,10 @@ class InstructionCounter {
   ExecutionCounts count_launch(const KernelLaunch& launch,
                                const Deadline& deadline = {}) const;
 
-  /// Cumulative process-wide fast-path statistics.
+  /// Cumulative process-wide fast-path statistics: `hits` and `misses`
+  /// count memo lookups (one per distinct key per count(), one per
+  /// count_launch()), `parallel_tasks` the symbolic runs count() handed
+  /// to the pool.
   struct MemoStats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;

@@ -40,11 +40,14 @@ struct SpecialOperand {
 /// Memory operand [base+offset] for ld/st; base is a register name or,
 /// for ld.param, a kernel parameter name.  `base_reg_id` is the
 /// interned id when base is a register, -1 otherwise (parameter base
-/// or not yet interned).  Equality ignores ids.
+/// or not yet interned); `param_slot` is the index of the parameter in
+/// the kernel's parameter list when base names one, -1 otherwise.
+/// Equality ignores both.
 struct MemOperand {
   std::string base;
   std::int64_t offset = 0;
   int base_reg_id = -1;
+  int param_slot = -1;
   bool operator==(const MemOperand& o) const {
     return base == o.base && offset == o.offset;
   }

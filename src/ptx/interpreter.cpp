@@ -26,6 +26,7 @@ ThreadCounts Interpreter::run_thread(const KernelLaunch& launch,
                                      const Deadline& deadline) const {
   GP_CHECK(ctaid >= 0 && ctaid < launch.grid_dim);
   GP_CHECK(tid >= 0 && tid < launch.block_dim);
+  check_arity(kernel_, launch);
 
   std::vector<Cell> regs(kernel_.register_count());
   std::unordered_map<std::int64_t, double> shared;
@@ -128,10 +129,10 @@ ThreadCounts Interpreter::run_thread(const KernelLaunch& launch,
         const auto* mem = std::get_if<MemOperand>(&inst.srcs.front());
         GP_CHECK(mem != nullptr);
         if (inst.space == StateSpace::kParam) {
-          const auto it = launch.args.find(mem->base);
-          GP_CHECK_MSG(it != launch.args.end(),
-                       "missing launch argument '" << mem->base << "'");
-          set_int(it->second);
+          GP_CHECK_MSG(mem->param_slot >= 0,
+                       "ld.param of undeclared parameter '" << mem->base
+                                                             << "'");
+          set_int(launch.args[static_cast<std::size_t>(mem->param_slot)]);
         } else if (inst.space == StateSpace::kShared) {
           const auto it = shared.find(mem_address(*mem));
           set_f(it == shared.end() ? 0.0 : it->second);

@@ -14,6 +14,14 @@ const KernelParam* PtxKernel::find_param(const std::string& pname) const {
   return nullptr;
 }
 
+std::size_t PtxKernel::param_slot(std::string_view pname) const {
+  for (std::size_t i = 0; i < params.size(); ++i)
+    if (params[i].name == pname) return i;
+  GP_CHECK_MSG(false, "kernel " << name << " has no parameter '" << pname
+                                << "'");
+  return 0;
+}
+
 std::size_t PtxKernel::label_target(const std::string& label) const {
   const auto it = labels.find(label);
   GP_CHECK_MSG(it != labels.end(),
@@ -70,8 +78,11 @@ void PtxKernel::intern_registers() {
       r->id = intern(r->name);
     } else if (auto* m = std::get_if<MemOperand>(&op)) {
       // A register base starts with '%'; a parameter name does not.
-      if (!m->base.empty() && m->base.front() == '%')
+      if (!m->base.empty() && m->base.front() == '%') {
         m->base_reg_id = intern(m->base);
+      } else if (const KernelParam* p = find_param(m->base)) {
+        m->param_slot = static_cast<int>(p - params.data());
+      }
     }
   };
   for (auto& inst : instructions) {
@@ -85,6 +96,36 @@ void PtxKernel::intern_registers() {
 int PtxKernel::register_id(const std::string& reg) const {
   const auto it = register_ids_.find(reg);
   return it == register_ids_.end() ? -1 : it->second;
+}
+
+void check_arity(const PtxKernel& kernel, const KernelLaunch& launch) {
+  GP_CHECK_MSG(launch.args.size() == kernel.params.size(),
+               "launch of " << kernel.name << " binds " << launch.args.size()
+                            << " values for " << kernel.params.size()
+                            << " parameters");
+}
+
+KernelLaunch bind_launch(
+    const PtxKernel& kernel, std::int64_t grid_dim, std::int64_t block_dim,
+    std::initializer_list<std::pair<std::string_view, std::int64_t>> args) {
+  KernelLaunch launch;
+  launch.kernel = kernel.name;
+  launch.grid_dim = grid_dim;
+  launch.block_dim = block_dim;
+  launch.args.assign(kernel.params.size(), 0);
+  std::vector<bool> bound(kernel.params.size(), false);
+  for (const auto& [pname, value] : args) {
+    const std::size_t slot = kernel.param_slot(pname);
+    GP_CHECK_MSG(!bound[slot], "kernel " << kernel.name << " parameter '"
+                                         << pname << "' bound twice");
+    bound[slot] = true;
+    launch.args[slot] = value;
+  }
+  for (std::size_t i = 0; i < bound.size(); ++i)
+    GP_CHECK_MSG(bound[i], "kernel " << kernel.name << " parameter '"
+                                     << kernel.params[i].name
+                                     << "' left unbound");
+  return launch;
 }
 
 const PtxKernel* PtxModule::find_kernel(const std::string& kname) const {

@@ -5,9 +5,12 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "ptx/instruction.hpp"
@@ -40,6 +43,10 @@ class PtxKernel {
 
   const KernelParam* find_param(const std::string& name) const;
 
+  /// Index of parameter `name` in `params` (its slot in a launch's
+  /// argument vector); GP_CHECK-fails on an undeclared name.
+  std::size_t param_slot(std::string_view name) const;
+
   /// Index a branch target; GP_CHECK-fails on unknown labels.
   std::size_t label_target(const std::string& label) const;
 
@@ -48,10 +55,12 @@ class PtxKernel {
 
   /// Assign dense kernel-local ids to every virtual register (operands,
   /// memory bases, guards) in first-appearance order and stamp them
-  /// into the instruction stream.  Idempotent; both the parser and the
-  /// code generator call this, so downstream analyses (depgraph,
-  /// slicer, symexec, interpreter) can index vectors instead of
-  /// hashing register-name strings.
+  /// into the instruction stream, and stamp every parameter-named
+  /// memory base with its parameter slot.  Idempotent; both the parser
+  /// and the code generator call this once the parameters are
+  /// declared, so downstream analyses (depgraph, slicer, symexec,
+  /// interpreter) can index vectors instead of hashing register or
+  /// parameter names.
   void intern_registers();
   bool registers_interned() const { return interned_; }
 
@@ -82,15 +91,31 @@ class PtxModule {
   std::string to_ptx() const;
 };
 
-/// One kernel launch: grid geometry plus concrete scalar parameter
-/// values (pointers get synthetic non-zero base addresses).
+/// One kernel launch: grid geometry plus concrete parameter values
+/// (pointers get synthetic non-zero base addresses).
 struct KernelLaunch {
   std::string kernel;
   std::int64_t grid_dim = 1;   // blocks (x only; index spaces linearized)
   std::int64_t block_dim = 1;  // threads per block
-  std::map<std::string, std::int64_t> args;
+  /// One value per kernel parameter, in the kernel's parameter order:
+  /// args[i] binds params[i].  The symbolic executor, the interpreter
+  /// and the counter reject a launch whose size differs from the
+  /// kernel's parameter count.
+  std::vector<std::int64_t> args;
 
   std::int64_t total_threads() const { return grid_dim * block_dim; }
 };
+
+/// GP_CHECK-fails unless `launch` carries exactly one value per
+/// parameter of `kernel` — the precondition of every slot read.
+void check_arity(const PtxKernel& kernel, const KernelLaunch& launch);
+
+/// A launch of `kernel` with every value bound by parameter name, for
+/// code that does not know the parameter order (tests, benches).
+/// GP_CHECK-fails on a name the kernel does not declare, on a name
+/// bound twice and on a parameter left unbound.
+KernelLaunch bind_launch(
+    const PtxKernel& kernel, std::int64_t grid_dim, std::int64_t block_dim,
+    std::initializer_list<std::pair<std::string_view, std::int64_t>> args);
 
 }  // namespace gpuperf::ptx

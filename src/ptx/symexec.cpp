@@ -314,9 +314,10 @@ struct SymbolicExecutor::Impl {
   // Per-block opclass histograms and sizes.
   std::vector<std::array<i64, kOpClassCount>> block_hist;
   std::vector<i64> block_size;
-  // Kernel parameters read by in-slice ld.param instructions — the only
-  // launch arguments that can influence counts (memo key material).
-  std::vector<std::string> slice_params;
+  // Slots of the kernel parameters read by in-slice ld.param
+  // instructions — the only launch arguments that can influence counts
+  // (memo key material).
+  std::vector<std::size_t> slice_params;
 
   explicit Impl(PtxKernel k, const Deadline& deadline)
       : kernel(std::move(k)) {
@@ -330,10 +331,13 @@ struct SymbolicExecutor::Impl {
       if (!slice.in_slice[i] || inst.opcode != Opcode::kLd ||
           inst.space != StateSpace::kParam)
         continue;
-      if (const auto* mem = std::get_if<MemOperand>(&inst.srcs.front()))
-        if (std::find(slice_params.begin(), slice_params.end(), mem->base) ==
-            slice_params.end())
-          slice_params.push_back(mem->base);
+      const auto* mem = std::get_if<MemOperand>(&inst.srcs.front());
+      GP_CHECK_MSG(mem != nullptr && mem->param_slot >= 0,
+                   "ld.param of an undeclared parameter in " << kernel.name);
+      const auto slot = static_cast<std::size_t>(mem->param_slot);
+      if (std::find(slice_params.begin(), slice_params.end(), slot) ==
+          slice_params.end())
+        slice_params.push_back(slot);
     }
     block_hist.resize(cfg.block_count());
     block_size.resize(cfg.block_count());
@@ -431,12 +435,12 @@ struct SymbolicExecutor::Impl {
         break;
       case Opcode::kLd: {
         if (inst.space == StateSpace::kParam) {
+          // run() checked the argument count; the constructor checked
+          // that every in-slice ld.param names a declared parameter.
           const auto* mem = std::get_if<MemOperand>(&inst.srcs.front());
           GP_CHECK(mem != nullptr && mem->offset == 0);
-          const auto it = launch.args.find(mem->base);
-          GP_CHECK_MSG(it != launch.args.end(),
-                       "launch missing argument '" << mem->base << "'");
-          set_dst(Value::constant(it->second));
+          set_dst(Value::constant(
+              launch.args[static_cast<std::size_t>(mem->param_slot)]));
         } else {
           set_dst(Value::unknown());
         }
@@ -618,6 +622,7 @@ struct SymbolicExecutor::Impl {
   ExecutionCounts run(const KernelLaunch& launch,
                       const Deadline& deadline) const {
     GP_CHECK(launch.grid_dim >= 1 && launch.block_dim >= 1);
+    check_arity(kernel, launch);
 
     std::vector<i64> global_block_exec(cfg.block_count(), 0);
 
@@ -814,7 +819,7 @@ ExecutionCounts SymbolicExecutor::run(const KernelLaunch& launch,
 const Cfg& SymbolicExecutor::cfg() const { return impl_->cfg; }
 const Slice& SymbolicExecutor::slice() const { return impl_->slice; }
 const PtxKernel& SymbolicExecutor::kernel() const { return impl_->kernel; }
-const std::vector<std::string>& SymbolicExecutor::slice_params() const {
+const std::vector<std::size_t>& SymbolicExecutor::slice_params() const {
   return impl_->slice_params;
 }
 

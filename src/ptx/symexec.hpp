@@ -40,7 +40,8 @@ class SymbolicExecutor {
  public:
   /// Analyzes the kernel once (CFG, dependency graph, slice); run() can
   /// then be called for many launches.  `deadline` bounds the one-time
-  /// analysis (it is not retained).
+  /// analysis (it is not retained).  GP_CHECK-fails when an in-slice
+  /// ld.param names no declared parameter.
   explicit SymbolicExecutor(const PtxKernel& kernel,
                             const Deadline& deadline = {});
   /// Move overload for giant (e.g. synthetic multi-million-instruction)
@@ -54,8 +55,9 @@ class SymbolicExecutor {
   SymbolicExecutor& operator=(SymbolicExecutor&&) noexcept;
 
   /// Count the dynamic instructions of one launch.  GP_CHECK-fails on
-  /// kernels outside the supported fragment (branches on loaded data,
-  /// non-affine divergence) and on diverging loops.  Throws
+  /// a launch whose argument count differs from the kernel's parameter
+  /// count, on kernels outside the supported fragment (branches on
+  /// loaded data, non-affine divergence) and on diverging loops.  Throws
   /// AnalysisTimeout when `deadline` expires mid-run (one charge() per
   /// symbolic block step).
   ExecutionCounts run(const KernelLaunch& launch,
@@ -65,12 +67,13 @@ class SymbolicExecutor {
   const Slice& slice() const;
   const PtxKernel& kernel() const;
 
-  /// Kernel parameters read by in-slice ld.param instructions — the
+  /// Slots (indices into KernelLaunch::args) of the kernel parameters
+  /// read by in-slice ld.param instructions, in first-read order — the
   /// only launch arguments that can change run()'s result.  Launches
   /// differing solely in other arguments (e.g. buffer pointers) yield
   /// identical counts, which is what makes launch-config memoization
   /// effective.
-  const std::vector<std::string>& slice_params() const;
+  const std::vector<std::size_t>& slice_params() const;
 
  private:
   struct Impl;

@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -34,26 +36,61 @@ TEST(ShardedLruCache, MissThenHit) {
   EXPECT_EQ(stats.size, 1u);
 }
 
-TEST(ShardedLruCache, GetAndPut) {
+TEST(ShardedLruCache, TryGetAndGetOrCompute) {
   IntCache cache(8, 1);
-  EXPECT_EQ(cache.get("absent"), nullptr);
-  cache.put("k", boxed(7));
-  ASSERT_NE(cache.get("k"), nullptr);
-  EXPECT_EQ(*cache.get("k"), 7);
-  cache.put("k", boxed(9));  // overwrite keeps one entry
-  EXPECT_EQ(*cache.get("k"), 9);
+  EXPECT_EQ(cache.try_get("absent"), nullptr);
+  EXPECT_EQ(*cache.get_or_compute("k", [] { return boxed(7); }), 7);
+  ASSERT_NE(cache.try_get("k"), nullptr);
+  EXPECT_EQ(*cache.try_get("k"), 7);
+  // A present key is never recomputed; it keeps its one entry.
+  EXPECT_EQ(*cache.get_or_compute("k", [] { return boxed(9); }), 7);
   EXPECT_EQ(cache.stats().size, 1u);
+  // try_get counts a hit only when it returns a value.
+  EXPECT_EQ(cache.stats().hits, 3u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+}
+
+TEST(ShardedLruCache, TryGetDoesNotWaitForAnInFlightCompute) {
+  IntCache cache(8, 1);
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool started = false;
+  bool release = false;
+  std::thread computer([&] {
+    cache.get_or_compute("slow", [&] {
+      std::unique_lock<std::mutex> lock(mutex);
+      started = true;
+      cv.notify_all();
+      cv.wait(lock, [&] { return release; });
+      return boxed(11);
+    });
+  });
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    cv.wait(lock, [&] { return started; });
+  }
+  // The compute is parked mid-flight; a blocking lookup would hang here.
+  EXPECT_EQ(cache.try_get("slow"), nullptr);
+  EXPECT_EQ(cache.stats().hits, 0u);
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    release = true;
+  }
+  cv.notify_all();
+  computer.join();
+  ASSERT_NE(cache.try_get("slow"), nullptr);
+  EXPECT_EQ(*cache.try_get("slow"), 11);
 }
 
 TEST(ShardedLruCache, EvictsLeastRecentlyUsed) {
   IntCache cache(2, 1);  // single shard, two slots
-  cache.put("a", boxed(1));
-  cache.put("b", boxed(2));
-  EXPECT_NE(cache.get("a"), nullptr);  // touch a; b is now LRU
-  cache.put("c", boxed(3));
-  EXPECT_NE(cache.get("a"), nullptr);
-  EXPECT_EQ(cache.get("b"), nullptr);
-  EXPECT_NE(cache.get("c"), nullptr);
+  cache.get_or_compute("a", [] { return boxed(1); });
+  cache.get_or_compute("b", [] { return boxed(2); });
+  EXPECT_NE(cache.try_get("a"), nullptr);  // touch a; b is now LRU
+  cache.get_or_compute("c", [] { return boxed(3); });
+  EXPECT_NE(cache.try_get("a"), nullptr);
+  EXPECT_EQ(cache.try_get("b"), nullptr);
+  EXPECT_NE(cache.try_get("c"), nullptr);
   EXPECT_EQ(cache.stats().evictions, 1u);
 }
 
@@ -119,11 +156,11 @@ TEST(ShardedLruCache, ConcurrentDistinctKeys) {
 TEST(ShardedLruCache, ClearEmptiesEveryShard) {
   IntCache cache(64, 4);
   for (int k = 0; k < 20; ++k)
-    cache.put("key" + std::to_string(k), boxed(k));
+    cache.get_or_compute("key" + std::to_string(k), [k] { return boxed(k); });
   EXPECT_GT(cache.stats().size, 0u);
   cache.clear();
   EXPECT_EQ(cache.stats().size, 0u);
-  EXPECT_EQ(cache.get("key3"), nullptr);
+  EXPECT_EQ(cache.try_get("key3"), nullptr);
 }
 
 TEST(ShardedLruCache, RejectsZeroCapacity) {

@@ -50,6 +50,23 @@ TEST(Features, ZooCacheReturnsSameObject) {
   EXPECT_THROW(extractor.for_zoo_model("nope"), CheckError);
 }
 
+TEST(Features, GoldenExecutedInstructions) {
+  // Pinned whole-model dynamic instruction counts: a change that shifts
+  // every count together (codegen, slicing, the memo key, the launch
+  // records) keeps every relative check green but fails here.
+  const FeatureExtractor extractor;
+  const std::pair<const char*, std::int64_t> golden[] = {
+      {"alexnet", 8234316147},
+      {"vgg16", 174936734370},
+      {"MobileNetV2", 3182971670},
+      {"resnet50v2", 40243393914},
+  };
+  for (const auto& [model, instructions] : golden)
+    EXPECT_EQ(extractor.compute(cnn::zoo::build(model)).executed_instructions,
+              instructions)
+        << model;
+}
+
 TEST(Features, InstructionsDeterministic) {
   FeatureExtractor e1, e2;
   EXPECT_EQ(e1.compute(cnn::zoo::build("mobilenet")).executed_instructions,

@@ -22,55 +22,58 @@ const PtxModule& library() {
 }
 
 /// Random launch for a kernel, sized so brute force stays affordable.
-KernelLaunch random_launch(const std::string& kernel, Rng& rng) {
-  KernelLaunch l;
-  l.kernel = kernel;
-  l.block_dim = 256;
-  l.grid_dim = rng.uniform_int(1, 4);
-  const std::int64_t threads = l.total_threads();
-  const std::int64_t n = rng.uniform_int(1, 2 * threads);
+KernelLaunch random_launch(const PtxKernel& def, Rng& rng) {
+  const std::string& kernel = def.name;
+  constexpr std::int64_t kBlock = 256;
+  const std::int64_t grid = rng.uniform_int(1, 4);
+  const std::int64_t n = rng.uniform_int(1, 2 * grid * kBlock);
 
   std::int64_t addr = 0x1000;
   auto ptr = [&] { return addr += 0x100000; };
+  auto bind = [&](std::int64_t grid_dim,
+                  std::initializer_list<std::pair<std::string_view,
+                                                  std::int64_t>> args) {
+    return bind_launch(def, grid_dim, kBlock, args);
+  };
 
   if (kernel == "gp_copy" || kernel == "gp_relu" || kernel == "gp_relu6" ||
       kernel == "gp_sigmoid" || kernel == "gp_swish" ||
       kernel == "gp_tanh") {
-    l.args = {{"p_dst", ptr()}, {"p_a", ptr()}, {"p_n", n}};
+    return bind(grid, {{"p_dst", ptr()}, {"p_a", ptr()}, {"p_n", n}});
   } else if (kernel == "gp_add" || kernel == "gp_mul") {
-    l.args = {{"p_dst", ptr()}, {"p_a", ptr()}, {"p_b", ptr()}, {"p_n", n}};
+    return bind(grid,
+                {{"p_dst", ptr()}, {"p_a", ptr()}, {"p_b", ptr()}, {"p_n", n}});
   } else if (kernel == "gp_bn") {
-    l.args = {{"p_dst", ptr()},   {"p_a", ptr()}, {"p_scale", ptr()},
-              {"p_shift", ptr()}, {"p_n", n},     {"p_c", rng.uniform_int(1, 64)}};
+    return bind(grid, {{"p_dst", ptr()},   {"p_a", ptr()}, {"p_scale", ptr()},
+                       {"p_shift", ptr()}, {"p_n", n},
+                       {"p_c", rng.uniform_int(1, 64)}});
   } else if (kernel == "gp_mul_bcast") {
-    l.args = {{"p_dst", ptr()}, {"p_a", ptr()}, {"p_se", ptr()},
-              {"p_n", n},       {"p_c", rng.uniform_int(1, 64)}};
+    return bind(grid, {{"p_dst", ptr()}, {"p_a", ptr()}, {"p_se", ptr()},
+                       {"p_n", n},       {"p_c", rng.uniform_int(1, 64)}});
   } else if (kernel == "gp_im2col") {
-    l.args = {{"p_col", ptr()}, {"p_src", ptr()}, {"p_patches", n},
-              {"p_window", rng.uniform_int(1, 80)}};
+    return bind(grid, {{"p_col", ptr()}, {"p_src", ptr()}, {"p_patches", n},
+                       {"p_window", rng.uniform_int(1, 80)}});
   } else if (kernel == "gp_gemm") {
-    l.args = {{"p_c", ptr()},   {"p_a", ptr()}, {"p_b", ptr()},
-              {"p_bias", ptr()}, {"p_total", n}, {"p_n", rng.uniform_int(1, 128)},
-              {"p_kt", rng.uniform_int(1, 12)}};
+    return bind(grid, {{"p_c", ptr()},   {"p_a", ptr()}, {"p_b", ptr()},
+                       {"p_bias", ptr()}, {"p_total", n},
+                       {"p_n", rng.uniform_int(1, 128)},
+                       {"p_kt", rng.uniform_int(1, 12)}});
   } else if (kernel == "gp_dwconv") {
-    l.args = {{"p_dst", ptr()}, {"p_src", ptr()}, {"p_w", ptr()},
-              {"p_out", n},     {"p_window", rng.uniform_int(1, 49)}};
+    return bind(grid, {{"p_dst", ptr()}, {"p_src", ptr()}, {"p_w", ptr()},
+                       {"p_out", n},     {"p_window", rng.uniform_int(1, 49)}});
   } else if (kernel == "gp_pool_max" || kernel == "gp_pool_avg") {
-    l.args = {{"p_dst", ptr()}, {"p_src", ptr()}, {"p_out", n},
-              {"p_window", rng.uniform_int(1, 49)}};
+    return bind(grid, {{"p_dst", ptr()}, {"p_src", ptr()}, {"p_out", n},
+                       {"p_window", rng.uniform_int(1, 49)}});
   } else if (kernel == "gp_gap") {
-    l.grid_dim = 1;
-    l.args = {{"p_dst", ptr()}, {"p_src", ptr()},
-              {"p_c", rng.uniform_int(1, 256)},
-              {"p_hw", rng.uniform_int(1, 600)}};
+    return bind(1, {{"p_dst", ptr()}, {"p_src", ptr()},
+                    {"p_c", rng.uniform_int(1, 256)},
+                    {"p_hw", rng.uniform_int(1, 600)}});
   } else if (kernel == "gp_softmax") {
-    l.grid_dim = 1;
-    l.args = {{"p_dst", ptr()}, {"p_src", ptr()},
-              {"p_n", rng.uniform_int(1, 3000)}};
-  } else {
-    ADD_FAILURE() << "no launch recipe for " << kernel;
+    return bind(1, {{"p_dst", ptr()}, {"p_src", ptr()},
+                    {"p_n", rng.uniform_int(1, 3000)}});
   }
-  return l;
+  ADD_FAILURE() << "no launch recipe for " << kernel;
+  return bind_launch(def, grid, kBlock, {});
 }
 
 class DcaPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
@@ -81,7 +84,7 @@ TEST_P(DcaPropertyTest, SymExecEqualsBruteForceOnRandomLaunches) {
     const SymbolicExecutor sym(kernel);
     const Interpreter interp(kernel);
     for (int trial = 0; trial < 3; ++trial) {
-      const KernelLaunch launch = random_launch(kernel.name, rng);
+      const KernelLaunch launch = random_launch(kernel, rng);
       const ExecutionCounts sc = sym.run(launch);
       const ThreadCounts ic = interp.run_all(launch);
       ASSERT_EQ(sc.total, ic.total)

@@ -12,6 +12,13 @@
 namespace gpuperf::ptx {
 namespace {
 
+/// The value `launch` binds to its kernel's parameter `name`.
+std::int64_t arg(const KernelLaunch& launch, std::string_view name) {
+  const PtxKernel& kernel =
+      CodeGenerator::parsed_kernel_library().kernel(launch.kernel);
+  return launch.args.at(kernel.param_slot(name));
+}
+
 TEST(Codegen, LibraryContainsExpectedKernels) {
   const PtxModule lib = CodeGenerator::kernel_library();
   std::set<std::string> names;
@@ -71,15 +78,48 @@ TEST(Codegen, LaunchArgumentsMatchKernelParams) {
   const cnn::Model model = cnn::zoo::build("MobileNetV2");
   const CompiledModel compiled = CodeGenerator().compile(model);
   const PtxModule lib = CodeGenerator::kernel_library();
+  // The lowering hands out synthetic device addresses from here up.
+  constexpr std::int64_t kFirstAddress = 0x10000000;
   for (const auto& launch : compiled.launches) {
     const PtxKernel& kernel = lib.kernel(launch.kernel);
-    EXPECT_EQ(launch.args.size(), kernel.params.size()) << launch.kernel;
-    for (const auto& param : kernel.params)
-      EXPECT_EQ(launch.args.count(param.name), 1u)
-          << launch.kernel << " missing " << param.name;
+    ASSERT_EQ(launch.args.size(), kernel.params.size()) << launch.kernel;
+    // Every slot holds the kind of value its parameter takes, so the
+    // positional values line up with the declared parameter order.
+    for (std::size_t i = 0; i < kernel.params.size(); ++i) {
+      if (kernel.params[i].is_pointer) {
+        EXPECT_GE(launch.args[i], kFirstAddress)
+            << launch.kernel << " " << kernel.params[i].name;
+      } else {
+        EXPECT_GE(launch.args[i], 1)
+            << launch.kernel << " " << kernel.params[i].name;
+        EXPECT_LT(launch.args[i], kFirstAddress)
+            << launch.kernel << " " << kernel.params[i].name;
+      }
+    }
     EXPECT_GE(launch.grid_dim, 1);
     EXPECT_EQ(launch.block_dim, CodeGenerator::kBlockDim);
   }
+}
+
+TEST(Codegen, BindLaunchFillsParameterSlotsByName) {
+  const PtxKernel& copy =
+      CodeGenerator::parsed_kernel_library().kernel("gp_copy");
+  // Named in any order, stored in parameter order (p_dst, p_a, p_n).
+  const KernelLaunch l =
+      bind_launch(copy, 3, 128, {{"p_n", 7}, {"p_dst", 1}, {"p_a", 2}});
+  EXPECT_EQ(l.kernel, "gp_copy");
+  EXPECT_EQ(l.grid_dim, 3);
+  EXPECT_EQ(l.block_dim, 128);
+  EXPECT_EQ(l.args, (std::vector<std::int64_t>{1, 2, 7}));
+
+  EXPECT_THROW(bind_launch(copy, 1, 256,
+                           {{"p_dst", 1}, {"p_a", 2}, {"p_n", 3}, {"p_x", 4}}),
+               CheckError);  // unknown name
+  EXPECT_THROW(bind_launch(copy, 1, 256,
+                           {{"p_dst", 1}, {"p_a", 2}, {"p_a", 5}, {"p_n", 3}}),
+               CheckError);  // bound twice
+  EXPECT_THROW(bind_launch(copy, 1, 256, {{"p_dst", 1}, {"p_a", 2}}),
+               CheckError);  // p_n left unbound
 }
 
 TEST(Codegen, GroupedConvEmitsPerGroupGemm) {
@@ -115,7 +155,7 @@ TEST(Codegen, GemmKPaddedToTile) {
   const CompiledModel compiled = CodeGenerator().compile(m);
   for (const auto& l : compiled.launches) {
     if (l.kernel != "gp_gemm") continue;
-    EXPECT_EQ(l.args.at("p_kt"),
+    EXPECT_EQ(arg(l, "p_kt"),
               (27 + CodeGenerator::kGemmTile - 1) / CodeGenerator::kGemmTile);
   }
 }
@@ -172,8 +212,7 @@ TEST(Codegen, BatchPreservesLaunchStructure) {
   // Batched softmax runs one block per row.
   EXPECT_EQ(b4.launches.back().kernel, "gp_softmax");
   EXPECT_EQ(b4.launches.back().grid_dim, 4);
-  EXPECT_EQ(b4.launches.back().args.at("p_n"),
-            b1.launches.back().args.at("p_n"));
+  EXPECT_EQ(arg(b4.launches.back(), "p_n"), arg(b1.launches.back(), "p_n"));
 }
 
 TEST(Codegen, RejectsImplausibleBatch) {

@@ -1,7 +1,8 @@
-// The launch-config memo behind InstructionCounter::count_launch:
-// single-flight under heavy concurrency, deadline aborts never cached,
-// pointer-argument invariance (buffers off the slice share an entry)
-// and size-argument sensitivity.  Stats are asserted as deltas because
+// The launch-config memo behind InstructionCounter: single-flight
+// under heavy concurrency, deadline aborts never cached,
+// pointer-argument invariance (buffers off the slice share an entry),
+// size-argument sensitivity, an uncached oracle for count() and its
+// per-count() lookup accounting.  Stats are asserted as deltas because
 // the memo is process-wide and other tests in this binary use it too.
 #include "ptx/counter.hpp"
 
@@ -9,24 +10,30 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <map>
 #include <mutex>
+#include <set>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/deadline.hpp"
 #include "cnn/zoo.hpp"
+#include "ptx/interpreter.hpp"
 
 namespace gpuperf::ptx {
 namespace {
 
-KernelLaunch copy_launch(std::int64_t n) {
-  KernelLaunch l;
-  l.kernel = "gp_copy";
-  l.grid_dim = 5;
-  l.block_dim = 256;
-  l.args = {{"p_dst", 0x1000}, {"p_a", 0x2000}, {"p_n", n}};
-  return l;
+const PtxKernel& library_kernel(const std::string& name) {
+  return CodeGenerator::parsed_kernel_library().kernel(name);
+}
+
+KernelLaunch copy_launch(std::int64_t n, std::int64_t dst = 0x1000,
+                         std::int64_t src = 0x2000) {
+  return bind_launch(library_kernel("gp_copy"), 5, 256,
+                     {{"p_dst", dst}, {"p_a", src}, {"p_n", n}});
 }
 
 TEST(CounterMemo, SingleFlightUnder32ConcurrentThreads) {
@@ -99,10 +106,9 @@ TEST(CounterMemo, DeadlineAbortIsNotCached) {
 
 TEST(CounterMemo, PointerArgumentsShareOneEntry) {
   const InstructionCounter counter;
-  KernelLaunch a = copy_launch(99999);  // cold key
-  KernelLaunch b = a;
-  b.args["p_dst"] = 0xdead0000;  // different buffers, same geometry
-  b.args["p_a"] = 0xbeef0000;
+  const KernelLaunch a = copy_launch(99999);  // cold key
+  // Different buffers, same geometry.
+  const KernelLaunch b = copy_launch(99999, 0xdead0000, 0xbeef0000);
 
   const auto before = InstructionCounter::memo_stats();
   const ExecutionCounts ca = counter.count_launch(a);
@@ -140,6 +146,116 @@ TEST(CounterMemo, ModelCountMatchesPerLaunchAccumulation) {
     total += counts.total;
   }
   EXPECT_EQ(profile.total_instructions, total);
+}
+
+TEST(CounterMemo, CountMatchesAnUncachedOracle) {
+  // count_launch reads the same memo as count(), so a key that merges
+  // launches with different counts fools the test above.  Here every
+  // launch runs through its own executor with no memo at all.
+  const PtxModule& lib = CodeGenerator::parsed_kernel_library();
+  std::vector<SymbolicExecutor> executors;
+  for (const PtxKernel& kernel : lib.kernels) executors.emplace_back(kernel);
+  const auto executor_for = [&](const std::string& name) -> const auto& {
+    for (std::size_t k = 0; k < lib.kernels.size(); ++k)
+      if (lib.kernels[k].name == name) return executors[k];
+    throw std::logic_error("no kernel " + name);
+  };
+
+  const CodeGenerator codegen;
+  const InstructionCounter counter;
+  for (const char* model : {"MobileNetV2", "resnet50v2", "densenet121"}) {
+    const CompiledModel compiled = codegen.compile(cnn::zoo::build(model));
+    InstructionCounter::reset_memo();
+    const ModelInstructionProfile profile = counter.count(compiled);
+
+    ModelInstructionProfile oracle;
+    for (const KernelLaunch& launch : compiled.launches) {
+      const ExecutionCounts counts = executor_for(launch.kernel).run(launch);
+      oracle.per_launch.push_back(counts.total);
+      oracle.per_launch_class.push_back(counts.by_class);
+      oracle.total_instructions += counts.total;
+      for (std::size_t c = 0; c < kOpClassCount; ++c)
+        oracle.by_class[c] += counts.by_class[c];
+      oracle.total_threads += launch.total_threads();
+    }
+    EXPECT_EQ(profile.launch_count,
+              static_cast<std::int64_t>(compiled.launches.size()))
+        << model;
+    EXPECT_EQ(profile.per_launch, oracle.per_launch) << model;
+    EXPECT_EQ(profile.per_launch_class, oracle.per_launch_class) << model;
+    EXPECT_EQ(profile.total_instructions, oracle.total_instructions) << model;
+    EXPECT_EQ(profile.by_class, oracle.by_class) << model;
+    EXPECT_EQ(profile.total_threads, oracle.total_threads) << model;
+  }
+}
+
+TEST(CounterMemo, ShortArgumentVectorIsRejectedBeforeAnyRead) {
+  // p_kt, the last of gp_gemm's seven parameters, is on the slice, so
+  // every reader would index one past a six-value vector.
+  const PtxKernel& gemm = library_kernel("gp_gemm");
+  KernelLaunch short_launch =
+      bind_launch(gemm, 2, 256,
+                  {{"p_c", 1}, {"p_a", 2}, {"p_b", 3}, {"p_bias", 4},
+                   {"p_total", 500}, {"p_n", 20}, {"p_kt", 3}});
+  short_launch.args.pop_back();
+
+  const InstructionCounter counter;
+  EXPECT_THROW(counter.count_launch(short_launch), CheckError);
+
+  CompiledModel model;
+  model.model_name = "short";
+  for (std::int64_t n = 1; n <= 12; ++n)
+    model.launches.push_back(copy_launch(n));
+  model.launches.push_back(short_launch);
+  EXPECT_THROW(counter.count(model), CheckError);
+
+  EXPECT_THROW(SymbolicExecutor(gemm).run(short_launch), CheckError);
+  EXPECT_THROW(Interpreter(gemm).run_thread(short_launch, 0, 0), CheckError);
+}
+
+TEST(CounterMemo, CountLooksUpEachDistinctKeyOnce) {
+  const CompiledModel compiled =
+      CodeGenerator().compile(cnn::zoo::build("MobileNetV2"));
+
+  // Distinct (kernel, grid, block, slice-slot values) tuples, counted
+  // here without the counter's grouping.
+  const PtxModule& lib = CodeGenerator::parsed_kernel_library();
+  std::map<std::string, std::vector<std::size_t>> slice_slots;
+  std::set<std::tuple<std::string, std::int64_t, std::int64_t,
+                      std::vector<std::int64_t>>>
+      distinct;
+  for (const KernelLaunch& launch : compiled.launches) {
+    auto slots = slice_slots.find(launch.kernel);
+    if (slots == slice_slots.end())
+      slots = slice_slots
+                  .emplace(launch.kernel,
+                           SymbolicExecutor(lib.kernel(launch.kernel))
+                               .slice_params())
+                  .first;
+    std::vector<std::int64_t> values;
+    for (const std::size_t slot : slots->second)
+      values.push_back(launch.args.at(slot));
+    distinct.emplace(launch.kernel, launch.grid_dim, launch.block_dim,
+                     std::move(values));
+  }
+  ASSERT_LT(distinct.size(), compiled.launches.size());
+
+  const InstructionCounter counter;
+  InstructionCounter::reset_memo();
+  const auto before = InstructionCounter::memo_stats();
+  const std::int64_t cold = counter.count(compiled).total_instructions;
+  const auto cold_stats = InstructionCounter::memo_stats();
+  EXPECT_EQ(cold_stats.misses - before.misses, distinct.size());
+  EXPECT_EQ(cold_stats.hits, before.hits);
+  EXPECT_LE(cold_stats.parallel_tasks - before.parallel_tasks,
+            distinct.size());
+
+  const std::int64_t warm = counter.count(compiled).total_instructions;
+  const auto warm_stats = InstructionCounter::memo_stats();
+  EXPECT_EQ(warm, cold);
+  EXPECT_EQ(warm_stats.misses, cold_stats.misses);
+  EXPECT_EQ(warm_stats.parallel_tasks, cold_stats.parallel_tasks);
+  EXPECT_EQ(warm_stats.hits - cold_stats.hits, distinct.size());
 }
 
 }  // namespace

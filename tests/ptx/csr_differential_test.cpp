@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -172,26 +171,27 @@ struct Geometry {
 
 class CsrCountDifferential : public ::testing::TestWithParam<Geometry> {};
 
-std::map<std::string, std::int64_t> default_args(const PtxKernel& kernel,
-                                                 std::int64_t n) {
-  std::map<std::string, std::int64_t> args;
+/// One argument per parameter, in the kernel's order.
+std::vector<std::int64_t> default_args(const PtxKernel& kernel,
+                                       std::int64_t n) {
+  std::vector<std::int64_t> args;
   std::int64_t next_addr = 0x10000000;
   for (const KernelParam& p : kernel.params) {
     if (p.type == PtxType::kU64) {
-      args[p.name] = next_addr;
+      args.push_back(next_addr);
       next_addr += 0x100000;
     } else if (p.name == "p_window") {
-      args[p.name] = 9;
+      args.push_back(9);
     } else if (p.name == "p_c") {
-      args[p.name] = 7;
+      args.push_back(7);
     } else if (p.name == "p_kt") {
-      args[p.name] = 3;
+      args.push_back(3);
     } else if (p.name == "p_hw") {
-      args[p.name] = 49;
+      args.push_back(49);
     } else if (kernel.name == "gp_gemm" && p.name == "p_n") {
-      args[p.name] = 16;
+      args.push_back(16);
     } else {
-      args[p.name] = n;
+      args.push_back(n);
     }
   }
   return args;

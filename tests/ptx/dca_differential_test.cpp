@@ -9,8 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <vector>
 
 #include "ptx/codegen.hpp"
 #include "ptx/interpreter.hpp"
@@ -22,29 +22,30 @@ namespace {
 
 using i64 = std::int64_t;
 
-/// Synthesize launch arguments for any library kernel: pointer-typed
-/// (u64) parameters get distinct synthetic device addresses, scalar
-/// parameters get values keyed on their (fixed) naming convention with
-/// `n` driving the element-count-like ones.
-std::map<std::string, i64> default_args(const PtxKernel& kernel, i64 n) {
-  std::map<std::string, i64> args;
+/// Synthesize launch arguments for any library kernel, one per
+/// parameter in its order: pointer-typed (u64) parameters get distinct
+/// synthetic device addresses, scalar parameters get values keyed on
+/// their (fixed) naming convention with `n` driving the
+/// element-count-like ones.
+std::vector<i64> default_args(const PtxKernel& kernel, i64 n) {
+  std::vector<i64> args;
   i64 next_addr = 0x10000000;
   for (const KernelParam& p : kernel.params) {
     if (p.type == PtxType::kU64) {
-      args[p.name] = next_addr;
+      args.push_back(next_addr);
       next_addr += 0x100000;
     } else if (p.name == "p_window") {
-      args[p.name] = 9;
+      args.push_back(9);
     } else if (p.name == "p_c") {
-      args[p.name] = 7;
+      args.push_back(7);
     } else if (p.name == "p_kt") {
-      args[p.name] = 3;
+      args.push_back(3);
     } else if (p.name == "p_hw") {
-      args[p.name] = 49;
+      args.push_back(49);
     } else if (kernel.name == "gp_gemm" && p.name == "p_n") {
-      args[p.name] = 16;  // gemm's p_n is the column count, not a size
+      args.push_back(16);  // gemm's p_n is the column count, not a size
     } else {
-      args[p.name] = n;  // p_n / p_total / p_patches / p_out
+      args.push_back(n);  // p_n / p_total / p_patches / p_out
     }
   }
   return args;
@@ -111,14 +112,8 @@ EXIT:
   ret;
 }
 )").kernels.front();
-  for (i64 n : {0, 1, 100, 128, 200}) {
-    KernelLaunch l;
-    l.kernel = "negguard";
-    l.grid_dim = 2;
-    l.block_dim = 128;
-    l.args = {{"p_n", n}};
-    expect_equivalent(k, l);
-  }
+  for (i64 n : {0, 1, 100, 128, 200})
+    expect_equivalent(k, bind_launch(k, 2, 128, {{"p_n", n}}));
 }
 
 TEST(DcaDifferential, EqualityPredicates) {
@@ -143,14 +138,8 @@ EXIT:
   ret;
 }
 )").kernels.front();
-  for (i64 key : {0, 63, 64, 127, 500}) {
-    KernelLaunch l;
-    l.kernel = "eqsplit";
-    l.grid_dim = 1;
-    l.block_dim = 128;
-    l.args = {{"p_k", key}};
-    expect_equivalent(k, l);
-  }
+  for (i64 key : {0, 63, 64, 127, 500})
+    expect_equivalent(k, bind_launch(k, 1, 128, {{"p_k", key}}));
 }
 
 TEST(DcaDifferential, ThreadDependentLoopWithGuards) {
@@ -177,14 +166,8 @@ EXIT:
   ret;
 }
 )").kernels.front();
-  for (i64 cap : {0, 5, 63, 200}) {
-    KernelLaunch l;
-    l.kernel = "tidloop2";
-    l.grid_dim = 1;
-    l.block_dim = 64;
-    l.args = {{"p_cap", cap}};
-    expect_equivalent(k, l);
-  }
+  for (i64 cap : {0, 5, 63, 200})
+    expect_equivalent(k, bind_launch(k, 1, 64, {{"p_cap", cap}}));
 }
 
 TEST(DcaDifferential, RoundTripPreservesIdsAndCounts) {

@@ -78,11 +78,7 @@ TEST(Synthetic, SmallModuleCountsMatchInterpreterAndClosedForm) {
   ASSERT_TRUE(kernel.registers_interned());
   ASSERT_EQ(kernel.instructions.size(), 200u + 4u + 6u);
 
-  KernelLaunch launch;
-  launch.kernel = kernel.name;
-  launch.grid_dim = 2;
-  launch.block_dim = 32;
-  launch.args = {{"p_n", 17}};
+  const KernelLaunch launch = bind_launch(kernel, 2, 32, {{"p_n", 17}});
   const ExecutionCounts sc = SymbolicExecutor(kernel).run(launch);
   EXPECT_EQ(sc.total, synthetic_dynamic_instructions(spec, 17, 64));
   const ThreadCounts ic = Interpreter(kernel).run_all(launch);
@@ -161,11 +157,7 @@ TEST(Spill, GiantKernelSlicesAndCountsInsideBoundedRss) {
 
   // And the giant kernel still counts exactly (closed form), via the
   // move-in executor so the 2M-instruction stream is not copied.
-  KernelLaunch launch;
-  launch.kernel = spec.kernel_name;
-  launch.grid_dim = 1;
-  launch.block_dim = 2;
-  launch.args = {{"p_n", 5}};
+  const KernelLaunch launch = bind_launch(kernel, 1, 2, {{"p_n", 5}});
   const SymbolicExecutor sym(std::move(kernel));
   const ExecutionCounts counts = sym.run(launch);
   EXPECT_EQ(counts.total, synthetic_dynamic_instructions(spec, 5, 2));

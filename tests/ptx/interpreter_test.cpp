@@ -18,10 +18,7 @@ TEST(Interpreter, StraightLineCountsEveryInstruction) {
   ret;
 }
 )").kernels.front();
-  KernelLaunch l;
-  l.kernel = "s";
-  l.grid_dim = 1;
-  l.block_dim = 4;
+  const KernelLaunch l = bind_launch(k, 1, 4, {});
   const ThreadCounts c = Interpreter(k).run_thread(l, 0, 2);
   EXPECT_EQ(c.total, 4);
   EXPECT_EQ(c.by_class[static_cast<std::size_t>(OpClass::kIntAlu)], 2);
@@ -45,14 +42,15 @@ LOOP:
   ret;
 }
 )").kernels.front();
-  KernelLaunch l;
-  l.grid_dim = 1;
-  l.block_dim = 1;
-  l.args = {{"p_n", 10}};
   // 2 prologue + 10 * 3 loop + 1 ret.
-  EXPECT_EQ(Interpreter(k).run_thread(l, 0, 0).total, 2 + 30 + 1);
-  l.args["p_n"] = 1;
-  EXPECT_EQ(Interpreter(k).run_thread(l, 0, 0).total, 2 + 3 + 1);
+  EXPECT_EQ(
+      Interpreter(k).run_thread(bind_launch(k, 1, 1, {{"p_n", 10}}), 0, 0)
+          .total,
+      2 + 30 + 1);
+  EXPECT_EQ(
+      Interpreter(k).run_thread(bind_launch(k, 1, 1, {{"p_n", 1}}), 0, 0)
+          .total,
+      2 + 3 + 1);
 }
 
 TEST(Interpreter, GuardedBranchDependsOnThreadId) {
@@ -72,10 +70,7 @@ EXIT:
   ret;
 }
 )").kernels.front();
-  KernelLaunch l;
-  l.grid_dim = 1;
-  l.block_dim = 8;
-  l.args = {{"p_n", 4}};
+  const KernelLaunch l = bind_launch(k, 1, 8, {{"p_n", 4}});
   const Interpreter interp(k);
   // Threads 0-3 execute the body (7 instrs), 4-7 skip it (5 instrs).
   EXPECT_EQ(interp.run_thread(l, 0, 0).total, 7);
@@ -97,9 +92,7 @@ TEST(Interpreter, SelpAndArithmetic) {
   ret;
 }
 )").kernels.front();
-  KernelLaunch l;
-  l.grid_dim = 1;
-  l.block_dim = 8;
+  const KernelLaunch l = bind_launch(k, 1, 8, {});
   // Counts are uniform; correctness of selp checked indirectly by
   // running without errors for all threads.
   EXPECT_EQ(Interpreter(k).run_all(l).total, 8 * 5);
@@ -115,18 +108,15 @@ TEST(Interpreter, RejectsMissingArgument) {
   ret;
 }
 )").kernels.front();
-  KernelLaunch l;
-  l.grid_dim = 1;
-  l.block_dim = 1;
+  KernelLaunch l;  // binds none of the kernel's one parameter
+  l.kernel = "m";
   EXPECT_THROW(Interpreter(k).run_thread(l, 0, 0), CheckError);
 }
 
 TEST(Interpreter, RejectsOutOfRangeThread) {
   const PtxKernel k = parse_ptx(
       ".visible .entry t() { ret; }").kernels.front();
-  KernelLaunch l;
-  l.grid_dim = 2;
-  l.block_dim = 4;
+  const KernelLaunch l = bind_launch(k, 2, 4, {});
   EXPECT_THROW(Interpreter(k).run_thread(l, 2, 0), CheckError);
   EXPECT_THROW(Interpreter(k).run_thread(l, 0, 4), CheckError);
 }
@@ -145,10 +135,8 @@ TEST(Interpreter, SharedMemoryRoundTrip) {
   ret;
 }
 )").kernels.front();
-  KernelLaunch l;
-  l.grid_dim = 1;
-  l.block_dim = 1;
-  EXPECT_EQ(Interpreter(k).run_thread(l, 0, 0).total, 5);
+  EXPECT_EQ(Interpreter(k).run_thread(bind_launch(k, 1, 1, {}), 0, 0).total,
+            5);
 }
 
 }  // namespace

@@ -20,9 +20,15 @@ const PtxModule& library() {
   return lib;
 }
 
-void expect_matches_brute_force(const std::string& kernel_name,
-                                KernelLaunch launch) {
-  launch.kernel = kernel_name;
+/// A launch of library kernel `name`, arguments bound by name.
+KernelLaunch lib_launch(
+    const std::string& name, std::int64_t grid, std::int64_t block,
+    std::initializer_list<std::pair<std::string_view, std::int64_t>> args) {
+  return bind_launch(library().kernel(name), grid, block, args);
+}
+
+void expect_matches_brute_force(const KernelLaunch& launch) {
+  const std::string& kernel_name = launch.kernel;
   const PtxKernel& kernel = library().kernel(kernel_name);
   const SymbolicExecutor sym(kernel);
   const Interpreter interp(kernel);
@@ -42,19 +48,15 @@ struct ElementwiseCase {
 class ElementwiseSweep : public ::testing::TestWithParam<ElementwiseCase> {};
 
 TEST_P(ElementwiseSweep, CopyMatches) {
-  KernelLaunch l;
-  l.grid_dim = GetParam().grid;
-  l.block_dim = 256;
-  l.args = {{"p_dst", 1}, {"p_a", 2}, {"p_n", GetParam().n}};
-  expect_matches_brute_force("gp_copy", l);
+  expect_matches_brute_force(
+      lib_launch("gp_copy", GetParam().grid, 256,
+                 {{"p_dst", 1}, {"p_a", 2}, {"p_n", GetParam().n}}));
 }
 
 TEST_P(ElementwiseSweep, SwishMatches) {
-  KernelLaunch l;
-  l.grid_dim = GetParam().grid;
-  l.block_dim = 256;
-  l.args = {{"p_dst", 1}, {"p_a", 2}, {"p_n", GetParam().n}};
-  expect_matches_brute_force("gp_swish", l);
+  expect_matches_brute_force(
+      lib_launch("gp_swish", GetParam().grid, 256,
+                 {{"p_dst", 1}, {"p_a", 2}, {"p_n", GetParam().n}}));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -68,82 +70,62 @@ INSTANTIATE_TEST_SUITE_P(
                       ElementwiseCase{3, 700}));   // capped + idle tail
 
 TEST(SymExec, AddKernelBoundaries) {
-  for (std::int64_t n : {1, 100, 512, 513, 3000}) {
-    KernelLaunch l;
-    l.grid_dim = 2;
-    l.block_dim = 256;
-    l.args = {{"p_dst", 1}, {"p_a", 2}, {"p_b", 3}, {"p_n", n}};
-    expect_matches_brute_force("gp_add", l);
-  }
+  for (std::int64_t n : {1, 100, 512, 513, 3000})
+    expect_matches_brute_force(lib_launch(
+        "gp_add", 2, 256, {{"p_dst", 1}, {"p_a", 2}, {"p_b", 3}, {"p_n", n}}));
 }
 
 TEST(SymExec, BnAndBroadcast) {
-  KernelLaunch l;
-  l.grid_dim = 3;
-  l.block_dim = 256;
-  l.args = {{"p_dst", 1}, {"p_a", 2},   {"p_scale", 3},
-            {"p_shift", 4}, {"p_n", 2000}, {"p_c", 32}};
-  expect_matches_brute_force("gp_bn", l);
+  expect_matches_brute_force(
+      lib_launch("gp_bn", 3, 256,
+                 {{"p_dst", 1}, {"p_a", 2},   {"p_scale", 3},
+                  {"p_shift", 4}, {"p_n", 2000}, {"p_c", 32}}));
 
-  KernelLaunch m;
-  m.grid_dim = 2;
-  m.block_dim = 256;
-  m.args = {{"p_dst", 1}, {"p_a", 2}, {"p_se", 3}, {"p_n", 700},
-            {"p_c", 7}};
-  expect_matches_brute_force("gp_mul_bcast", m);
+  expect_matches_brute_force(
+      lib_launch("gp_mul_bcast", 2, 256,
+                 {{"p_dst", 1}, {"p_a", 2}, {"p_se", 3}, {"p_n", 700},
+                  {"p_c", 7}}));
 }
 
 TEST(SymExec, Im2colWindows) {
-  for (std::int64_t window : {1, 9, 27, 147}) {
-    KernelLaunch l;
-    l.grid_dim = 2;
-    l.block_dim = 256;
-    l.args = {{"p_col", 1}, {"p_src", 2}, {"p_patches", 300},
-              {"p_window", window}};
-    expect_matches_brute_force("gp_im2col", l);
-  }
+  for (std::int64_t window : {1, 9, 27, 147})
+    expect_matches_brute_force(
+        lib_launch("gp_im2col", 2, 256,
+                   {{"p_col", 1}, {"p_src", 2}, {"p_patches", 300},
+                    {"p_window", window}}));
 }
 
 TEST(SymExec, GemmTileCounts) {
-  for (std::int64_t kt : {1, 2, 7, 36}) {
-    KernelLaunch l;
-    l.grid_dim = 3;
-    l.block_dim = 256;
-    l.args = {{"p_c", 1}, {"p_a", 2},      {"p_b", 3},  {"p_bias", 4},
-              {"p_total", 600}, {"p_n", 30}, {"p_kt", kt}};
-    expect_matches_brute_force("gp_gemm", l);
-  }
+  for (std::int64_t kt : {1, 2, 7, 36})
+    expect_matches_brute_force(
+        lib_launch("gp_gemm", 3, 256,
+                   {{"p_c", 1}, {"p_a", 2},      {"p_b", 3},  {"p_bias", 4},
+                    {"p_total", 600}, {"p_n", 30}, {"p_kt", kt}}));
 }
 
 TEST(SymExec, DwConvAndPooling) {
-  for (const char* name : {"gp_dwconv", "gp_pool_max", "gp_pool_avg"}) {
-    KernelLaunch l;
-    l.grid_dim = 2;
-    l.block_dim = 256;
-    l.args = {{"p_dst", 1}, {"p_src", 2}, {"p_out", 400}, {"p_window", 9}};
-    if (std::string(name) == "gp_dwconv") l.args["p_w"] = 3;
-    expect_matches_brute_force(name, l);
-  }
+  expect_matches_brute_force(
+      lib_launch("gp_dwconv", 2, 256,
+                 {{"p_dst", 1}, {"p_src", 2}, {"p_w", 3}, {"p_out", 400},
+                  {"p_window", 9}}));
+  for (const char* name : {"gp_pool_max", "gp_pool_avg"})
+    expect_matches_brute_force(
+        lib_launch(name, 2, 256,
+                   {{"p_dst", 1}, {"p_src", 2}, {"p_out", 400},
+                    {"p_window", 9}}));
 }
 
 TEST(SymExec, GapStridedReduction) {
-  for (std::int64_t hw : {1, 49, 196, 1024}) {
-    KernelLaunch l;
-    l.grid_dim = 1;
-    l.block_dim = 256;
-    l.args = {{"p_dst", 1}, {"p_src", 2}, {"p_c", 130}, {"p_hw", hw}};
-    expect_matches_brute_force("gp_gap", l);
-  }
+  for (std::int64_t hw : {1, 49, 196, 1024})
+    expect_matches_brute_force(
+        lib_launch("gp_gap", 1, 256,
+                   {{"p_dst", 1}, {"p_src", 2}, {"p_c", 130}, {"p_hw", hw}}));
 }
 
 TEST(SymExec, SoftmaxDivergentTreeReduction) {
-  for (std::int64_t n : {1, 100, 256, 999, 1000, 4000}) {
-    KernelLaunch l;
-    l.grid_dim = 1;
-    l.block_dim = 256;
-    l.args = {{"p_dst", 1}, {"p_src", 2}, {"p_n", n}};
-    expect_matches_brute_force("gp_softmax", l);
-  }
+  for (std::int64_t n : {1, 100, 256, 999, 1000, 4000})
+    expect_matches_brute_force(lib_launch(
+        "gp_softmax", 1, 256, {{"p_dst", 1}, {"p_src", 2}, {"p_n", n}}));
 }
 
 TEST(SymExec, LoopAccelerationIsExactOnLongLoops) {
@@ -166,11 +148,7 @@ LOOP:
   ret;
 }
 )").kernels.front();
-  KernelLaunch l;
-  l.kernel = "longloop";
-  l.grid_dim = 1;
-  l.block_dim = 8;
-  l.args = {{"p_n", 100000}};
+  const KernelLaunch l = bind_launch(k, 1, 8, {{"p_n", 100000}});
   const ExecutionCounts sc = SymbolicExecutor(k).run(l);
   const ThreadCounts ic = Interpreter(k).run_all(l);
   EXPECT_EQ(sc.total, ic.total);
@@ -197,10 +175,7 @@ EXIT:
   ret;
 }
 )").kernels.front();
-  KernelLaunch l;
-  l.kernel = "tidloop";
-  l.grid_dim = 1;
-  l.block_dim = 32;
+  const KernelLaunch l = bind_launch(k, 1, 32, {});
   const ExecutionCounts sc = SymbolicExecutor(k).run(l);
   const ThreadCounts ic = Interpreter(k).run_all(l);
   EXPECT_EQ(sc.total, ic.total);
@@ -223,11 +198,7 @@ EXIT:
   ret;
 }
 )").kernels.front();
-  KernelLaunch l;
-  l.kernel = "datadep";
-  l.grid_dim = 1;
-  l.block_dim = 1;
-  l.args = {{"p_a", 100}};
+  const KernelLaunch l = bind_launch(k, 1, 1, {{"p_a", 100}});
   EXPECT_THROW(SymbolicExecutor(k).run(l), CheckError);
 }
 
@@ -244,23 +215,16 @@ LOOP:
   ret;
 }
 )").kernels.front();
-  KernelLaunch l;
-  l.kernel = "forever";
-  l.grid_dim = 1;
-  l.block_dim = 1;
+  const KernelLaunch l = bind_launch(k, 1, 1, {});
   EXPECT_THROW(SymbolicExecutor(k).run(l), CheckError);
 }
 
 TEST(SymExec, CountsScaleLinearlyWithGrid) {
   // Uniform kernels: doubling the grid doubles every count.
-  KernelLaunch l;
-  l.kernel = "gp_im2col";
-  l.grid_dim = 2;
-  l.block_dim = 256;
-  l.args = {{"p_col", 1}, {"p_src", 2}, {"p_patches", 1 << 20},
-            {"p_window", 9}};
-  const PtxKernel& kernel = library().kernel("gp_im2col");
-  const SymbolicExecutor sym(kernel);
+  KernelLaunch l = lib_launch("gp_im2col", 2, 256,
+                              {{"p_col", 1}, {"p_src", 2},
+                               {"p_patches", 1 << 20}, {"p_window", 9}});
+  const SymbolicExecutor sym(library().kernel("gp_im2col"));
   const std::int64_t base = sym.run(l).total;
   l.grid_dim = 4;
   EXPECT_EQ(sym.run(l).total, 2 * base);
@@ -269,12 +233,10 @@ TEST(SymExec, CountsScaleLinearlyWithGrid) {
 TEST(SymExec, HugeLaunchRunsFast) {
   // A GEMM the size of a VGG conv layer: ~10^9 dynamic instructions
   // counted exactly without iterating them.
-  KernelLaunch l;
-  l.kernel = "gp_gemm";
-  l.block_dim = 256;
-  l.grid_dim = (224 * 224 * 64 + 255) / 256;
-  l.args = {{"p_c", 1},  {"p_a", 2}, {"p_b", 3}, {"p_bias", 4},
-            {"p_total", 224 * 224 * 64}, {"p_n", 64}, {"p_kt", 36}};
+  const KernelLaunch l =
+      lib_launch("gp_gemm", (224 * 224 * 64 + 255) / 256, 256,
+                 {{"p_c", 1},  {"p_a", 2}, {"p_b", 3}, {"p_bias", 4},
+                  {"p_total", 224 * 224 * 64}, {"p_n", 64}, {"p_kt", 36}});
   const ExecutionCounts counts =
       SymbolicExecutor(library().kernel("gp_gemm")).run(l);
   EXPECT_GT(counts.total, 1'000'000'000LL);
@@ -298,10 +260,7 @@ EXIT:
   ret;
 }
 )").kernels.front();
-  KernelLaunch l;
-  l.kernel = "eqk";
-  l.grid_dim = 2;
-  l.block_dim = 32;
+  const KernelLaunch l = bind_launch(k, 2, 32, {});
   const ExecutionCounts sc = SymbolicExecutor(k).run(l);
   const ThreadCounts ic = Interpreter(k).run_all(l);
   EXPECT_EQ(sc.total, ic.total);
@@ -326,10 +285,7 @@ EXIT:
   ret;
 }
 )").kernels.front();
-  KernelLaunch l;
-  l.kernel = "nek";
-  l.grid_dim = 1;
-  l.block_dim = 16;
+  const KernelLaunch l = bind_launch(k, 1, 16, {});
   const ExecutionCounts sc = SymbolicExecutor(k).run(l);
   const ThreadCounts ic = Interpreter(k).run_all(l);
   EXPECT_EQ(sc.total, ic.total);
@@ -351,10 +307,7 @@ EXIT:
   ret;
 }
 )").kernels.front();
-  KernelLaunch l;
-  l.kernel = "eqb";
-  l.grid_dim = 5;
-  l.block_dim = 64;
+  const KernelLaunch l = bind_launch(k, 5, 64, {});
   const ExecutionCounts sc = SymbolicExecutor(k).run(l);
   const ThreadCounts ic = Interpreter(k).run_all(l);
   EXPECT_EQ(sc.total, ic.total);
@@ -380,10 +333,8 @@ EXIT:
   ret;
 }
 )").kernels.front();
-  KernelLaunch l;
-  l.kernel = "mixed";
-  l.grid_dim = 4;
-  l.block_dim = 32;  // threshold 100 falls inside block 3
+  // Threshold 100 falls inside block 3.
+  const KernelLaunch l = bind_launch(k, 4, 32, {});
   const ExecutionCounts sc = SymbolicExecutor(k).run(l);
   const ThreadCounts ic = Interpreter(k).run_all(l);
   EXPECT_EQ(sc.total, ic.total);

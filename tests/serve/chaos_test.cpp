@@ -74,12 +74,7 @@ LOOP:
 }
 
 ptx::KernelLaunch spin_launch() {
-  ptx::KernelLaunch launch;
-  launch.kernel = "chaos_spin";
-  launch.grid_dim = 1;
-  launch.block_dim = 1;
-  launch.args = {{"p_n", 2147483647}};
-  return launch;
+  return ptx::bind_launch(unresolvable_kernel(), 1, 1, {{"p_n", 2147483647}});
 }
 
 // ---------------------------------------------------------------------
