@@ -1,9 +1,9 @@
 // Microbenchmarks of the estimation service: cold predictions (full
 // DCA) vs warm ones (feature-cache hit + tree walk), the protocol
-// overhead on a warm path, and a burst of concurrent predicts sharing
-// one DCA.  The cold/warm pair is the headline number — the service
-// exists because a warm predict is orders of magnitude cheaper than a
-// cold one.
+// overhead on a warm path, a warm `dse` sweep, and a burst of
+// concurrent predicts sharing one DCA.  The cold/warm pair is the
+// headline number — the service exists because a warm predict is
+// orders of magnitude cheaper than a cold one.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -121,6 +121,24 @@ void BM_HandleLineCacheHit(benchmark::State& state) {
         session.handle_line("predict mobilenet v100s"));
 }
 BENCHMARK(BM_HandleLineCacheHit)->Unit(benchmark::kMicrosecond);
+
+// A warm 8-model `dse` sweep (one model repeated) over the default
+// seven-device fleet: every topology's features are cached by the
+// warm-up `dse all`, so an iteration is the plan, 49 tree walks, the
+// ranking and the JSON body, all on the calling thread.
+void BM_DseWarm(benchmark::State& state) {
+  serve::ServeSession& session = shared_session();
+  session.handle_line("dse all");  // every model's features
+  const std::string line =
+      "dse alexnet,vgg16,mobilenet,resnet50v2,densenet121,MobileNetV2,"
+      "efficientnetb0,vgg16 --max-latency-ms=1000 --w-power=0.5";
+  if (session.handle_line(line).rfind("{\"ok\":true", 0) != 0) {
+    state.SkipWithError("the dse line was not answered ok");
+    return;
+  }
+  for (auto _ : state) benchmark::DoNotOptimize(session.handle_line(line));
+}
+BENCHMARK(BM_DseWarm)->Unit(benchmark::kMicrosecond);
 
 void BM_StatsEndpoint(benchmark::State& state) {
   serve::ServeSession& session = shared_session();

@@ -1,11 +1,13 @@
 // Fuzz target for the serve wire protocol: the request-line parser
-// (which is also the CLI argv parser) and the JSON string escaper.
-// Contract: any line parses or raises CheckError; json_escape never
-// crashes and never emits a newline.
+// (which is also the CLI argv parser) and the JSON writer's string
+// escaping.  Contract: any line parses or raises CheckError; the writer
+// takes any line as a key and as a value, never crashes and never
+// emits a newline.
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 
 #include "common/check.hpp"
 #include "serve/protocol.hpp"
@@ -20,8 +22,9 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   } catch (const gpuperf::CheckError&) {
     // Malformed lines are the caller's fault; a typed throw is fine.
   }
-  const std::string escaped = gpuperf::serve::json_escape(line);
-  if (escaped.find('\n') != std::string::npos)
+  gpuperf::serve::JsonWriter json;
+  json.begin_object().field(line, std::string_view(line)).end_object();
+  if (json.str().find('\n') != std::string::npos)
     std::abort();  // one response must stay one line
   return 0;
 }

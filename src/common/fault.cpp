@@ -144,7 +144,10 @@ std::string armed_spec(const std::string& prefix) {
         break;
       case Action::kCorrupt: out += "corrupt"; break;
     }
-    if (spec.remaining > 0) out += "*" + std::to_string(spec.remaining);
+    if (spec.remaining > 0) {
+      out += '*';
+      out += std::to_string(spec.remaining);
+    }
   }
   return out;
 }

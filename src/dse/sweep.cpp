@@ -41,7 +41,8 @@ SweepEngine::SweepEngine(const core::PerformanceEstimator& estimator,
       store_(options.store),
       pool_(options.pool),
       feature_source_(std::move(options.feature_source)),
-      topology_hash_(std::move(options.topology_hash)) {
+      topology_hash_(std::move(options.topology_hash)),
+      probe_(std::move(options.probe)) {
   GP_CHECK_MSG(estimator_.is_trained(),
                "DSE sweep needs a trained estimator");
 }
@@ -88,7 +89,7 @@ SweepResult SweepEngine::run(const SweepRequest& request) const {
     }
   }
 
-  // ---- execute: one parallel job per distinct topology --------------
+  // ---- execute: held features inline, the misses over the pool ------
   struct CellValue {
     CellStatus status = CellStatus::kFailed;
     double ipc = 0.0;
@@ -100,8 +101,10 @@ SweepResult SweepEngine::run(const SweepRequest& request) const {
       topologies.size(), std::vector<CellValue>(devices.size()));
   std::atomic<std::size_t> features_computed{0};
 
-  ThreadPool& pool = pool_ != nullptr ? *pool_ : ThreadPool::shared();
-  pool.parallel_for(topologies.size(), [&](std::size_t ti) {
+  // One topology's features, then its row of cells.  `held` is what the
+  // probe found; without it the features are acquired here.
+  using FeaturePtr = std::shared_ptr<const core::ModelFeatures>;
+  const auto answer = [&](std::size_t ti, FeaturePtr held) {
     const Topology& topo = topologies[ti];
     std::vector<CellValue>& row = values[ti];
     const auto model = [&]() -> const cnn::Model& {  // built on first use
@@ -109,9 +112,9 @@ SweepResult SweepEngine::run(const SweepRequest& request) const {
       return *models[ti];
     };
 
-    // Features once per topology.  Each job charges a private copy of
-    // the request deadline: the wall clock is naturally shared, a
-    // shared step counter would race across worker threads.
+    // Each topology charges a private copy of the request deadline: the
+    // wall clock is naturally shared, a shared step counter would race
+    // across worker threads.
     const Deadline deadline = request.deadline;
     // Without a feature source: read through the store, if any.
     const auto own_features = [&] {
@@ -122,14 +125,17 @@ SweepResult SweepEngine::run(const SweepRequest& request) const {
                  ? store_->get_or_compute(topo.hash, compute).features
                  : std::make_shared<const core::ModelFeatures>(compute());
     };
-    std::shared_ptr<const core::ModelFeatures> features;
+    FeaturePtr features;
     CellStatus status = CellStatus::kOk;
     std::string error;
     try {
       GPUPERF_FAULT_POINT_D("dse.features", &deadline);
-      features = feature_source_
-                     ? feature_source_(topo.representative, deadline)
-                     : own_features();
+      if (held)
+        features = std::move(held);
+      else if (feature_source_)
+        features = feature_source_(topo.representative, deadline);
+      else
+        features = own_features();
       GP_CHECK_MSG(features != nullptr, "feature source returned null");
       features_computed.fetch_add(1, std::memory_order_relaxed);
     } catch (const std::exception& primary) {
@@ -161,7 +167,24 @@ SweepResult SweepEngine::run(const SweepRequest& request) const {
           features->executed_instructions, cell.ipc, *specs[di]);
       cell.power_w = estimate_power_w(cell.ipc, *specs[di]);
     }
-  });
+  };
+
+  // A held topology costs a few tree walks, less than waking a pool
+  // worker, so it is answered right here.  Only the misses, each a
+  // feature acquisition (a DCA pass when nothing holds the features),
+  // fan out; parallel_for runs a single miss inline.
+  std::vector<std::size_t> misses;
+  for (std::size_t ti = 0; ti < topologies.size(); ++ti) {
+    FeaturePtr held = probe_ ? probe_(topologies[ti].representative)
+                             : nullptr;
+    if (held)
+      answer(ti, std::move(held));
+    else
+      misses.push_back(ti);
+  }
+  ThreadPool& pool = pool_ != nullptr ? *pool_ : ThreadPool::shared();
+  pool.parallel_for(misses.size(),
+                    [&](std::size_t i) { answer(misses[i], nullptr); });
 
   // ---- assemble: model-major cells, then the constraint verdicts ----
   SweepResult result;

@@ -2,11 +2,13 @@
 // set × device table cross product under user constraints and return
 // ranked recommendations.  This is the paper's Table IV scenario
 // productized — one DCA pass per distinct model (a repeated name is
-// analyzed once), fanned out over the process-shared thread pool, and
-// every (model, device) cell answered by the trained estimator instead
-// of a profiler.  Features are the only thing worth keeping between
-// runs (t_dca dominates T_est = t_dca + n·t_pm): with a feature store
-// the next run performs no DCA, and every cell is predicted afresh.
+// analyzed once), and every (model, device) cell answered by the
+// trained estimator instead of a profiler.  Features are the only thing
+// worth keeping between runs (t_dca dominates T_est = t_dca + n·t_pm):
+// with a feature store the next run performs no DCA, and every cell is
+// predicted afresh.  A topology whose features the caller already holds
+// (Options::probe) is answered on the calling thread; only the misses,
+// each a DCA pass, fan out over the thread pool.
 //
 // Robustness contract (PR-3 semantics): a sweep with one pathological
 // model still returns every other cell.  Per-cell status is `ok`
@@ -44,8 +46,8 @@ struct SweepRequest {
   std::vector<std::string> devices;
   Constraints constraints;
   /// Analysis budget.  Wall clock is shared across the sweep; the step
-  /// budget applies per topology (each parallel job charges its own
-  /// copy — a shared mutable counter would race).
+  /// budget applies per topology (each topology charges its own copy —
+  /// a shared mutable counter would race across pool workers).
   Deadline deadline;
   /// Fall back to static-only features when DCA times out or fails
   /// (cells marked degraded) instead of failing those cells.
@@ -97,13 +99,14 @@ class SweepEngine {
     /// FeatureStore::get_or_compute: a hit skips the DCA pass, a fresh
     /// full-DCA result is put, and store I/O errors never fail a cell.
     registry::FeatureStore* store = nullptr;
-    /// Worker pool (not owned); nullptr = ThreadPool::shared().
+    /// Worker pool (not owned) for the probe's misses; nullptr =
+    /// ThreadPool::shared().
     ThreadPool* pool = nullptr;
     /// External feature source, e.g. the serve session's acquisition
     /// (circuit breaker, single-flight feature cache, persistent
-    /// store).  Called once per distinct topology; may throw
-    /// AnalysisTimeout, an open-breaker error or any analysis error.
-    /// nullptr = the engine runs its own extractor.
+    /// store).  Called once per distinct topology the probe misses;
+    /// may throw AnalysisTimeout, an open-breaker error or any analysis
+    /// error.  nullptr = the engine runs its own extractor.
     using FeatureSource =
         std::function<std::shared_ptr<const core::ModelFeatures>(
             const std::string& zoo_model, const Deadline& deadline)>;
@@ -113,6 +116,14 @@ class SweepEngine {
     /// the engine's own analysis.
     using HashSource = std::function<std::uint64_t(const std::string&)>;
     HashSource topology_hash;
+    /// Zoo name → the features already held for it, or nullptr, e.g.
+    /// the serve session's feature-cache try_get.  Must never block or
+    /// compute.  A hit is answered on the calling thread, in topology
+    /// order, and skips the feature source; the misses fan out over the
+    /// pool.  nullptr = every topology is a miss.
+    using Probe = std::function<std::shared_ptr<const core::ModelFeatures>(
+        const std::string& zoo_model)>;
+    Probe probe;
   };
 
   /// The estimator is shared, not owned, and must stay alive (and
@@ -133,6 +144,7 @@ class SweepEngine {
   ThreadPool* pool_;
   Options::FeatureSource feature_source_;
   Options::HashSource topology_hash_;
+  Options::Probe probe_;
   core::FeatureExtractor extractor_;
   cnn::StaticAnalyzer analyzer_;
 };

@@ -4,10 +4,11 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <string_view>
 
 #include "common/check.hpp"
 #include "common/fault.hpp"
@@ -56,16 +57,33 @@ void sync_dir(const fs::path& dir) {
   ::close(fd);
 }
 
+/// "v" and the version number in at least four digits: v0001, v9999,
+/// v10000.
 bool is_version_name(const std::string& name) {
-  if (name.size() != 5 || name[0] != 'v') return false;
+  if (name.size() < 5 || name[0] != 'v') return false;
   return std::all_of(name.begin() + 1, name.end(),
                      [](char c) { return c >= '0' && c <= '9'; });
 }
 
-std::string version_name(int number) {
-  char buf[8];
-  std::snprintf(buf, sizeof(buf), "v%04d", number);
-  return buf;
+std::string version_name(long long number) {
+  std::string digits = std::to_string(number);
+  if (digits.size() < 4) digits.insert(0, 4 - digits.size(), '0');
+  return "v" + digits;
+}
+
+/// Orders version names by number, so v10000 follows v9999.  Compares
+/// the digits as text (shorter first once leading zeros are gone), so no
+/// name is too long to order.
+bool version_less(std::string_view a, std::string_view b) {
+  const auto number = [](std::string_view name) {
+    name.remove_prefix(1);
+    return name.substr(std::min(name.find_first_not_of('0'), name.size()));
+  };
+  const std::string_view na = number(a);
+  const std::string_view nb = number(b);
+  if (na.size() != nb.size()) return na.size() < nb.size();
+  if (na != nb) return na < nb;
+  return a < b;  // one number written twice ("v0012", "v00012")
 }
 
 }  // namespace
@@ -100,7 +118,7 @@ std::vector<std::string> ModelRegistry::versions() const {
     const std::string name = entry.path().filename().string();
     if (is_version_name(name)) out.push_back(name);
   }
-  std::sort(out.begin(), out.end());
+  std::sort(out.begin(), out.end(), version_less);
   return out;
 }
 
@@ -154,10 +172,8 @@ std::string ModelRegistry::publish(
   manifest.model_checksum = fnv1a64(model_text);
 
   const std::vector<std::string> existing = versions();
-  const int next =
-      existing.empty()
-          ? 1
-          : static_cast<int>(parse_int(existing.back().substr(1))) + 1;
+  const long long next =
+      existing.empty() ? 1 : parse_int(existing.back().substr(1)) + 1;
   const std::string version = version_name(next);
 
   // Stage, sync, rename: readers either see the whole bundle or none.

@@ -75,7 +75,8 @@ class ModelRegistry {
 
   const std::string& root() const { return root_; }
 
-  /// All published versions, ascending ("v0001", "v0002", ...).
+  /// All published versions, ascending by number ("v0001", "v0002",
+  /// ..., "v9999", "v10000").
   std::vector<std::string> versions() const;
 
   /// The LATEST pointer's target; empty string when nothing is

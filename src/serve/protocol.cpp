@@ -1,7 +1,8 @@
 #include "serve/protocol.hpp"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <system_error>
 
 #include "common/check.hpp"
 #include "common/strings.hpp"
@@ -62,30 +63,6 @@ Response error_response(const std::string& message) {
   return Response{false, json.str(), false};
 }
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void JsonWriter::comma() {
   if (need_comma_) out_ += ',';
   need_comma_ = true;
@@ -93,13 +70,34 @@ void JsonWriter::comma() {
 
 void JsonWriter::key(std::string_view k) {
   comma();
-  out_ += '"';
-  out_ += json_escape(k);
-  out_ += "\":";
+  quoted(k);
+  out_ += ':';
 }
 
-void JsonWriter::scalar(std::string_view text) {
-  out_ += text;
+void JsonWriter::quoted(std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  out_ += '"';
+  std::size_t plain = 0;  // start of the run not yet copied
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out_.append(s, plain, i - plain);
+    plain = i + 1;
+    switch (c) {
+      case '"': out_ += "\\\""; break;
+      case '\\': out_ += "\\\\"; break;
+      case '\n': out_ += "\\n"; break;
+      case '\r': out_ += "\\r"; break;
+      case '\t': out_ += "\\t"; break;
+      default: {
+        const char escaped[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                                kHex[c & 0xF]};
+        out_.append(escaped, sizeof(escaped));
+      }
+    }
+  }
+  out_.append(s, plain);
+  out_ += '"';
 }
 
 JsonWriter& JsonWriter::begin_object() {
@@ -131,9 +129,7 @@ JsonWriter& JsonWriter::begin_array(std::string_view k) {
 
 JsonWriter& JsonWriter::value(std::string_view v) {
   comma();
-  out_ += '"';
-  out_ += json_escape(v);
-  out_ += '"';
+  quoted(v);
   return *this;
 }
 
@@ -145,9 +141,7 @@ JsonWriter& JsonWriter::end_array() {
 
 JsonWriter& JsonWriter::field(std::string_view k, std::string_view value) {
   key(k);
-  out_ += '"';
-  out_ += json_escape(value);
-  out_ += '"';
+  quoted(value);
   return *this;
 }
 
@@ -155,35 +149,49 @@ JsonWriter& JsonWriter::field(std::string_view k, const char* value) {
   return field(k, std::string_view(value));
 }
 
+namespace {
+
+// Appends to_chars' text of `value`; a buffer of 32 holds any integer
+// and any double at precision 17 ("-1.2345678901234567e-308").
+template <typename... Format>
+void append_chars(std::string& out, auto value, Format... format) {
+  char buf[32];
+  const auto [end, ec] =
+      std::to_chars(buf, buf + sizeof(buf), value, format...);
+  GP_CHECK(ec == std::errc());
+  out.append(buf, end);
+}
+
+}  // namespace
+
 JsonWriter& JsonWriter::field(std::string_view k, double value) {
   key(k);
   if (!std::isfinite(value)) {
-    scalar("null");
+    out_ += "null";
   } else {
-    char buf[64];
-    // %.17g round-trips every finite double exactly, so a client that
-    // parses the response recovers the bit-identical prediction.
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    scalar(buf);
+    // Precision 17 in the general format is printf's "%.17g" text, which
+    // round-trips every finite double exactly: a client that parses the
+    // response recovers the bit-identical prediction.
+    append_chars(out_, value, std::chars_format::general, 17);
   }
   return *this;
 }
 
 JsonWriter& JsonWriter::field(std::string_view k, std::int64_t value) {
   key(k);
-  scalar(std::to_string(value));
+  append_chars(out_, value);
   return *this;
 }
 
 JsonWriter& JsonWriter::field(std::string_view k, std::uint64_t value) {
   key(k);
-  scalar(std::to_string(value));
+  append_chars(out_, value);
   return *this;
 }
 
 JsonWriter& JsonWriter::field(std::string_view k, bool value) {
   key(k);
-  scalar(value ? "true" : "false");
+  out_ += value ? "true" : "false";
   return *this;
 }
 

@@ -69,9 +69,12 @@ struct Response {
 Response error_response(const std::string& message);
 
 /// Minimal streaming JSON writer: enough of the format for the
-/// protocol's flat-ish responses (objects, arrays, scalars), with
-/// correct string escaping and non-finite doubles mapped to null.
-/// Output never contains a newline, so one response is one line.
+/// protocol's flat-ish responses (objects, arrays, scalars).  Keys and
+/// strings are escaped straight into the output (quotes, backslashes,
+/// control characters as \n, \r, \t or \u00XX; every other byte as
+/// is), a double prints as printf's "%.17g" text, which round-trips,
+/// and a non-finite double prints as null.  Output never contains a
+/// newline, so one response is one line.
 class JsonWriter {
  public:
   JsonWriter& begin_object();
@@ -95,13 +98,10 @@ class JsonWriter {
  private:
   void comma();
   void key(std::string_view k);
-  void scalar(std::string_view text);
+  void quoted(std::string_view s);
 
   std::string out_;
   bool need_comma_ = false;
 };
-
-/// JSON string escaping (quotes, backslashes, control characters).
-std::string json_escape(std::string_view s);
 
 }  // namespace gpuperf::serve

@@ -1,8 +1,9 @@
 // TCP front-end of the estimation service, built on the src/net epoll
 // event loop: one I/O thread multiplexes every connection while request
 // handling runs on the server's own worker pool (its own, not the
-// session's — the session pool fans out `dse` sweeps, and a sweep
-// started from one of that pool's own workers would run serially).
+// session's — the session pool fans out the analysis misses of a `dse`
+// sweep, and a sweep started from one of that pool's own workers would
+// run them serially).
 //
 // The wire is the newline/JSON line protocol of serve/protocol.hpp:
 // one request line in, one single-line JSON response out.

@@ -497,6 +497,13 @@ dse::SweepResult ServeSession::sweep(const dse::SweepRequest& request) {
   engine.topology_hash = [this](const std::string& model) {
     return module_fingerprint(model);
   };
+  // Features already cached are answered on this thread with no breaker
+  // lookup.  That is what acquire_features would answer: features enter
+  // the cache only through a successful acquisition, which erases the
+  // module's breaker entry, and the cache never evicts a zoo model.
+  engine.probe = [this](const std::string& model) {
+    return features_.try_get(model);
+  };
   return dse::SweepEngine(*estimator, std::move(engine)).run(request);
 }
 

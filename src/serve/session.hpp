@@ -8,10 +8,13 @@
 //
 // Every verb gets a model's features one way (acquire_features): the
 // module's circuit breaker, then single-flight DCA through the feature
-// cache and persistent store.  When that fails, predict and rank fall
-// back to core::static_only_features and dse cells degrade to the same
-// features, so a degraded answer does not depend on the verb or on what
-// the session analyzed before.
+// cache and persistent store.  The one shortcut is a dse topology whose
+// features are already cached: sweep() reads it from the cache on the
+// calling thread, the answer acquire_features would give.  When
+// acquisition fails, predict and rank fall back to
+// core::static_only_features and dse cells degrade to the same features,
+// so a degraded answer does not depend on the verb or on what the
+// session analyzed before.
 //
 // handle() is safe to call from many threads at once: all caches are
 // internally synchronized, feature computation is single-flight per
@@ -325,7 +328,9 @@ class ServeSession {
   cnn::StaticAnalyzer analyzer_;
   ShardedLruCache<cnn::ModelReport> static_reports_;
   ShardedLruCache<core::ModelFeatures> features_;
-  ThreadPool pool_;  // dse sweep fan-out
+  // Fans out a dse sweep's feature-cache misses (DCA passes); cached
+  // topologies are answered on the calling thread.
+  ThreadPool pool_;
   MetricsRegistry metrics_;
 
   std::atomic<std::uint64_t> reloads_{0};

@@ -2,12 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
+#include <future>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "cnn/zoo.hpp"
 #include "common/check.hpp"
 #include "common/fault.hpp"
+#include "common/thread_pool.hpp"
 #include "core/dataset_builder.hpp"
 #include "core/estimator.hpp"
 #include "gpu/device_db.hpp"
@@ -43,6 +51,51 @@ SweepRequest small_request() {
   request.models = {"alexnet", "mobilenet"};
   request.devices = {"gtx1080ti", "gtx1060", "teslat4"};
   return request;
+}
+
+using FeaturePtr = std::shared_ptr<const core::ModelFeatures>;
+using FeatureMap = std::map<std::string, FeaturePtr>;
+
+/// Full-DCA features of each model, as a feature cache would hold them.
+FeatureMap features_of(const std::vector<std::string>& models) {
+  const core::FeatureExtractor extractor;
+  FeatureMap out;
+  for (const std::string& model : models)
+    if (!out.count(model))
+      out.emplace(model, std::make_shared<const core::ModelFeatures>(
+                             extractor.compute(cnn::zoo::build(model))));
+  return out;
+}
+
+/// A probe-less engine whose feature source serves `features`.
+SweepResult sweep_without_probe(const SweepRequest& request,
+                                const FeatureMap& features) {
+  SweepEngine::Options options;
+  options.feature_source = [&features](const std::string& model,
+                                       const Deadline&) {
+    return features.at(model);
+  };
+  return SweepEngine(trained_estimator(), std::move(options)).run(request);
+}
+
+/// A feature source for engines whose every topology is held.
+FeaturePtr never_called(const std::string& model, const Deadline&) {
+  ADD_FAILURE() << "feature source called for held model " << model;
+  return nullptr;
+}
+
+void expect_same_cells(const SweepResult& actual,
+                       const SweepResult& expected) {
+  ASSERT_EQ(actual.cells.size(), expected.cells.size());
+  for (std::size_t c = 0; c < expected.cells.size(); ++c) {
+    EXPECT_EQ(actual.cells[c].model, expected.cells[c].model);
+    EXPECT_EQ(actual.cells[c].device, expected.cells[c].device);
+    EXPECT_EQ(actual.cells[c].status, expected.cells[c].status);
+    EXPECT_EQ(actual.cells[c].predicted_ipc,
+              expected.cells[c].predicted_ipc);
+    EXPECT_EQ(actual.cells[c].latency_ms, expected.cells[c].latency_ms);
+    EXPECT_EQ(actual.cells[c].power_w, expected.cells[c].power_w);
+  }
 }
 
 TEST(SweepEngine, CrossProductIsModelMajorAndComplete) {
@@ -160,6 +213,70 @@ TEST(SweepEngine, FeatureStoreReplaysWithZeroDca) {
   }
 }
 
+TEST(SweepEngine, CachedTopologiesNeedNoPoolWorker) {
+  SweepRequest request;
+  request.models = {"alexnet", "mobilenet", "MobileNetV2", "vgg16"};
+  const FeatureMap features = features_of(request.models);
+  const SweepResult reference = sweep_without_probe(request, features);
+
+  // Both workers of the engine's pool are held until the sweep is done
+  // (or has failed to finish): a sweep that queued work would wait.
+  ThreadPool pool(2);
+  std::promise<void> gate;
+  const std::shared_future<void> opened = gate.get_future().share();
+  for (std::size_t w = 0; w < pool.size(); ++w)
+    pool.submit([opened] { opened.wait(); });
+
+  SweepEngine::Options options;
+  options.pool = &pool;
+  options.probe = [&features](const std::string& model) {
+    return features.at(model);
+  };
+  options.feature_source = never_called;
+  const SweepEngine engine(trained_estimator(), std::move(options));
+  std::future<SweepResult> sweep =
+      std::async(std::launch::async, [&] { return engine.run(request); });
+  const bool finished = sweep.wait_for(std::chrono::seconds(5)) ==
+                        std::future_status::ready;
+  gate.set_value();
+  EXPECT_TRUE(finished) << "an all-hit sweep waited for a pool worker";
+  const SweepResult result = sweep.get();
+  pool.wait();
+
+  expect_same_cells(result, reference);
+  EXPECT_EQ(result.features_computed, request.models.size());
+}
+
+TEST(SweepEngine, OnlyProbeMissesReachTheFeatureSource) {
+  SweepRequest request;
+  request.models = {"alexnet", "mobilenet", "MobileNetV2",
+                    "vgg16",   "alexnet",   "mobilenet"};
+  const FeatureMap features = features_of(request.models);
+  const SweepResult reference = sweep_without_probe(request, features);
+
+  const std::set<std::string> held = {"alexnet", "MobileNetV2"};
+  std::mutex mutex;
+  std::map<std::string, int> calls;
+  SweepEngine::Options options;
+  options.probe = [&](const std::string& model) -> FeaturePtr {
+    return held.count(model) ? features.at(model) : nullptr;
+  };
+  options.feature_source = [&](const std::string& model, const Deadline&) {
+    const std::lock_guard<std::mutex> lock(mutex);
+    ++calls[model];
+    return features.at(model);
+  };
+  const SweepResult result =
+      SweepEngine(trained_estimator(), std::move(options)).run(request);
+
+  // Once per missed topology, never for a held one.
+  EXPECT_EQ(calls, (std::map<std::string, int>{{"mobilenet", 1},
+                                               {"vgg16", 1}}));
+  expect_same_cells(result, reference);
+  EXPECT_EQ(result.unique_topologies, 4u);
+  EXPECT_EQ(result.features_computed, result.unique_topologies);
+}
+
 #ifdef GPUPERF_FAULT_INJECTION
 
 TEST(SweepChaos, FaultedTopologyDegradesItsCellsOnly) {
@@ -191,6 +308,38 @@ TEST(SweepChaos, FaultedTopologyDegradesItsCellsOnly) {
     EXPECT_EQ(s.cells_ok, 1);
     EXPECT_EQ(s.cells_degraded, 1);
   }
+}
+
+TEST(SweepChaos, FaultOnAHeldTopologyDegradesItsCellsOnly) {
+  const SweepRequest request = small_request();
+  const FeatureMap features = features_of(request.models);
+  SweepEngine::Options options;
+  options.probe = [&features](const std::string& model) {
+    return features.at(model);
+  };
+  options.feature_source = never_called;
+  const SweepEngine engine(trained_estimator(), std::move(options));
+  {
+    // The site fires once per topology, held or not.
+    fault::ScopedFault pass("dse.features", {fault::Action::kDelay, 0, -1});
+    const SweepResult result = engine.run(request);
+    EXPECT_EQ(fault::hits("dse.features"), request.models.size());
+    EXPECT_EQ(result.degraded_cells, 0u);
+  }
+  fault::ScopedFault fault("dse.features", {fault::Action::kThrow, 0, 1});
+  const SweepResult result = engine.run(request);
+  EXPECT_EQ(result.failed_cells, 0u);
+  EXPECT_EQ(result.degraded_cells, request.devices.size());
+  EXPECT_EQ(result.features_computed, 1u);
+  // Held topologies are answered in topology order, so the first one
+  // takes the fault and only its row degrades.
+  for (const SweepCell& cell : result.cells) {
+    EXPECT_EQ(cell.status, cell.model == request.models.front()
+                               ? CellStatus::kDegraded
+                               : CellStatus::kOk);
+    EXPECT_GT(cell.predicted_ipc, 0.0);
+  }
+  EXPECT_TRUE(result.feasible());
 }
 
 TEST(SweepChaos, NoDegradeTurnsFaultIntoFailedCells) {

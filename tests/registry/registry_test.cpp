@@ -97,6 +97,30 @@ TEST(Registry, VersionsAscendAndLatestAdvances) {
   EXPECT_EQ(reg.latest_version(), "v0002");
 }
 
+TEST(Registry, PublishPastV9999KeepsNumbering) {
+  const std::string root = fresh_root("past9999");
+  {
+    ModelRegistry reg(root);
+    reg.publish(trained_estimator(), manifest_with_mape(10.0));
+  }
+  // Fast-forward to the last four-digit version without 9,998 publishes.
+  fs::rename(fs::path(root) / "v0001", fs::path(root) / "v9999");
+  spit(fs::path(root) / "LATEST", "v9999\n");
+
+  ModelRegistry reg(root);
+  EXPECT_EQ(reg.latest_version(), "v9999");
+  EXPECT_EQ(reg.publish(trained_estimator(), manifest_with_mape(10.0)),
+            "v10000");
+  EXPECT_EQ(reg.latest_version(), "v10000");
+  EXPECT_EQ(reg.versions(),
+            (std::vector<std::string>{"v9999", "v10000"}));
+  EXPECT_EQ(reg.load().version, "v10000");
+  // And the numbering goes on from there.
+  EXPECT_EQ(reg.publish(trained_estimator(), manifest_with_mape(10.0)),
+            "v10001");
+  EXPECT_EQ(reg.versions().back(), "v10001");
+}
+
 TEST(Registry, GateRefusesMapeRegression) {
   ModelRegistry reg(fresh_root("gate"));
   reg.publish(trained_estimator(), manifest_with_mape(10.0));
