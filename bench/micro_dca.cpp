@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include "cnn/zoo.hpp"
+#include "common/deadline.hpp"
 #include "ptx/codegen.hpp"
 #include "ptx/counter.hpp"
 #include "ptx/depgraph.hpp"
@@ -56,6 +57,30 @@ void BM_SymExecGemm(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(instructions));
 }
 BENCHMARK(BM_SymExecGemm)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
+
+/// One grid-stride elementwise launch at a given grid: three full
+/// strides plus a partial tail, so the loop accelerates and the tail
+/// splits on a gid guard.  A run takes the same number of steps at
+/// every grid, so time per run tracks the cost of a step, which should
+/// not grow with the grid: a split pays for its mixed ctaid rows only.
+void BM_SymExecElementwise(benchmark::State& state) {
+  const PtxModule lib = parse_ptx(CodeGenerator::kernel_library().to_ptx());
+  const PtxKernel& relu = lib.kernel("gp_relu");
+  const SymbolicExecutor sym(relu);
+  const std::int64_t grid = state.range(0);
+  const KernelLaunch l =
+      bind_launch(relu, grid, 256,
+                  {{"p_dst", 1}, {"p_a", 2}, {"p_n", grid * 256 * 3 + 100}});
+  Deadline counted = Deadline().with_step_budget(std::uint64_t{1} << 62);
+  sym.run(l, counted);
+  for (auto _ : state) {
+    const ExecutionCounts counts = sym.run(l);
+    benchmark::DoNotOptimize(counts.total);
+  }
+  state.counters["steps"] =
+      benchmark::Counter(static_cast<double>(counted.steps_charged()));
+}
+BENCHMARK(BM_SymExecElementwise)->Arg(16)->Arg(256)->Arg(4096);
 
 constexpr const char* kModelNames[] = {"MobileNetV2", "resnet50v2", "vgg16"};
 

@@ -6,7 +6,8 @@
 // per-pair evaluation by ≥ 10×, and a restarted process (fresh
 // FeatureStore over the same directory) must replay the whole sweep
 // with zero DCA runs — asserted via the store's recovered records and
-// the process-wide DCA memo-miss delta.
+// the process-wide DCA memo-miss delta.  The check lines go to standard
+// error, so --benchmark_format=json on standard output stays JSON.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -205,7 +206,8 @@ bool verify_sweep_acceptance() {
     }
   }
   const double speedup = warm_s > 0.0 ? naive_s / warm_s : 1e9;
-  std::printf(
+  std::fprintf(
+      stderr,
       "full zoo x %zu devices (%zu cells): naive per-pair %.2fs, warm "
       "sweep %.4fs — %.0fx\n",
       fleet.size(), n_cells, naive_s, warm_s, speedup);
@@ -228,7 +230,8 @@ bool verify_sweep_acceptance() {
   const ptx::InstructionCounter::MemoStats after =
       ptx::InstructionCounter::memo_stats();
   const std::uint64_t memo_misses = after.misses - before.misses;
-  std::printf(
+  std::fprintf(
+      stderr,
       "restart replay: %zu journal records recovered, %zu cells, %zu "
       "degraded, %llu dca_memo_misses\n",
       restarted.recovered_records(), replay.cells.size(),

@@ -3,6 +3,9 @@
 // paper's DSE timing model).
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <utility>
+
 #include "common/rng.hpp"
 #include "ml/decision_tree.hpp"
 #include "ml/regressor.hpp"
@@ -16,8 +19,11 @@ Dataset synthetic(std::size_t rows, std::size_t features,
                   std::uint64_t seed) {
   Rng rng(seed);
   std::vector<std::string> names;
-  for (std::size_t j = 0; j < features; ++j)
-    names.push_back("f" + std::to_string(j));
+  for (std::size_t j = 0; j < features; ++j) {
+    std::string name = "f";
+    name += std::to_string(j);
+    names.push_back(std::move(name));
+  }
   Dataset d(names, "y");
   for (std::size_t i = 0; i < rows; ++i) {
     std::vector<double> x(features);

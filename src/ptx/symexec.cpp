@@ -1,8 +1,6 @@
 #include "ptx/symexec.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <unordered_map>
 
 #include "common/check.hpp"
 #include "ptx/depgraph.hpp"
@@ -34,14 +32,16 @@ i64 div_floor(i64 a, i64 b) {
 
 i64 div_ceil(i64 a, i64 b) { return -div_floor(-a, b); }
 
+using detail::AffinePred;
+using detail::Box;
+using detail::Range1;
+
 /// Affine value / predicate over (ctaid, tid).
-struct Value {
+struct Value : AffinePred {
   enum class Kind { kUnknown, kInt, kPred };
-  Kind kind = Kind::kUnknown;
   // kInt: c0 + c_ct*ctaid + c_t*tid.
   // kPred: cmp(c0 + c_ct*ctaid + c_t*tid, 0).
-  i64 c0 = 0, c_ct = 0, c_t = 0;
-  CompareOp op = CompareOp::kLt;
+  Kind kind = Kind::kUnknown;
 
   static Value unknown() { return Value{}; }
   static Value constant(i64 v) {
@@ -55,16 +55,8 @@ struct Value {
   }
 };
 
-/// Half-open launch sub-box.
-struct Box {
-  i64 ct_lo = 0, ct_hi = 0, t_lo = 0, t_hi = 0;
-  i64 weight() const { return (ct_hi - ct_lo) * (t_hi - t_lo); }
-  bool empty() const { return ct_lo >= ct_hi || t_lo >= t_hi; }
-};
-
 /// Min/max of an affine form over a box (corners of a monotone form).
-void affine_range(const Value& v, const Box& box, i64& lo, i64& hi) {
-  GP_DCHECK(v.kind != Value::Kind::kUnknown);
+void affine_range(const AffinePred& v, const Box& box, i64& lo, i64& hi) {
   i128 min_v = v.c0, max_v = v.c0;
   auto extend = [&](i64 coef, i64 a_lo, i64 a_hi_inclusive) {
     if (coef == 0) return;
@@ -113,196 +105,126 @@ Tri eval_pred_range(CompareOp op, i64 dmin, i64 dmax) {
   return Tri::kMixed;
 }
 
-Tri eval_pred(const Value& pred, const Box& box) {
+Tri eval_pred(const AffinePred& pred, const Box& box) {
   i64 lo, hi;
   affine_range(pred, box, lo, hi);
   return eval_pred_range(pred.op, lo, hi);
 }
 
-/// One-variable split: regions of x in [lo, hi) by cmp(c0 + c1*x, 0).
-struct Range1 {
-  i64 lo, hi;
-  bool truth;
-};
+/// Calls f(a, b, dmin, dmax) for each piece [a, b) of [lo, hi) over
+/// which both dmin + c*(x - lo) and dmax + c*(x - lo) keep their sign;
+/// dmin and dmax are given at x = lo and passed on at x = a.  A form
+/// d + c*k reaches zero at k = div_ceil(-d, c) and leaves it at
+/// div_floor(-d, c) + 1, so at most four cuts fall inside.
+template <typename F>
+void for_each_sign_piece(i64 dmin, i64 dmax, i64 c, i64 lo, i64 hi, F&& f) {
+  std::array<i64, 6> cut{};  // ascending offsets from lo
+  std::size_t n = 1;
+  if (c != 0)
+    for (const i64 d : {dmin, dmax})
+      for (const i64 k : {div_ceil(-d, c), div_floor(-d, c) + 1}) {
+        if (k <= 0 || k >= hi - lo) continue;
+        std::size_t i = n++;
+        for (; cut[i - 1] > k; --i) cut[i] = cut[i - 1];
+        cut[i] = k;
+      }
+  cut[n++] = hi - lo;
+  for (std::size_t i = 0; i + 1 < n; ++i)
+    if (cut[i] < cut[i + 1])
+      f(lo + cut[i], lo + cut[i + 1], dmin + c * cut[i], dmax + c * cut[i]);
+}
+
+}  // namespace
+
+namespace detail {
 
 std::vector<Range1> split_1d(i64 c0, i64 c1, i64 lo, i64 hi, CompareOp op) {
   std::vector<Range1> out;
-  auto push = [&](i64 a, i64 b, bool truth) {
-    a = std::max(a, lo);
-    b = std::min(b, hi);
-    if (a < b) out.push_back(Range1{a, b, truth});
-  };
-  if (c1 == 0) {
-    const Tri t = eval_pred_range(op, c0, c0);
-    push(lo, hi, t == Tri::kTrue);
-    return out;
-  }
-  // d(x) = c0 + c1*x, strictly monotone over the integers.
-  switch (op) {
-    case CompareOp::kLt:
-    case CompareOp::kLe:
-    case CompareOp::kGt:
-    case CompareOp::kGe: {
-      // Find the first x where the predicate is false (monotone flip).
-      // Normalize to "d(x) < bound" style via direction analysis:
-      // predicate truth is monotone in x, so binary-free threshold math
-      // suffices.
-      const bool true_at_low_d = op == CompareOp::kLt || op == CompareOp::kLe;
-      // Threshold on d: lt -> d < 0; le -> d <= 0; gt -> d > 0; ge -> d >= 0.
-      // first x with d(x) >= 0 is x0 = ceil(-c0 / c1) for c1 > 0.
-      if (c1 > 0) {
-        const i64 x_ge0 = div_ceil(-c0, c1);          // d >= 0 from here
-        const i64 x_gt0 = div_floor(-c0, c1) + 1;     // d > 0 from here
-        switch (op) {
-          case CompareOp::kLt:
-            push(lo, x_ge0, true);
-            push(x_ge0, hi, false);
-            break;
-          case CompareOp::kLe:
-            push(lo, x_gt0, true);
-            push(x_gt0, hi, false);
-            break;
-          case CompareOp::kGt:
-            push(lo, x_gt0, false);
-            push(x_gt0, hi, true);
-            break;
-          case CompareOp::kGe:
-            push(lo, x_ge0, false);
-            push(x_ge0, hi, true);
-            break;
-          default:
-            break;
-        }
-      } else {
-        // Decreasing d: mirror by substituting x -> -x.
-        std::vector<Range1> mirrored =
-            split_1d(c0, -c1, -(hi - 1), -lo + 1, op);
-        for (const Range1& r : mirrored)
-          push(-(r.hi - 1), -r.lo + 1, r.truth);
-        std::sort(out.begin(), out.end(),
-                  [](const Range1& a, const Range1& b) { return a.lo < b.lo; });
-      }
-      (void)true_at_low_d;
-      break;
-    }
-    case CompareOp::kEq: {
-      if ((-c0) % c1 == 0) {
-        const i64 x0 = (-c0) / c1;
-        push(lo, x0, false);
-        push(x0, x0 + 1, true);
-        push(x0 + 1, hi, false);
-      } else {
-        push(lo, hi, false);
-      }
-      break;
-    }
-    case CompareOp::kNe: {
-      if ((-c0) % c1 == 0) {
-        const i64 x0 = (-c0) / c1;
-        push(lo, x0, true);
-        push(x0, x0 + 1, false);
-        push(x0 + 1, hi, true);
-      } else {
-        push(lo, hi, true);
-      }
-      break;
-    }
-  }
+  const i64 d = c0 + c1 * lo;
+  for_each_sign_piece(d, d, c1, lo, hi, [&](i64 a, i64 b, i64 v, i64) {
+    const bool truth = eval_pred_range(op, v, v) == Tri::kTrue;
+    if (!out.empty() && out.back().truth == truth)
+      out.back().hi = b;
+    else
+      out.push_back(Range1{a, b, truth});
+  });
   return out;
 }
 
-/// Partition a box by a predicate into homogeneous sub-boxes.
-std::vector<std::pair<Box, bool>> split_box(const Value& pred,
+std::vector<std::pair<Box, bool>> split_box(const AffinePred& pred,
                                             const Box& box) {
   std::vector<std::pair<Box, bool>> out;
-  if (pred.c_t == 0) {
+  if (pred.c_t == 0 || pred.c_ct == 0) {
+    const bool on_ct = pred.c_t == 0;
     for (const Range1& r :
-         split_1d(pred.c0, pred.c_ct, box.ct_lo, box.ct_hi, pred.op)) {
+         on_ct ? split_1d(pred.c0, pred.c_ct, box.ct_lo, box.ct_hi, pred.op)
+               : split_1d(pred.c0, pred.c_t, box.t_lo, box.t_hi, pred.op)) {
       Box b = box;
-      b.ct_lo = r.lo;
-      b.ct_hi = r.hi;
-      out.push_back({b, r.truth});
-    }
-    return out;
-  }
-  if (pred.c_ct == 0) {
-    for (const Range1& r :
-         split_1d(pred.c0, pred.c_t, box.t_lo, box.t_hi, pred.op)) {
-      Box b = box;
-      b.t_lo = r.lo;
-      b.t_hi = r.hi;
+      (on_ct ? b.ct_lo : b.t_lo) = r.lo;
+      (on_ct ? b.ct_hi : b.t_hi) = r.hi;
       out.push_back({b, r.truth});
     }
     return out;
   }
 
-  // General case: classify each ctaid row; rows that are uniformly
-  // true/false group into 1-d runs, mixed rows split over tid.  Our
-  // kernels produce at most one mixed row per box (gid guards), so the
-  // enumeration cap is generous.
+  // Row ct ranges over [dmin, dmax] + c_ct*(ct - ct_lo), so its class
+  // (true, false or mixed) only changes at the sign cuts of the two
+  // bounds.  Uniform pieces of one class merge into a run; mixed rows
+  // (a gid guard's boundary) split over tid one by one and never merge
+  // into a neighbouring run: a ne row can be mixed over its range yet
+  // split into one full-width range.
+  AffinePred first_row = pred;
+  first_row.c0 += pred.c_ct * box.ct_lo;
+  first_row.c_ct = 0;
+  i64 dmin, dmax;
+  affine_range(first_row, Box{box.ct_lo, box.ct_lo + 1, box.t_lo, box.t_hi},
+               dmin, dmax);
   i64 mixed_rows = 0;
-  i64 run_lo = box.ct_lo;
-  Tri run_tri = Tri::kMixed;
-  bool run_open = false;
-  auto close_run = [&](i64 end) {
-    if (run_open && run_lo < end) {
-      Box b = box;
-      b.ct_lo = run_lo;
-      b.ct_hi = end;
-      out.push_back({b, run_tri == Tri::kTrue});
-    }
-    run_open = false;
-  };
-  for (i64 ct = box.ct_lo; ct < box.ct_hi; ++ct) {
-    Value row = pred;
-    row.c0 += pred.c_ct * ct;
-    row.c_ct = 0;
-    Box row_box = box;
-    row_box.ct_lo = ct;
-    row_box.ct_hi = ct + 1;
-    const Tri tri = eval_pred(row, row_box);
-    if (tri == Tri::kMixed) {
-      close_run(ct);
-      GP_CHECK_MSG(++mixed_rows <= 64,
-                   "unsupported divergence pattern (too many mixed rows)");
-      for (const Range1& r :
-           split_1d(row.c0, row.c_t, box.t_lo, box.t_hi, row.op)) {
-        Box b = row_box;
-        b.t_lo = r.lo;
-        b.t_hi = r.hi;
-        out.push_back({b, r.truth});
-      }
-    } else {
-      if (!run_open || tri != run_tri) {
-        close_run(ct);
-        run_open = true;
-        run_lo = ct;
-        run_tri = tri;
-      }
-    }
-  }
-  close_run(box.ct_hi);
+  bool in_run = false;
+  for_each_sign_piece(
+      dmin, dmax, pred.c_ct, box.ct_lo, box.ct_hi,
+      [&](i64 a, i64 b, i64 lo, i64 hi) {
+        const Tri tri = eval_pred_range(pred.op, lo, hi);
+        if (tri != Tri::kMixed) {
+          const bool truth = tri == Tri::kTrue;
+          if (in_run && out.back().second == truth)
+            out.back().first.ct_hi = b;
+          else
+            out.push_back({Box{a, b, box.t_lo, box.t_hi}, truth});
+          in_run = true;
+          return;
+        }
+        in_run = false;
+        for (i64 ct = a; ct < b; ++ct) {
+          GP_CHECK_MSG(++mixed_rows <= 64,
+                       "unsupported divergence pattern (too many mixed rows)");
+          for (const Range1& r : split_1d(pred.c0 + pred.c_ct * ct, pred.c_t,
+                                          box.t_lo, box.t_hi, pred.op))
+            out.push_back({Box{ct, ct + 1, r.lo, r.hi}, r.truth});
+        }
+      });
   return out;
 }
 
-// Dense environment indexed by interned register id; a default
-// (kUnknown) entry plays the role the old string-keyed map gave to an
-// absent key, so no per-step hashing remains on the hot path.
-using Env = std::vector<Value>;
+}  // namespace detail
 
-/// Back-edge snapshot for loop acceleration.
-struct Snapshot {
-  Env env;
-  std::vector<i64> counts;
-  i64 pred_c0 = 0;
+namespace {
+
+/// Back-edge history of one loop: its last three snapshots, oldest at
+/// `head`.  Each snapshot is the tracked registers plus the block
+/// counts and the predicate's c0 (`counts`' last column).
+struct Ring {
+  std::size_t size = 0, head = 0;
+  std::vector<Value> env;   // 3 slots × tracked registers
+  std::vector<i64> counts;  // 3 slots × (blocks + 1)
 };
 
 struct State {
   Box box;
   std::size_t block = 0;
-  Env env;
+  std::vector<Value> env;   // one Value per tracked register
   std::vector<i64> counts;  // per-block, per-thread
-  std::unordered_map<std::size_t, std::deque<Snapshot>> snaps;
+  std::vector<Ring> rings;  // per loop, allocated on the first back-edge
 };
 
 }  // namespace
@@ -318,6 +240,18 @@ struct SymbolicExecutor::Impl {
   // instructions — the only launch arguments that can influence counts
   // (memo key material).
   std::vector<std::size_t> slice_params;
+  // Block b's non-branch slice instructions are
+  // slice_insts[slice_begin[b], slice_begin[b + 1]).
+  std::vector<const Instruction*> slice_insts;
+  std::vector<std::size_t> slice_begin;
+  // Env slot of each register id, -1 for registers no slice
+  // instruction writes (they always read as unknown).
+  std::vector<int> slot_of;
+  std::size_t slot_count = 0;
+  // Loop index of each block that ends in a guarded backward branch,
+  // -1 for every other block.
+  std::vector<int> loop_of;
+  std::size_t loop_count = 0;
 
   explicit Impl(PtxKernel k, const Deadline& deadline)
       : kernel(std::move(k)) {
@@ -339,27 +273,40 @@ struct SymbolicExecutor::Impl {
           slice_params.end())
         slice_params.push_back(slot);
     }
+    slot_of.assign(kernel.register_count(), -1);
+    for (std::size_t id = 0; id < slot_of.size(); ++id)
+      if (slice.tracks_id(static_cast<int>(id)))
+        slot_of[id] = static_cast<int>(slot_count++);
     block_hist.resize(cfg.block_count());
     block_size.resize(cfg.block_count());
+    loop_of.assign(cfg.block_count(), -1);
     for (std::size_t b = 0; b < cfg.block_count(); ++b) {
       const BasicBlock& block = cfg.block(b);
       block_size[b] = static_cast<i64>(block.size());
       auto& hist = block_hist[b];
       hist.fill(0);
+      slice_begin.push_back(slice_insts.size());
       for (std::size_t i = block.first; i <= block.last; ++i) {
         const Instruction& inst = kernel.instructions[i];
         ++hist[static_cast<std::size_t>(
             classify(inst.opcode, inst.type, inst.space))];
+        if (slice.in_slice[i] && !inst.is_branch())
+          slice_insts.push_back(&inst);
       }
+      const Instruction& term = kernel.instructions[block.last];
+      if (term.is_branch() && !term.guard.empty() && block.succs.front() <= b)
+        loop_of[b] = static_cast<int>(loop_count++);
     }
+    slice_begin.push_back(slice_insts.size());
   }
 
-  Value eval_operand(const Operand& op, const Env& env,
+  Value eval_operand(const Operand& op, const std::vector<Value>& env,
                      const KernelLaunch& launch) const {
     if (const auto* r = std::get_if<RegOperand>(&op)) {
       GP_DCHECK(r->id >= 0 &&
-                static_cast<std::size_t>(r->id) < env.size());
-      return env[r->id];
+                static_cast<std::size_t>(r->id) < slot_of.size());
+      const int slot = slot_of[r->id];
+      return slot < 0 ? Value::unknown() : env[slot];
     }
     if (const auto* imm = std::get_if<ImmOperand>(&op)) {
       if (imm->is_float) return Value::unknown();
@@ -380,7 +327,7 @@ struct SymbolicExecutor::Impl {
   }
 
   /// Evaluate one slice instruction, updating env.
-  void eval_instruction(const Instruction& inst, Env& env,
+  void eval_instruction(const Instruction& inst, std::vector<Value>& env,
                         const KernelLaunch& launch) const {
     GP_CHECK_MSG(inst.guard.empty(),
                  "guarded non-branch instruction in slice");
@@ -392,7 +339,7 @@ struct SymbolicExecutor::Impl {
       GP_CHECK(inst.dsts.size() == 1);
       const auto* r = std::get_if<RegOperand>(&inst.dsts.front());
       GP_CHECK(r != nullptr && r->id >= 0);
-      env[r->id] = v;
+      env[slot_of[r->id]] = v;
     };
     auto affine_add = [](const Value& a, const Value& b, i64 sign) {
       if (a.kind != Value::Kind::kInt || b.kind != Value::Kind::kInt)
@@ -619,6 +566,58 @@ struct SymbolicExecutor::Impl {
     return 0;
   }
 
+  /// Record a taken back-edge of `loop` in the state's ring and, once
+  /// three snapshots show constant deltas, fast-forward to the last
+  /// iteration over which the predicate stays uniformly true.
+  void accelerate(State& st, const Value& pred, std::size_t loop) const {
+    const std::size_t width = st.counts.size() + 1;
+    if (st.rings.empty())
+      st.rings.assign(loop_count, Ring{0, 0, std::vector<Value>(3 * slot_count),
+                                       std::vector<i64>(3 * width)});
+    Ring& ring = st.rings[loop];
+    std::size_t at = ring.head;
+    if (ring.size < 3)
+      at = (ring.head + ring.size++) % 3;
+    else
+      ring.head = (ring.head + 1) % 3;
+    std::copy(st.env.begin(), st.env.end(), ring.env.data() + at * slot_count);
+    std::copy(st.counts.begin(), st.counts.end(),
+              ring.counts.data() + at * width);
+    ring.counts[at * width + width - 1] = pred.c0;
+    if (ring.size < 3) return;
+
+    const Value* e0 = ring.env.data() + ring.head * slot_count;
+    const Value* e1 = ring.env.data() + (ring.head + 1) % 3 * slot_count;
+    const Value* e2 = ring.env.data() + at * slot_count;
+    const i64* n0 = ring.counts.data() + ring.head * width;
+    const i64* n1 = ring.counts.data() + (ring.head + 1) % 3 * width;
+    const i64* n2 = ring.counts.data() + at * width;
+    // Integer registers must keep their coefficients and advance c0 by
+    // a constant delta; so must every block count and the predicate.
+    for (std::size_t s = 0; s < slot_count; ++s) {
+      if (e2[s].kind != Value::Kind::kInt) continue;
+      if (e1[s].kind != Value::Kind::kInt || e0[s].kind != Value::Kind::kInt ||
+          e1[s].c_ct != e2[s].c_ct || e1[s].c_t != e2[s].c_t ||
+          e0[s].c_ct != e2[s].c_ct || e0[s].c_t != e2[s].c_t ||
+          e2[s].c0 - e1[s].c0 != e1[s].c0 - e0[s].c0)
+        return;
+    }
+    for (std::size_t b = 0; b < width; ++b)
+      if (n2[b] - n1[b] != n1[b] - n0[b]) return;
+    const i64 pred_delta = n2[width - 1] - n1[width - 1];
+    if (pred_delta == 0) return;
+    const i64 k = first_non_true(pred, st.box, pred_delta);
+    GP_CHECK_MSG(k != 0, "non-terminating loop in " << kernel.name);
+    const i64 ff = k - 1;  // iterations to fast-forward
+    if (ff <= 0) return;
+    for (std::size_t s = 0; s < slot_count; ++s)
+      if (st.env[s].kind == Value::Kind::kInt)
+        st.env[s].c0 += ff * (e2[s].c0 - e1[s].c0);
+    for (std::size_t b = 0; b + 1 < width; ++b)
+      st.counts[b] += ff * (n2[b] - n1[b]);
+    ring.size = 0;
+  }
+
   ExecutionCounts run(const KernelLaunch& launch,
                       const Deadline& deadline) const {
     GP_CHECK(launch.grid_dim >= 1 && launch.block_dim >= 1);
@@ -630,7 +629,7 @@ struct SymbolicExecutor::Impl {
     State init;
     init.box = Box{0, launch.grid_dim, 0, launch.block_dim};
     init.block = cfg.entry();
-    init.env.assign(kernel.register_count(), Value::unknown());
+    init.env.assign(slot_count, Value::unknown());
     init.counts.assign(cfg.block_count(), 0);
     work.push_back(std::move(init));
 
@@ -649,140 +648,62 @@ struct SymbolicExecutor::Impl {
         const BasicBlock& block = cfg.block(st.block);
         st.counts[st.block] += 1;
 
-        // Evaluate the slice instructions of this block.
-        for (std::size_t i = block.first; i <= block.last; ++i) {
-          if (!slice.in_slice[i]) continue;
-          if (kernel.instructions[i].is_branch()) continue;
-          eval_instruction(kernel.instructions[i], st.env, launch);
-        }
+        for (std::size_t i = slice_begin[st.block];
+             i < slice_begin[st.block + 1]; ++i)
+          eval_instruction(*slice_insts[i], st.env, launch);
 
         const Instruction& term = kernel.instructions[block.last];
         if (term.is_exit()) {
-          const i64 w = st.box.weight();
+          const i64 w =
+              (st.box.ct_hi - st.box.ct_lo) * (st.box.t_hi - st.box.t_lo);
           for (std::size_t b = 0; b < st.counts.size(); ++b)
             global_block_exec[b] += st.counts[b] * w;
           break;
         }
 
-        if (!term.is_branch()) {
-          GP_CHECK(block.succs.size() == 1);
-          st.block = block.succs.front();
-          continue;
-        }
-
-        // Branch: unconditional or guarded.
-        const auto* label = std::get_if<LabelOperand>(&term.srcs.front());
-        GP_CHECK(label != nullptr);
-        const std::size_t target =
-            cfg.block_of(kernel.label_target(label->name));
-
-        if (term.guard.empty()) {
+        // Cfg::build lists a branch's target first; any other block has
+        // only its fallthrough.
+        const std::size_t target = block.succs.front();
+        if (!term.is_branch() || term.guard.empty()) {
           st.block = target;
           continue;
         }
 
-        GP_DCHECK(term.guard_id >= 0 &&
-                  static_cast<std::size_t>(term.guard_id) < st.env.size());
-        GP_CHECK_MSG(st.env[term.guard_id].kind == Value::Kind::kPred,
+        GP_DCHECK(term.guard_id >= 0);
+        const int slot = slot_of[term.guard_id];
+        GP_CHECK_MSG(slot >= 0 && st.env[slot].kind == Value::Kind::kPred,
                      "branch on unknown predicate '"
                          << term.guard << "' in " << kernel.name
                          << " (data-dependent branch?)");
-        Value pred = st.env[term.guard_id];
+        Value pred = st.env[slot];
         if (term.guard_negated) pred = negate_pred(pred);
 
         const Tri tri = eval_pred(pred, st.box);
         if (tri == Tri::kMixed) {
-          auto parts = split_box(pred, st.box);
+          auto parts = detail::split_box(pred, st.box);
           GP_CHECK_MSG(parts.size() >= 2, "mixed predicate failed to split");
-          for (auto& [sub_box, truth] : parts) {
-            State child = st;  // env/counts/snaps copied
-            child.box = sub_box;
-            child.block = truth ? target : (st.block + 1);
-            GP_CHECK(truth || st.block + 1 < cfg.block_count());
-            work.push_back(std::move(child));
+          GP_CHECK(st.block + 1 < cfg.block_count());
+          const std::size_t fallthrough = st.block + 1;
+          for (std::size_t p = 0; p < parts.size(); ++p) {
+            st.box = parts[p].first;
+            st.block = parts[p].second ? target : fallthrough;
+            if (p + 1 < parts.size())
+              work.push_back(st);  // env/counts/rings copied
+            else
+              work.push_back(std::move(st));
           }
           break;  // children carry on
         }
 
-        const bool taken = tri == Tri::kTrue;
-        if (!taken) {
+        if (tri == Tri::kFalse) {
           GP_CHECK_MSG(st.block + 1 < cfg.block_count(),
                        "fallthrough off kernel end");
           st.block = st.block + 1;
           continue;
         }
 
-        // Taken back-edge: try affine loop acceleration.
-        if (target <= st.block) {
-          auto& history = st.snaps[block.last];
-          Snapshot snap;
-          snap.env = st.env;
-          snap.counts = st.counts;
-          snap.pred_c0 = pred.c0;
-          history.push_back(std::move(snap));
-          if (history.size() > 3) history.pop_front();
-
-          if (history.size() == 3) {
-            const Snapshot& s0 = history[0];
-            const Snapshot& s1 = history[1];
-            const Snapshot& s2 = history[2];
-            bool consistent = true;
-
-            // Register deltas must match between consecutive snapshots
-            // (affine coefficients unchanged, c0 advancing linearly).
-            std::vector<std::pair<int, i64>> reg_delta;
-            reg_delta.reserve(s2.env.size());
-            for (std::size_t id = 0; id < s2.env.size(); ++id) {
-              const Value& v2 = s2.env[id];
-              if (v2.kind != Value::Kind::kInt) continue;
-              const Value& v1 = s1.env[id];
-              const Value& v0 = s0.env[id];
-              if (v1.kind != Value::Kind::kInt ||
-                  v0.kind != Value::Kind::kInt ||
-                  v1.c_ct != v2.c_ct || v1.c_t != v2.c_t ||
-                  v0.c_ct != v2.c_ct || v0.c_t != v2.c_t) {
-                consistent = false;
-                break;
-              }
-              const i64 d21 = v2.c0 - v1.c0;
-              const i64 d10 = v1.c0 - v0.c0;
-              if (d21 != d10) {
-                consistent = false;
-                break;
-              }
-              reg_delta.emplace_back(static_cast<int>(id), d21);
-            }
-
-            std::vector<i64> count_delta(st.counts.size(), 0);
-            if (consistent) {
-              for (std::size_t b = 0; b < st.counts.size(); ++b) {
-                const i64 d21 = s2.counts[b] - s1.counts[b];
-                const i64 d10 = s1.counts[b] - s0.counts[b];
-                if (d21 != d10) {
-                  consistent = false;
-                  break;
-                }
-                count_delta[b] = d21;
-              }
-            }
-
-            const i64 pred_delta = s2.pred_c0 - s1.pred_c0;
-            if (consistent &&
-                (s1.pred_c0 - s0.pred_c0) == pred_delta &&
-                pred_delta != 0) {
-              const i64 k = first_non_true(pred, st.box, pred_delta);
-              GP_CHECK_MSG(k != 0, "non-terminating loop in " << kernel.name);
-              const i64 ff = k - 1;  // iterations to fast-forward
-              if (ff > 0) {
-                for (const auto& [id, delta] : reg_delta)
-                  st.env[id].c0 += ff * delta;
-                for (std::size_t b = 0; b < st.counts.size(); ++b)
-                  st.counts[b] += ff * count_delta[b];
-                history.clear();
-              }
-            }
-          }
-        }
+        if (loop_of[st.block] >= 0)
+          accelerate(st, pred, static_cast<std::size_t>(loop_of[st.block]));
         st.block = target;
       }
     }

@@ -6,10 +6,14 @@
 //     v = c0 + c_ct * ctaid.x + c_t * tid.x
 // which covers everything CNN kernels branch on (thread-id guards and
 // parameter-bound loop counters).  Thread divergence is handled by
-// splitting the (ctaid, tid) launch box at predicate boundaries, and
-// long loops are summarized by affine acceleration: once three
+// splitting the (ctaid, tid) launch box at predicate boundaries, in
+// closed form: a ctaid row's class changes only where the sign of its
+// range's bounds does, so a split costs its mixed rows, not the grid.
+// Long loops are summarized by affine acceleration: once three
 // consecutive back-edge evaluations show constant register/count
-// deltas, the remaining trip count is solved in closed form.  The
+// deltas, the remaining trip count is solved in closed form.  A
+// symbolic state holds only the registers slice instructions write,
+// plus a three-snapshot ring per loop once it takes a back-edge.  The
 // result is exact — equal to brute-force interpretation of every
 // thread — at a cost near-independent of tensor sizes.
 #pragma once
@@ -17,6 +21,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/deadline.hpp"
@@ -79,5 +84,31 @@ class SymbolicExecutor {
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
+
+/// The box splitter behind run(), declared for its differential test
+/// and fuzz harness.  Inputs must lie where run() calls it: the
+/// predicate's range over the whole box passed run()'s overflow check.
+namespace detail {
+struct Box {  // half-open launch sub-box
+  std::int64_t ct_lo = 0, ct_hi = 0, t_lo = 0, t_hi = 0;
+};
+struct AffinePred {  // cmp(c0 + c_ct*ctaid + c_t*tid, 0)
+  std::int64_t c0 = 0, c_ct = 0, c_t = 0;
+  CompareOp op = CompareOp::kLt;
+};
+struct Range1 {
+  std::int64_t lo, hi;
+  bool truth;
+};
+/// Maximal runs of x in [lo, hi) over which cmp(c0 + c1*x, 0) is
+/// constant, in ascending order.
+std::vector<Range1> split_1d(std::int64_t c0, std::int64_t c1,
+                             std::int64_t lo, std::int64_t hi, CompareOp op);
+/// Homogeneous sub-boxes of a box whose predicate is mixed, in ctaid
+/// order: uniform ctaid runs whole, each mixed row split over tid.
+/// GP_CHECK-fails past 64 mixed rows.
+std::vector<std::pair<Box, bool>> split_box(const AffinePred& pred,
+                                            const Box& box);
+}  // namespace detail
 
 }  // namespace gpuperf::ptx

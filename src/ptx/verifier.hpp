@@ -1,7 +1,8 @@
 // Structural verification of PTX kernels — the checks a PTX assembler
-// would apply.  Run over generated modules in tests and over parsed
-// external input before analysis, so malformed code fails loudly at
-// the boundary instead of corrupting instruction counts.
+// would apply.  Only tests run it (over the generated kernel library
+// and hand-written kernels); no analysis path calls it, so malformed
+// input is caught by the parser, the CFG build and the symbolic
+// executor's own checks instead.
 #pragma once
 
 #include <string>

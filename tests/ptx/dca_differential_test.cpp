@@ -8,10 +8,14 @@
 // id-indexed and the (former) string-keyed semantics shows up here.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <iterator>
+#include <map>
 #include <string>
 #include <vector>
 
+#include "common/deadline.hpp"
 #include "ptx/codegen.hpp"
 #include "ptx/interpreter.hpp"
 #include "ptx/parser.hpp"
@@ -87,12 +91,53 @@ TEST_P(LibraryDifferential, EveryKernelMatchesInterpreter) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Geometries, LibraryDifferential,
-    ::testing::Values(Geometry{1, 256, 1},     // one active thread
-                      Geometry{1, 256, 255},   // partial block
-                      Geometry{2, 256, 257},   // one past a block
-                      Geometry{3, 256, 700})); // idle tail + stride loops
+constexpr Geometry kGeometries[] = {
+    {1, 256, 1},     // one active thread
+    {1, 256, 255},   // partial block
+    {2, 256, 257},   // one past a block
+    {3, 256, 700}};  // idle tail + stride loops
+
+INSTANTIATE_TEST_SUITE_P(Geometries, LibraryDifferential,
+                         ::testing::ValuesIn(kGeometries));
+
+TEST(SymExec, StepCountsAreUnchanged) {
+  // Symbolic block steps per library kernel over kGeometries, recorded
+  // from the row-scan splitter with the full-register-file state.  A
+  // cheaper step must not become a different number of steps: step
+  // budgets and AnalysisTimeout fire exactly where they did.
+  const std::map<std::string, std::array<std::uint64_t, 4>> expected = {
+      {"gp_copy", {4, 4, 6, 6}},       {"gp_relu", {4, 4, 6, 6}},
+      {"gp_relu6", {4, 4, 6, 6}},      {"gp_sigmoid", {4, 4, 6, 6}},
+      {"gp_swish", {4, 4, 6, 6}},      {"gp_tanh", {4, 4, 6, 6}},
+      {"gp_add", {4, 4, 6, 6}},        {"gp_mul", {4, 4, 6, 6}},
+      {"gp_bn", {4, 4, 6, 6}},         {"gp_mul_bcast", {4, 4, 6, 6}},
+      {"gp_im2col", {8, 8, 14, 14}},   {"gp_gemm", {23, 23, 25, 25}},
+      {"gp_dwconv", {9, 9, 16, 16}},   {"gp_pool_max", {9, 9, 16, 16}},
+      {"gp_pool_avg", {9, 9, 16, 16}}, {"gp_gap", {9, 9, 10, 10}},
+      {"gp_softmax", {133, 137, 143, 159}}};
+  const PtxModule& lib = CodeGenerator::parsed_kernel_library();
+  ASSERT_EQ(lib.kernels.size(), expected.size());
+  for (const PtxKernel& kernel : lib.kernels) {
+    ASSERT_TRUE(expected.count(kernel.name)) << kernel.name;
+    const SymbolicExecutor sym(kernel);
+    for (std::size_t g = 0; g < std::size(kGeometries); ++g) {
+      KernelLaunch launch;
+      launch.kernel = kernel.name;
+      launch.grid_dim = kGeometries[g].grid;
+      launch.block_dim = kGeometries[g].block;
+      launch.args = default_args(kernel, kGeometries[g].n);
+      const std::uint64_t steps = expected.at(kernel.name)[g];
+      Deadline counted = Deadline().with_step_budget(std::uint64_t{1} << 62);
+      sym.run(launch, counted);
+      EXPECT_EQ(counted.steps_charged(), steps) << kernel.name << " #" << g;
+      Deadline exact = Deadline().with_step_budget(steps);
+      EXPECT_NO_THROW(sym.run(launch, exact)) << kernel.name << " #" << g;
+      Deadline short_by_one = Deadline().with_step_budget(steps - 1);
+      EXPECT_THROW(sym.run(launch, short_by_one), AnalysisTimeout)
+          << kernel.name << " #" << g;
+    }
+  }
+}
 
 TEST(DcaDifferential, NegatedGuardBranch) {
   // "@!%p bra" — the negated guard path through both engines.
