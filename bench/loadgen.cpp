@@ -18,7 +18,10 @@
 // connections; connects are issued in bounded waves so a 10k ramp
 // doesn't overflow the listen backlog.  Latency is measured per
 // request (send timestamp FIFO per connection — responses are FIFO)
-// into the serve LatencyHistogram, warmup excluded.
+// into the serve LatencyHistogram, warmup excluded.  With --self the
+// report also carries the server's own counters, read through `stats`
+// after the run and before the drain: loop_stalls, requests_line and
+// requests_inline (the requests the event loop answered itself).
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
@@ -69,6 +72,13 @@ struct LoadgenOptions {
   /// grammar, e.g. "net.read=throw*100;net.write=throw*100").  Only
   /// the --self server shares the process, so faults only bite there.
   std::string fault_spec;
+};
+
+/// The --self server's counters after the run.
+struct ServerCounters {
+  std::uint64_t loop_stalls = 0;
+  std::uint64_t requests_line = 0;
+  std::uint64_t requests_inline = 0;
 };
 
 struct RunResult {
@@ -431,7 +441,8 @@ RunResult run(const LoadgenOptions& options, int port) {
   return result;
 }
 
-std::string report_json(const LoadgenOptions& options, const RunResult& r) {
+std::string report_json(const LoadgenOptions& options, const RunResult& r,
+                        const ServerCounters* server) {
   std::ostringstream out;
   out << "{\n  \"loadgen\": {"
       << "\"connections\": " << options.connections
@@ -445,7 +456,12 @@ std::string report_json(const LoadgenOptions& options, const RunResult& r) {
       << ", \"errors\": " << r.errors << ", \"resets\": " << r.resets
       << ", \"rps\": " << r.rps
       << ", \"p50_us\": " << r.p50_us << ", \"p99_us\": " << r.p99_us
-      << ", \"p999_us\": " << r.p999_us << "}\n  ]\n}\n";
+      << ", \"p999_us\": " << r.p999_us << "}\n  ]";
+  if (server != nullptr)
+    out << ",\n  \"server\": {\"loop_stalls\": " << server->loop_stalls
+        << ", \"requests_line\": " << server->requests_line
+        << ", \"requests_inline\": " << server->requests_inline << "}";
+  out << "\n}\n";
   return out.str();
 }
 
@@ -529,12 +545,22 @@ int main(int argc, char** argv) {
             << " rps=" << r.rps << " p50=" << r.p50_us
             << "us p99=" << r.p99_us << "us p999=" << r.p999_us << "us\n";
 
+  ServerCounters counters;
   if (server) {
+    session->stats_json();  // syncs the event-loop counters
+    const serve::MetricsRegistry& metrics = session->metrics();
+    counters.loop_stalls = metrics.counter_value("loop_stalls");
+    counters.requests_line = metrics.counter_value("requests_line");
+    counters.requests_inline = metrics.counter_value("requests_inline");
+    std::cerr << "  server: loop_stalls=" << counters.loop_stalls
+              << " requests_line=" << counters.requests_line
+              << " requests_inline=" << counters.requests_inline << "\n";
     server->drain(2000);
     server->stop();
   }
 
-  const std::string report = report_json(options, r);
+  const std::string report =
+      report_json(options, r, server ? &counters : nullptr);
   std::cout << report;
   if (!options.out.empty()) {
     std::ofstream file(options.out);

@@ -25,7 +25,9 @@ we compute our own statistics from the raw repetitions.
 loadgen-native (a top-level "runs" key, written by bench/loadgen
 --out): each run becomes one stage, loadgen_<verb> — per-request latency
 percentiles in ns and ops_per_sec = measured requests per second —
-so BENCH_serve.json has the same shape as every other BENCH file.
+so BENCH_serve.json has the same shape as every other BENCH file.  A
+--self report's "server" counters (loop_stalls, requests_line,
+requests_inline) ride along in the stage.
 """
 import json
 import sys
@@ -44,6 +46,8 @@ def loadgen_stages(report):
             "errors": run["errors"],
             "ops_per_sec": round(run["rps"], 2),
         })
+        if "server" in report:
+            stages[-1]["server"] = report["server"]
     return stages
 
 

@@ -261,6 +261,16 @@ void EventLoop::run_handler(Conn& conn) {
     conn.read_start_ms = 0;
   else if (conn.in.size() < before || conn.in_flight > dispatched_before)
     conn.read_start_ms = now_ms();
+  // The handler answered all it parsed, yet bytes remain or reading
+  // paused: no dispatch will complete to resume it, so complete one
+  // through send(), which runs after this iteration's ready
+  // connections.  Never recurse here — a pipelining peer would hold
+  // the loop.
+  if (conn.in_flight == 0 && !conn.close_when_flushed &&
+      conn.in.size() < before && (!conn.in.empty() || conn.read_paused)) {
+    ++conn.in_flight;
+    send(id, {}, /*completes_dispatch=*/true, /*close_after=*/false);
+  }
   if (!flush_output(conn)) return;
   Conn* alive = find(id);
   if (alive != nullptr) maybe_close(*alive);

@@ -1,9 +1,10 @@
 // Epoll-based event loop: the I/O half of the async serving core.  One
 // thread multiplexes every connection — nonblocking accept4, edge-
 // triggered reads into per-connection growable buffers, buffered
-// writes flushed as the socket drains — while compute happens
-// elsewhere: the handler dispatches parsed requests onto a worker
-// pool and posts responses back through the thread-safe send(), which
+// writes flushed as the socket drains.  A Handler may answer requests
+// it can answer from memory itself (enqueue_output); compute happens
+// elsewhere: the handler dispatches those requests onto a worker pool
+// and posts responses back through the thread-safe send(), which
 // wakes the loop via an eventfd.
 //
 // Protocol-agnostic by design: the loop moves bytes and tracks
@@ -13,7 +14,11 @@
 // Flow control: a connection whose input buffer reaches
 // max_input_buffer stops being read (edge-triggered readiness is
 // remembered, not lost) until its in-flight dispatch completes —
-// pipelining floods hold a bounded number of bytes per connection.
+// pipelining floods hold a bounded number of bytes per connection.  A
+// handler that answered everything it parsed but left input behind
+// (its per-call parse bound), or whose reading paused, gets another
+// call through the completion path send() uses, after this
+// iteration's ready connections.
 // Idle connections are reaped by a hashed timer wheel; reads, writes
 // and dispatch completions refresh the activity clock.
 #pragma once
@@ -58,10 +63,12 @@ class EventLoop {
    public:
     virtual ~Handler() = default;
     /// Bytes arrived (or a dispatch completed and parsing may resume).
-    /// Consume parsed requests from `in`; emit bytes via
-    /// enqueue_output() and long work via mark_dispatch() + a worker
-    /// that later calls send().  Return false to close the connection
-    /// once its output flushes.
+    /// Consume a bounded number of parsed requests from `in`; emit
+    /// in-memory answers via enqueue_output() and long work via
+    /// mark_dispatch() + a worker that later calls send().  Input left
+    /// behind with nothing dispatched is offered again after this
+    /// iteration's ready connections.
+    /// Return false to close the connection once its output flushes.
     virtual bool on_data(ConnId id, Buffer& in) = 0;
     /// The connection is gone (peer closed, error, reaped, or loop
     /// shutdown).  Always called exactly once per accepted connection.
@@ -81,7 +88,7 @@ class EventLoop {
     /// 0 disables the check.
     int read_progress_timeout_ms = 0;
     /// Per-connection input-buffer bound; reading pauses at the bound
-    /// until the in-flight dispatch completes.
+    /// until the handler has parsed what is buffered.
     std::size_t max_input_buffer = 1u << 20;
     /// Per-connection output-buffer bound: a peer that stops reading
     /// while responses accumulate past this many bytes is disconnected
@@ -127,7 +134,7 @@ class EventLoop {
   /// Outstanding dispatch units on `id`.
   int in_flight(ConnId id) const;
   /// Append bytes to the connection's output (flushed after on_data
-  /// returns) — the inline fast path for cheap responses.
+  /// returns) — the path for answers the handler makes itself.
   void enqueue_output(ConnId id, std::string_view bytes);
 
   const LoopStats& stats() const { return stats_; }

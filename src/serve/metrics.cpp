@@ -1,6 +1,7 @@
 #include "serve/metrics.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <sstream>
 
@@ -11,32 +12,47 @@ namespace gpuperf::serve {
 
 namespace {
 
-// Bucket i covers (kMinSeconds * r^(i-1), kMinSeconds * r^i]; the last
-// bucket is open-ended.
-constexpr double kMinSeconds = 1e-6;
-constexpr double kMaxSeconds = 100.0;
-const double kRatio =
-    std::pow(kMaxSeconds / kMinSeconds,
-             1.0 / (LatencyHistogram::kBuckets - 1));
+// Past this many nanoseconds (about 146 years) a sample saturates, so
+// the integer conversion and the running total stay defined.
+constexpr double kSaturateNanos = 4.6e18;
+
+constexpr int kSubBucketBits = 5;
+constexpr int kSubBuckets = 1 << kSubBucketBits;
+// Samples below 2^kMaxBits ns get a bucket of their own range.
+constexpr int kMaxBits = 37;
+static_assert(LatencyHistogram::kBuckets ==
+              (kMaxBits - kSubBucketBits + 1) * kSubBuckets);
+
+int bucket_for(std::uint64_t nanos) {
+  if (nanos >> kMaxBits != 0) return LatencyHistogram::kBuckets - 1;
+  // Keep the top kSubBucketBits + 1 bits: the leading one picks the
+  // power-of-two range, the bits after it the linear sub-bucket.
+  const int shift =
+      std::max(0, static_cast<int>(std::bit_width(nanos)) -
+                      (kSubBucketBits + 1));
+  return shift * kSubBuckets + static_cast<int>(nanos >> shift);
+}
+
+std::uint64_t bucket_lower_nanos(int bucket) {
+  if (bucket < kSubBuckets) return static_cast<std::uint64_t>(bucket);
+  const int shift = bucket / kSubBuckets - 1;
+  return static_cast<std::uint64_t>(bucket % kSubBuckets + kSubBuckets)
+         << shift;
+}
+
+std::uint64_t bucket_width_nanos(int bucket) {
+  return std::uint64_t{1} << std::max(0, bucket / kSubBuckets - 1);
+}
 
 }  // namespace
 
-double LatencyHistogram::bucket_upper_bound(int bucket) {
-  return kMinSeconds * std::pow(kRatio, bucket);
-}
-
-int LatencyHistogram::bucket_for(double seconds) {
-  if (seconds <= kMinSeconds) return 0;
-  const int b = static_cast<int>(
-      std::ceil(std::log(seconds / kMinSeconds) / std::log(kRatio)));
-  return std::min(b, kBuckets - 1);
-}
-
 void LatencyHistogram::record(double seconds) {
-  if (!(seconds >= 0.0)) seconds = 0.0;
-  buckets_[bucket_for(seconds)].fetch_add(1, std::memory_order_relaxed);
+  // NaN and negative samples count as 0.
+  const double ns =
+      seconds > 0.0 ? std::min(seconds * 1e9, kSaturateNanos) : 0.0;
+  const auto nanos = static_cast<std::uint64_t>(ns);
+  buckets_[bucket_for(nanos)].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
-  const auto nanos = static_cast<std::uint64_t>(seconds * 1e9);
   total_nanos_.fetch_add(nanos, std::memory_order_relaxed);
   std::uint64_t seen = max_nanos_.load(std::memory_order_relaxed);
   while (nanos > seen &&
@@ -56,16 +72,18 @@ double LatencyHistogram::percentile(double p) const {
   p = std::clamp(p, 0.0, 1.0);
   const auto target = static_cast<std::uint64_t>(
       std::max<double>(1.0, std::ceil(p * static_cast<double>(n))));
+  const double max_nanos = static_cast<double>(max_nanos_.load());
   std::uint64_t cumulative = 0;
-  for (int b = 0; b < kBuckets; ++b) {
+  for (int b = 0; b < kBuckets - 1; ++b) {
     cumulative += buckets_[b].load(std::memory_order_relaxed);
     if (cumulative >= target) {
-      const double hi = bucket_upper_bound(b);
-      const double lo = b == 0 ? 0.0 : bucket_upper_bound(b - 1);
-      return lo == 0.0 ? hi : std::sqrt(lo * hi);  // geometric midpoint
+      const double mid =
+          static_cast<double>(bucket_lower_nanos(b)) +
+          0.5 * static_cast<double>(bucket_width_nanos(b));
+      return std::min(mid, max_nanos) * 1e-9;
     }
   }
-  return bucket_upper_bound(kBuckets - 1);
+  return max_nanos * 1e-9;  // the open-ended last bucket
 }
 
 EndpointMetrics& MetricsRegistry::endpoint(const std::string& name) {

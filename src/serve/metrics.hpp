@@ -1,4 +1,4 @@
-// Service metrics: per-endpoint request/error counters and log-bucketed
+// Service metrics: per-endpoint request/error counters and log-linear
 // latency histograms (p50/p95), plus an in-flight gauge.  Everything is
 // lock-free on the hot path (atomic bumps); the registry map itself is
 // mutex-guarded but endpoints are created once and then only read.
@@ -19,12 +19,19 @@ namespace gpuperf::serve {
 
 class JsonWriter;
 
-/// Geometric-bucket latency histogram: 64 buckets spanning 1 µs to
-/// ~100 s (ratio ~1.34 per bucket), so percentile error is bounded at
-/// ~±15 % anywhere in the range — plenty for p50/p95 service stats.
+/// Log-linear latency histogram over integer nanoseconds (HDR-style):
+/// every power-of-two range [2^e, 2^(e+1)) is cut into 32 equal
+/// sub-buckets, so no bucket is wider than 1/32 (3.125 %) of the values
+/// it holds, and below 64 ns every nanosecond has its own bucket.  The
+/// buckets reach 2^37 ns (about 137 s); longer samples share the last.
+/// A percentile is within 1/64 of the sample quantile, so a 10 % shift
+/// always shows.  record() finds its bucket with a bit_width and a
+/// shift, no floating-point log.
 class LatencyHistogram {
  public:
-  static constexpr int kBuckets = 64;
+  /// 33 power-of-two ranges of 32 sub-buckets: the first 64 are one
+  /// nanosecond wide, the last also holds every sample past 2^37 ns.
+  static constexpr int kBuckets = 33 * 32;
 
   void record(double seconds);
 
@@ -37,13 +44,11 @@ class LatencyHistogram {
     return static_cast<double>(max_nanos_.load()) * 1e-9;
   }
   /// p in (0, 1]; returns 0 when nothing was recorded.  The answer is
-  /// the geometric midpoint of the bucket holding the p-quantile.
+  /// the midpoint of the bucket holding the p-quantile, capped at the
+  /// largest sample.
   double percentile(double p) const;
 
  private:
-  static double bucket_upper_bound(int bucket);
-  static int bucket_for(double seconds);
-
   std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
   std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> total_nanos_{0};

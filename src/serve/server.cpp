@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -14,8 +15,9 @@ namespace gpuperf::serve {
 
 namespace {
 
-/// Parse batch bound per dispatch: one worker task answers at most
-/// this many pipelined requests with a single write.
+/// Parse bound per on_data call: the loop answers or dispatches at most
+/// this many pipelined requests before other connections get a turn,
+/// and one worker task answers at most this many with a single write.
 constexpr std::size_t kMaxBatch = 64;
 
 /// A loop heartbeat older than this marks the server not-ready: the
@@ -38,9 +40,10 @@ void TcpServer::start() {
                                         options_.port, options_.backlog);
   port_ = net::bound_port(listen_fd);
 
-  // Cache the counter ref for lock-free bumps on the loop thread
+  // Cache the counter refs for lock-free bumps on the loop thread
   // (MetricsRegistry guarantees stable addresses).
   requests_line_ = &session_.metrics().counter("requests_line");
+  requests_inline_ = &session_.metrics().counter("requests_inline");
 
   workers_ = std::make_unique<ThreadPool>(options_.worker_threads);
   net::EventLoop::Options loop_options;
@@ -86,17 +89,34 @@ bool TcpServer::on_data(net::ConnId id, net::Buffer& in) {
   std::vector<WorkItem> batch;
   while (batch.size() < kMaxBatch && !state.closing)
     if (!parse_line(state, in, batch)) break;
-  if (batch.empty()) return !state.closing;
 
-  // Inline fast path: a lone ping is answered on the loop thread —
-  // no dispatch round trip for the protocol's cheapest request.
-  if (batch.size() == 1 && !batch[0].preformed && !state.closing &&
-      batch[0].request.verb == "ping") {
-    loop_->enqueue_output(id, session_.handle(batch[0].request).body + "\n");
-    return true;
+  // Answer in order on this thread until the first request that may
+  // wait; it and everything behind it go to a worker as one batch.  If
+  // the batch stopped at kMaxBatch, the loop calls back for the rest
+  // after this iteration's ready connections (EventLoop::run_handler).
+  std::string out;
+  std::size_t answered = 0;
+  std::uint64_t by_session = 0;
+  for (; answered < batch.size(); ++answered) {
+    WorkItem& item = batch[answered];
+    if (item.preformed) {
+      out += item.response.body;
+    } else if (std::optional<Response> response =
+                   session_.try_handle(item.request)) {
+      out += response->body;
+      ++by_session;
+    } else {
+      break;
+    }
+    out += '\n';
   }
-
-  dispatch(id, state, std::move(batch));
+  if (answered > 0) {
+    requests_inline_->fetch_add(by_session, std::memory_order_relaxed);
+    loop_->enqueue_output(id, out);
+    batch.erase(batch.begin(),
+                batch.begin() + static_cast<std::ptrdiff_t>(answered));
+  }
+  if (!batch.empty()) dispatch(id, state, std::move(batch));
   return !state.closing;
 }
 

@@ -1,6 +1,7 @@
 // TCP front-end of the estimation service, built on the src/net epoll
-// event loop: one I/O thread multiplexes every connection while request
-// handling runs on the server's own worker pool (its own, not the
+// event loop: one I/O thread multiplexes every connection and answers
+// the requests the session can answer from memory; everything that may
+// wait runs on the server's own worker pool (its own, not the
 // session's — the session pool fans out the analysis misses of a `dse`
 // sweep, and a sweep started from one of that pool's own workers would
 // run them serially).
@@ -8,10 +9,14 @@
 // The wire is the newline/JSON line protocol of serve/protocol.hpp:
 // one request line in, one single-line JSON response out.
 //
-// Per-connection flow: requests are parsed in batches on the loop
-// thread (bounded per dispatch), handled in order on one worker task,
-// and answered with a single write — FIFO per connection, so
-// pipelining is safe.
+// Per-connection flow: requests are parsed on the loop thread in
+// batches of at most kMaxBatch.  The loop answers a batch's items in
+// order through ServeSession::try_handle — a `ping`, or a `predict`
+// whose features are cached — until the first item it declines;
+// that item and the rest go to one worker task, which answers them in
+// order with a single write.  Parsing resumes once the batch is
+// answered, so responses are FIFO per connection and pipelining is
+// safe.  The loop never runs DCA: a cold model is always dispatched.
 //
 // POSIX sockets only (the project targets Linux); loopback by default.
 #pragma once
@@ -149,6 +154,7 @@ class TcpServer : private net::EventLoop::Handler {
   /// shed gauge; bumped on the loop thread, dropped by worker tasks).
   std::atomic<std::int64_t> pending_heavy_{0};
   std::atomic<std::uint64_t>* requests_line_ = nullptr;
+  std::atomic<std::uint64_t>* requests_inline_ = nullptr;
 
   std::mutex mutex_;
   std::condition_variable cv_;

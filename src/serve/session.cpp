@@ -379,9 +379,11 @@ ServeSession::Acquired ServeSession::features_or_fallback(
 
 ServeSession::Prediction ServeSession::predict_one(
     const std::string& model, const gpu::DeviceSpec& device,
-    const Deadline& deadline, bool allow_degrade) {
-  const Acquired acquired = features_or_fallback(model, deadline,
-                                                 allow_degrade);
+    const Deadline& deadline, bool allow_degrade, FeaturePtr held) {
+  const Acquired acquired =
+      held != nullptr
+          ? Acquired{std::move(held), false}
+          : features_or_fallback(model, deadline, allow_degrade);
   return {estimator_ptr()->predict(*acquired.features, device),
           acquired.degraded};
 }
@@ -406,11 +408,12 @@ double ServeSession::predict(const std::string& model,
   if (options_.dca_step_budget > 0)
     deadline.with_step_budget(options_.dca_step_budget);
   return predict_one(model, gpu::device(device), deadline,
-                     options_.degradation)
+                     options_.degradation, nullptr)
       .ipc;
 }
 
-Response ServeSession::do_predict(const Request& request) {
+Response ServeSession::do_predict(const Request& request,
+                                  FeaturePtr held) {
   if (request.cmd.positional.size() < 2)
     return error_response("usage: predict <model> <device>");
   const std::string& model = request.cmd.positional[0];
@@ -422,9 +425,9 @@ Response ServeSession::do_predict(const Request& request) {
 
   const bool allow_degrade =
       options_.degradation && !request.cmd.has_flag("no-degrade");
-  const Prediction outcome = predict_one(model, gpu::device(device),
-                                         deadline_for(request),
-                                         allow_degrade);
+  const Prediction outcome =
+      predict_one(model, gpu::device(device), deadline_for(request),
+                  allow_degrade, std::move(held));
 
   JsonWriter json;
   json.begin_object()
@@ -913,6 +916,21 @@ Response ServeSession::do_shutdown() const {
 }
 
 Response ServeSession::handle(const Request& request) {
+  return respond(request, nullptr);
+}
+
+std::optional<Response> ServeSession::try_handle(const Request& request) {
+  if (request.verb == "ping") return respond(request, nullptr);
+  if (request.verb != "predict" || request.cmd.positional.empty())
+    return std::nullopt;
+  // The probe is the acquisition: the body answers from these features
+  // and looks nothing up again.
+  FeaturePtr held = features_.try_get(request.cmd.positional.front());
+  if (held == nullptr) return std::nullopt;
+  return respond(request, std::move(held));
+}
+
+Response ServeSession::respond(const Request& request, FeaturePtr held) {
   static const char* kKnown[] = {"predict", "rank",       "dse",
                                  "analyze", "reload",     "model_info",
                                  "stats",   "ping",       "shutdown",
@@ -948,7 +966,8 @@ Response ServeSession::handle(const Request& request) {
 
   try {
     Response response;
-    if (request.verb == "predict") response = do_predict(request);
+    if (request.verb == "predict")
+      response = do_predict(request, std::move(held));
     else if (request.verb == "rank") response = do_rank(request);
     else if (request.verb == "dse") response = do_dse(request);
     else if (request.verb == "analyze") response = do_analyze(request);

@@ -8,10 +8,11 @@
 //
 // Every verb gets a model's features one way (acquire_features): the
 // module's circuit breaker, then single-flight DCA through the feature
-// cache and persistent store.  The one shortcut is a dse topology whose
-// features are already cached: sweep() reads it from the cache on the
-// calling thread, the answer acquire_features would give.  When
-// acquisition fails, predict and rank fall back to
+// cache and persistent store.  The shortcuts are models whose features
+// are already cached: sweep() reads a dse topology from the cache on the
+// calling thread, and try_handle() answers a predict from the features
+// its probe found — the answer acquire_features would give.
+// When acquisition fails, predict and rank fall back to
 // core::static_only_features and dse cells degrade to the same features,
 // so a degraded answer does not depend on the verb or on what the
 // session analyzed before.
@@ -32,6 +33,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -143,6 +145,17 @@ class ServeSession {
   /// {"ok":false,...} responses and count as endpoint errors.
   Response handle(const Request& request);
 
+  /// Answer `request` only if nothing in it may wait: a `ping`, or a
+  /// `predict` whose model's features the feature cache already holds
+  /// (a `rank`, ten tree walks, stays with the caller's workers).
+  /// Anything else returns nullopt having counted nothing, for
+  /// the caller to pass to handle().  An answer is handle()'s, byte for
+  /// byte: the same validation, admission and endpoint metrics, with
+  /// the probe's features as the acquisition (no breaker lookup, which
+  /// a cached model never needs; docs/ROBUSTNESS.md).  The event loop
+  /// calls this, so it never runs DCA, I/O or a reload.
+  std::optional<Response> try_handle(const Request& request);
+
   /// Parse + handle + serialize: the line in, the JSON line out.
   std::string handle_line(const std::string& line);
 
@@ -230,7 +243,10 @@ class ServeSession {
  private:
   using FeaturePtr = std::shared_ptr<const core::ModelFeatures>;
 
-  Response do_predict(const Request& request);
+  /// handle()'s body.  `held` is try_handle()'s probe result for a
+  /// predict (else null): the features to answer from.
+  Response respond(const Request& request, FeaturePtr held);
+  Response do_predict(const Request& request, FeaturePtr held);
   Response do_rank(const Request& request);
   Response do_dse(const Request& request);
   Response do_analyze(const Request& request);
@@ -270,10 +286,12 @@ class ServeSession {
     double ipc = 0.0;
     bool degraded = false;
   };
-  /// features_or_fallback and one tree walk on the live estimator.
+  /// `held` (already acquired) or features_or_fallback, and one tree
+  /// walk on the live estimator.
   Prediction predict_one(const std::string& model,
                          const gpu::DeviceSpec& device,
-                         const Deadline& deadline, bool allow_degrade);
+                         const Deadline& deadline, bool allow_degrade,
+                         FeaturePtr held);
   /// The per-request deadline: --deadline-ms on the request, else the
   /// configured default; plus the configured step budget.
   Deadline deadline_for(const Request& request) const;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -26,7 +30,7 @@ TEST(LatencyHistogram, PercentilesBracketTheSamples) {
   EXPECT_EQ(histogram.count(), 100u);
   const double p50 = histogram.percentile(0.50);
   const double p95 = histogram.percentile(0.95);
-  // Geometric buckets are ~±15 % wide; assert the right decade.
+  // Assert the right decade.
   EXPECT_GT(p50, 0.5e-3);
   EXPECT_LT(p50, 2e-3);
   EXPECT_GT(p95, 0.5);
@@ -57,6 +61,72 @@ TEST(LatencyHistogram, ConcurrentRecording) {
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(histogram.count(),
             static_cast<std::uint64_t>(kThreads * kPerThread));
+}
+
+TEST(LatencyHistogram, EverySampleReadsBackWithinItsBucket) {
+  // A median over one sample and one past the last bucket reads back
+  // the first sample's bucket: every nanosecond up to 4,096, the edges
+  // of each power-of-two range up to 2^36 ns, and 100 s.  Past 64 ns no
+  // bucket is wider than 1/32 of the values it holds, so its midpoint
+  // is within 1/64; below, within half a nanosecond (plus one for the
+  // seconds-to-nanoseconds rounding).
+  std::vector<std::uint64_t> samples;
+  for (std::uint64_t v = 0; v < 4096; ++v) samples.push_back(v);
+  for (int bit = 12; bit < 36; ++bit)
+    for (const std::uint64_t v : {std::uint64_t{1} << bit,
+                                  (std::uint64_t{1} << bit) + 1,
+                                  (std::uint64_t{3} << (bit - 1)) + 7,
+                                  (std::uint64_t{1} << (bit + 1)) - 1})
+      samples.push_back(v);
+  samples.push_back(100'000'000'000ull);
+  for (const std::uint64_t v : samples) {
+    LatencyHistogram histogram;
+    histogram.record(static_cast<double>(v) * 1e-9);
+    histogram.record(1000.0);
+    const double read_ns = histogram.percentile(0.5) * 1e9;
+    const double exact = static_cast<double>(v);
+    ASSERT_NEAR(read_ns, exact, exact / 64 + 1.0) << v << " ns";
+  }
+}
+
+TEST(LatencyHistogram, PercentilesTrackTheSampleQuantiles) {
+  std::mt19937_64 rng(7);
+  const auto check = [](std::vector<double> samples, const char* what) {
+    LatencyHistogram histogram;
+    for (const double s : samples) histogram.record(s);
+    std::sort(samples.begin(), samples.end());
+    for (const double p : {0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+      const auto rank = static_cast<std::size_t>(std::max(
+          1.0, std::ceil(p * static_cast<double>(samples.size()))));
+      const double exact = samples[rank - 1];
+      EXPECT_NEAR(histogram.percentile(p), exact, 0.032 * exact)
+          << what << " p" << p;
+    }
+  };
+  std::uniform_real_distribution<double> narrow(40e-6, 60e-6);
+  std::uniform_real_distribution<double> decades(std::log(1e-6),
+                                                 std::log(100.0));
+  std::exponential_distribution<double> tail(1.0 / 200e-6);
+  std::vector<double> uniform, log_uniform, bimodal;
+  for (int i = 0; i < 20000; ++i) {
+    uniform.push_back(narrow(rng));
+    log_uniform.push_back(std::exp(decades(rng)));
+    bimodal.push_back(i % 10 == 0 ? 0.5 + tail(rng) : 30e-6 + tail(rng));
+  }
+  check(uniform, "uniform 40-60 us");
+  check(log_uniform, "log-uniform 1 us - 100 s");
+  check(bimodal, "bimodal 30 us / 0.5 s");
+}
+
+TEST(LatencyHistogram, TenPercentApartSamplesGiveDistinctMedians) {
+  LatencyHistogram at_50us, at_55us;
+  for (int i = 0; i < 100; ++i) {
+    at_50us.record(50e-6);
+    at_55us.record(55e-6);
+  }
+  EXPECT_NEAR(at_50us.percentile(0.5), 50e-6, 0.016 * 50e-6);
+  EXPECT_NEAR(at_55us.percentile(0.5), 55e-6, 0.016 * 55e-6);
+  EXPECT_LT(at_50us.percentile(0.5), at_55us.percentile(0.5));
 }
 
 TEST(MetricsRegistry, EndpointIsStable) {
