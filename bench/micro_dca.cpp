@@ -1,7 +1,13 @@
 // Microbenchmarks of the dynamic code analysis pipeline: PTX parsing,
 // CFG/slice construction, and symbolic execution of single launches and
-// whole models.
+// whole models.  The symbolic-run and cold whole-model benchmarks also
+// report allocs_per_op, counted by the replaced operator new below.
 #include <benchmark/benchmark.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 
 #include "cnn/zoo.hpp"
 #include "common/deadline.hpp"
@@ -14,8 +20,33 @@
 
 namespace {
 
+std::atomic<std::uint64_t> g_allocations{0};
+
+}  // namespace
+
+// Out of line, like the deletes below: inlined, malloc() and free()
+// look mismatched with new and delete to -Wmismatched-new-delete.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
+namespace {
+
 using namespace gpuperf;
 using namespace gpuperf::ptx;
+
+/// Heap allocations per iteration of the timed loop, as a counter.
+benchmark::Counter allocs_per_op(std::uint64_t allocations,
+                                 const benchmark::State& state) {
+  return benchmark::Counter(static_cast<double>(allocations) /
+                            static_cast<double>(state.iterations()));
+}
 
 void BM_ParseKernelLibrary(benchmark::State& state) {
   const std::string text = CodeGenerator::kernel_library().to_ptx();
@@ -48,11 +79,14 @@ void BM_SymExecGemm(benchmark::State& state) {
                   {{"p_c", 1}, {"p_a", 2}, {"p_b", 3}, {"p_bias", 4},
                    {"p_total", total}, {"p_n", 64}, {"p_kt", 36}});
   std::int64_t instructions = 0;
+  const std::uint64_t allocations = g_allocations.load();
   for (auto _ : state) {
     const ExecutionCounts counts = sym.run(l);
     instructions = counts.total;
     benchmark::DoNotOptimize(counts.total);
   }
+  state.counters["allocs_per_op"] =
+      allocs_per_op(g_allocations.load() - allocations, state);
   state.counters["instr_counted"] =
       benchmark::Counter(static_cast<double>(instructions));
 }
@@ -73,10 +107,13 @@ void BM_SymExecElementwise(benchmark::State& state) {
                   {{"p_dst", 1}, {"p_a", 2}, {"p_n", grid * 256 * 3 + 100}});
   Deadline counted = Deadline().with_step_budget(std::uint64_t{1} << 62);
   sym.run(l, counted);
+  const std::uint64_t allocations = g_allocations.load();
   for (auto _ : state) {
     const ExecutionCounts counts = sym.run(l);
     benchmark::DoNotOptimize(counts.total);
   }
+  state.counters["allocs_per_op"] =
+      allocs_per_op(g_allocations.load() - allocations, state);
   state.counters["steps"] =
       benchmark::Counter(static_cast<double>(counted.steps_charged()));
 }
@@ -91,13 +128,17 @@ void BM_CountWholeModelCold(benchmark::State& state) {
   const CodeGenerator codegen;
   const CompiledModel compiled = codegen.compile(model);
   const InstructionCounter counter;
+  std::uint64_t allocations = 0;
   for (auto _ : state) {
     state.PauseTiming();
     InstructionCounter::reset_memo();
     state.ResumeTiming();
+    const std::uint64_t before = g_allocations.load();
     const ModelInstructionProfile profile = counter.count(compiled);
+    allocations += g_allocations.load() - before;
     benchmark::DoNotOptimize(profile.total_instructions);
   }
+  state.counters["allocs_per_op"] = allocs_per_op(allocations, state);
   state.SetLabel(kModelNames[state.range(0)]);
 }
 BENCHMARK(BM_CountWholeModelCold)->Arg(0)->Arg(1)->Arg(2);

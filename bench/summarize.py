@@ -17,10 +17,12 @@ benchmark name and emitted, per stage, as:
   {"name", "reps", "p50_ns", "p95_ns", "mean_ns", "ops_per_sec"}
 
 p50/p95 are computed over the per-repetition real_time samples
-(linear interpolation); ops_per_sec is 1e9 / p50_ns, i.e. how many
-times the stage runs per second at the median.  Summary rows that
-google-benchmark appends (_mean/_median/_stddev/_cv) are skipped —
-we compute our own statistics from the raw repetitions.
+(linear interpolation), each converted to nanoseconds from its
+time_unit; ops_per_sec is 1e9 / p50_ns, i.e. how many times the stage
+runs per second at the median.  A benchmark that reports an
+allocs_per_op counter gets its median as "allocs_per_op".  Summary
+rows that google-benchmark appends (_mean/_median/_stddev/_cv) are
+skipped — we compute our own statistics from the raw repetitions.
 
 loadgen-native (a top-level "runs" key, written by bench/loadgen
 --out): each run becomes one stage, loadgen_<verb> — per-request latency
@@ -62,12 +64,19 @@ def percentile(samples, q):
     return xs[lo] * (1.0 - frac) + xs[hi] * frac
 
 
+NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+
 def benchmark_stages(report):
     by_name = {}
+    allocs = {}
     for b in report.get("benchmarks", []):
         if b.get("run_type") == "aggregate":
             continue
-        by_name.setdefault(b["name"], []).append(float(b["real_time"]))
+        scale = NS_PER_UNIT[b.get("time_unit", "ns")]
+        by_name.setdefault(b["name"], []).append(float(b["real_time"]) * scale)
+        if "allocs_per_op" in b:
+            allocs.setdefault(b["name"], []).append(float(b["allocs_per_op"]))
 
     stages = []
     for name, samples in sorted(by_name.items()):
@@ -80,6 +89,9 @@ def benchmark_stages(report):
             "mean_ns": round(sum(samples) / len(samples), 1),
             "ops_per_sec": round(1e9 / p50, 2) if p50 > 0 else None,
         })
+        if name in allocs:
+            stages[-1]["allocs_per_op"] = round(
+                percentile(allocs[name], 0.50), 2)
     return stages
 
 

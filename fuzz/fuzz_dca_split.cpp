@@ -70,8 +70,11 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
 
   const oracle::Outcome want =
       oracle::outcome_of([&] { return oracle::split_box(pred, box); });
-  const oracle::Outcome got = oracle::outcome_of(
-      [&] { return gpuperf::ptx::detail::split_box(pred, box); });
+  const oracle::Outcome got = oracle::outcome_of([&] {
+    oracle::Parts parts;
+    gpuperf::ptx::detail::split_box(pred, box, parts);
+    return parts;
+  });
   if (!(got == want)) {
     std::fprintf(stderr,
                  "split_box differs from the row scan: op=%d c0=%lld "

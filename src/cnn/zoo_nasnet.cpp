@@ -5,8 +5,10 @@
 // stacked separable convolutions and pools.
 #include "cnn/zoo.hpp"
 
+#include <vector>
+
 #include "common/check.hpp"
-#include "cnn/static_analyzer.hpp"
+#include "cnn/layer.hpp"
 
 namespace gpuperf::cnn::zoo {
 
@@ -21,11 +23,20 @@ class NasnetBuilder {
  public:
   explicit NasnetBuilder(Model& m) : m_(m) {}
 
-  /// Shape of a node, recomputed on demand (models are built once;
-  /// clarity beats caching here).
+  /// Shape of a node.  Each node's shape is inferred once, when the
+  /// first call after its add() needs it: every cold feature
+  /// computation builds the model again, and inferring the whole
+  /// partial model twice per adjust() made a build quadratic.
   TensorShape shape(NodeId id) {
-    const auto shapes = analyzer_.infer_shapes(m_);
-    return shapes[static_cast<std::size_t>(id)];
+    for (std::size_t i = shapes_.size(); i < m_.node_count(); ++i) {
+      const ModelNode& node = m_.node(static_cast<NodeId>(i));
+      std::vector<TensorShape> inputs;
+      inputs.reserve(node.inputs.size());
+      for (const NodeId in : node.inputs)
+        inputs.push_back(shapes_[static_cast<std::size_t>(in)]);
+      shapes_.push_back(infer_output_shape(node.layer, inputs));
+    }
+    return shapes_[static_cast<std::size_t>(id)];
   }
 
   NodeId relu(NodeId x) {
@@ -124,7 +135,7 @@ class NasnetBuilder {
 
  private:
   Model& m_;
-  cnn::StaticAnalyzer analyzer_;
+  std::vector<TensorShape> shapes_;  // of nodes [0, shapes_.size())
 };
 
 Model build_nasnet(const std::string& name, std::int64_t input_size,

@@ -1,8 +1,6 @@
-// Sharded single-flight LRU cache.  Originally built for the serve
-// layer (static-analysis reports, DCA feature vectors); now shared
-// infrastructure — the PTX instruction counter memoizes per-launch
-// symbolic execution results through the same template, keyed on an
-// integer tuple instead of a string (the `Key`/`Hash` parameters).
+// Sharded single-flight LRU cache, built for the serve layer
+// (static-analysis reports, DCA feature vectors); the `Key`/`Hash`
+// parameters take keys other than strings.
 //
 // Design: N independent shards (hash of the key picks one), each a
 // mutex-guarded LRU list + map.  Entries hold shared_futures so that

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <optional>
 
 #include "common/check.hpp"
 #include "cnn/static_analyzer.hpp"
@@ -756,6 +758,34 @@ PtxKernel k_softmax() {
   return b.finish();
 }
 
+/// The library's kernels in kernel_library() order.  Launches carry
+/// their kernel's position (KernelLaunch::kernel_index), so the counter
+/// groups them on an integer instead of hashing names.
+enum class Lib : std::int32_t {
+  kCopy,
+  kRelu,
+  kRelu6,
+  kSigmoid,
+  kSwish,
+  kTanh,
+  kAdd,
+  kMul,
+  kBn,
+  kMulBcast,
+  kIm2col,
+  kGemm,
+  kDwconv,
+  kPoolMax,
+  kPoolAvg,
+  kGap,
+  kSoftmax,
+};
+constexpr const char* kLibNames[] = {
+    "gp_copy",   "gp_relu",   "gp_relu6",    "gp_sigmoid",  "gp_swish",
+    "gp_tanh",   "gp_add",    "gp_mul",      "gp_bn",       "gp_mul_bcast",
+    "gp_im2col", "gp_gemm",   "gp_dwconv",   "gp_pool_max", "gp_pool_avg",
+    "gp_gap",    "gp_softmax"};
+
 }  // namespace
 
 PtxModule CodeGenerator::kernel_library() {
@@ -779,6 +809,10 @@ PtxModule CodeGenerator::kernel_library() {
   mod.kernels.push_back(k_pool("gp_pool_avg", false));
   mod.kernels.push_back(k_gap());
   mod.kernels.push_back(k_softmax());
+  GP_CHECK(mod.kernels.size() == std::size(kLibNames));
+  for (std::size_t k = 0; k < mod.kernels.size(); ++k)
+    GP_CHECK_MSG(mod.kernels[k].name == kLibNames[k],
+                 "kernel " << k << " is " << mod.kernels[k].name);
   return mod;
 }
 
@@ -809,10 +843,11 @@ class Lowering {
 
   /// Emit one launch of `grid` blocks.  `args` are the kernel's
   /// parameter values in the order its emitter above declares them.
-  void emit(const char* kernel, std::int64_t grid,
+  void emit(Lib kernel, std::int64_t grid,
             std::initializer_list<std::int64_t> args, LaunchStats stats) {
     KernelLaunch& l = out_.launches.emplace_back();
-    l.kernel = kernel;
+    l.kernel_index = static_cast<std::int32_t>(kernel);
+    l.kernel = kLibNames[l.kernel_index];
     l.grid_dim = grid;
     l.block_dim = CodeGenerator::kBlockDim;
     l.args.assign(args);
@@ -821,7 +856,7 @@ class Lowering {
   }
 
   /// A launch covering `threads` threads (one per output element).
-  void launch(const char* kernel, std::int64_t threads,
+  void launch(Lib kernel, std::int64_t threads,
               std::initializer_list<std::int64_t> args, LaunchStats stats,
               bool grid_stride_capped = false) {
     std::int64_t blocks = ceil_div(std::max<std::int64_t>(threads, 1),
@@ -832,7 +867,7 @@ class Lowering {
 
   /// Elementwise-style launch over n elements (grid-stride kernels):
   /// p_dst, p_a, p_n.
-  void elementwise(const char* kernel, std::int64_t dst, std::int64_t a,
+  void elementwise(Lib kernel, std::int64_t dst, std::int64_t a,
                    std::int64_t n, LaunchStats stats) {
     launch(kernel, n, {dst, a, n}, stats, /*grid_stride_capped=*/true);
   }
@@ -860,14 +895,14 @@ CompiledModel CodeGenerator::compile(const cnn::Model& model,
   // Per-node output buffer addresses.
   std::vector<std::int64_t> buf(model.node_count(), 0);
 
-  auto act_kernel = [](cnn::ActivationKind act) -> const char* {
+  auto act_kernel = [](cnn::ActivationKind act) -> std::optional<Lib> {
     switch (act) {
-      case cnn::ActivationKind::kReLU: return "gp_relu";
-      case cnn::ActivationKind::kReLU6: return "gp_relu6";
-      case cnn::ActivationKind::kSigmoid: return "gp_sigmoid";
-      case cnn::ActivationKind::kSwish: return "gp_swish";
-      case cnn::ActivationKind::kTanh: return "gp_tanh";
-      default: return nullptr;  // linear / softmax handled separately
+      case cnn::ActivationKind::kReLU: return Lib::kRelu;
+      case cnn::ActivationKind::kReLU6: return Lib::kRelu6;
+      case cnn::ActivationKind::kSigmoid: return Lib::kSigmoid;
+      case cnn::ActivationKind::kSwish: return Lib::kSwish;
+      case cnn::ActivationKind::kTanh: return Lib::kTanh;
+      default: return std::nullopt;  // linear / softmax handled separately
     }
   };
 
@@ -875,12 +910,12 @@ CompiledModel CodeGenerator::compile(const cnn::Model& model,
                              std::int64_t n) {
     if (act == cnn::ActivationKind::kSoftmax) {
       // One block per batch row: p_dst, p_src, p_n.
-      lower.emit("gp_softmax", batch, {addr, addr, n / batch},
+      lower.emit(Lib::kSoftmax, batch, {addr, addr, n / batch},
                  LaunchStats{n * 8, n * 8, 4 * n});
       return;
     }
-    if (const char* kname = act_kernel(act))
-      lower.elementwise(kname, addr, addr, n,
+    if (const std::optional<Lib> kernel = act_kernel(act))
+      lower.elementwise(*kernel, addr, addr, n,
                         LaunchStats{n * 4, n * 4, 2 * n});
   };
 
@@ -895,7 +930,7 @@ CompiledModel CodeGenerator::compile(const cnn::Model& model,
     stats.bytes_written = m * n_cols * 4;
     stats.flops = 2 * m * n_cols * k;
     // p_c, p_a, p_b, p_bias, p_total, p_n, p_kt
-    lower.launch("gp_gemm", m * n_cols,
+    lower.launch(Lib::kGemm, m * n_cols,
                  {c_addr, a_addr, w_addr, bias_addr, m * n_cols, n_cols,
                   k_padded / kGemmTile},
                  stats);
@@ -939,7 +974,7 @@ CompiledModel CodeGenerator::compile(const cnn::Model& model,
           im_stats.bytes_read = in_elems / groups * 4;
           im_stats.bytes_written = patches * window * 4;
           // p_col, p_src, p_patches, p_window
-          lower.launch("gp_im2col", patches,
+          lower.launch(Lib::kIm2col, patches,
                        {col_addr, in0, patches, window}, im_stats);
           emit_gemm(patches, layer.filters / groups, window, col_addr,
                     buf[ni]);
@@ -958,7 +993,7 @@ CompiledModel CodeGenerator::compile(const cnn::Model& model,
         stats.bytes_written = out_elems * 4;
         stats.flops = 2 * out_elems * window;
         // p_dst, p_src, p_w, p_out, p_window
-        lower.launch("gp_dwconv", out_elems,
+        lower.launch(Lib::kDwconv, out_elems,
                      {buf[ni], in0, w_addr, out_elems, window}, stats);
         break;
       }
@@ -980,8 +1015,8 @@ CompiledModel CodeGenerator::compile(const cnn::Model& model,
         stats.bytes_written = out_elems * 4;
         stats.flops = out_elems * window;
         // p_dst, p_src, p_out, p_window
-        lower.launch(layer.kind == LayerKind::kMaxPool ? "gp_pool_max"
-                                                       : "gp_pool_avg",
+        lower.launch(layer.kind == LayerKind::kMaxPool ? Lib::kPoolMax
+                                                       : Lib::kPoolAvg,
                      out_elems, {buf[ni], in0, out_elems, window}, stats);
         break;
       }
@@ -995,7 +1030,7 @@ CompiledModel CodeGenerator::compile(const cnn::Model& model,
         stats.bytes_written = out_elems * 4;
         stats.flops = in_elems;
         // p_dst, p_src, p_c, p_hw
-        lower.launch("gp_gap", in_shape.c * batch,
+        lower.launch(Lib::kGap, in_shape.c * batch,
                      {buf[ni], in0, in_shape.c * batch,
                       in_shape.h * in_shape.w},
                      stats);
@@ -1007,15 +1042,15 @@ CompiledModel CodeGenerator::compile(const cnn::Model& model,
         // Standalone activation writes a fresh buffer: dst != src.
         if (layer.act == cnn::ActivationKind::kSoftmax) {
           // One block per batch row: p_dst, p_src, p_n.
-          lower.emit("gp_softmax", batch, {buf[ni], in0, out_elems / batch},
+          lower.emit(Lib::kSoftmax, batch, {buf[ni], in0, out_elems / batch},
                      LaunchStats{out_elems * 8, out_elems * 8,
                                  4 * out_elems});
-        } else if (const char* kname = act_kernel(layer.act)) {
-          lower.elementwise(kname, buf[ni], in0, out_elems,
+        } else if (const std::optional<Lib> kernel = act_kernel(layer.act)) {
+          lower.elementwise(*kernel, buf[ni], in0, out_elems,
                             LaunchStats{out_elems * 4, out_elems * 4,
                                         2 * out_elems});
         } else {
-          lower.elementwise("gp_copy", buf[ni], in0, out_elems,
+          lower.elementwise(Lib::kCopy, buf[ni], in0, out_elems,
                             LaunchStats{out_elems * 4, out_elems * 4, 0});
         }
         break;
@@ -1032,7 +1067,7 @@ CompiledModel CodeGenerator::compile(const cnn::Model& model,
         stats.bytes_written = out_elems * 4;
         stats.flops = 2 * out_elems;
         // p_dst, p_a, p_scale, p_shift, p_n, p_c
-        lower.launch("gp_bn", out_elems,
+        lower.launch(Lib::kBn, out_elems,
                      {buf[ni], in0, scale, shift, out_elems, c}, stats,
                      /*grid_stride_capped=*/true);
         break;
@@ -1065,7 +1100,7 @@ CompiledModel CodeGenerator::compile(const cnn::Model& model,
             stats.bytes_written = out_elems * 4;
             stats.flops = out_elems;
             // p_dst, p_a, p_se, p_n, p_c
-            lower.launch("gp_mul_bcast", out_elems,
+            lower.launch(Lib::kMulBcast, out_elems,
                          {buf[ni], map, vec, out_elems, c}, stats,
                          /*grid_stride_capped=*/true);
           } else {
@@ -1074,7 +1109,7 @@ CompiledModel CodeGenerator::compile(const cnn::Model& model,
             stats.bytes_written = out_elems * 4;
             stats.flops = out_elems;
             // p_dst, p_a, p_b, p_n
-            lower.launch(layer.kind == LayerKind::kAdd ? "gp_add" : "gp_mul",
+            lower.launch(layer.kind == LayerKind::kAdd ? Lib::kAdd : Lib::kMul,
                          out_elems, {buf[ni], acc, other, out_elems}, stats,
                          /*grid_stride_capped=*/true);
           }
@@ -1090,7 +1125,7 @@ CompiledModel CodeGenerator::compile(const cnn::Model& model,
         for (cnn::NodeId in : node.inputs) {
           const std::size_t in_i = static_cast<std::size_t>(in);
           const std::int64_t n = shapes[in_i].elements();
-          lower.elementwise("gp_copy", buf[ni] + offset, buf[in_i], n,
+          lower.elementwise(Lib::kCopy, buf[ni] + offset, buf[in_i], n,
                             LaunchStats{n * 4, n * 4, 0});
           offset += n * 4;
         }
@@ -1099,7 +1134,7 @@ CompiledModel CodeGenerator::compile(const cnn::Model& model,
 
       case LayerKind::kZeroPad: {
         buf[ni] = lower.alloc(out_elems * 4);
-        lower.elementwise("gp_copy", buf[ni], in0, in_elems,
+        lower.elementwise(Lib::kCopy, buf[ni], in0, in_elems,
                           LaunchStats{in_elems * 4, in_elems * 4, 0});
         break;
       }

@@ -1,10 +1,13 @@
 #include "ptx/counter.hpp"
 
+#include <array>
 #include <atomic>
+#include <bit>
+#include <condition_variable>
+#include <mutex>
 #include <unordered_map>
 
 #include "common/check.hpp"
-#include "common/sharded_cache.hpp"
 #include "common/thread_pool.hpp"
 #include "ptx/parser.hpp"
 
@@ -25,15 +28,23 @@ std::uint64_t module_fingerprint(const PtxModule& module) {
   return h;
 }
 
+/// Slice-read parameter values a key holds inline.  No library kernel
+/// reads more; a kernel that does keeps the rest in LaunchKey::more.
+constexpr std::size_t kInlineValues = 4;
+
 /// Memo key: every input that can change a launch's counts.  Compared
-/// field by field; the hash only picks a shard and a bucket.
+/// field by field; `hash`, computed once when the key is made, only
+/// picks a shard and a bucket.
 struct LaunchKey {
+  std::uint64_t hash = 0;
   std::uint64_t module = 0;  // module fingerprint
   std::size_t kernel = 0;    // index into the module's kernels
   std::int64_t grid = 0;
   std::int64_t block = 0;
-  /// Values of the executor's slice_params() slots, in that order.
-  std::vector<std::int64_t> values;
+  /// Values of the executor's slice_params() slots, in that order: the
+  /// first kInlineValues here (zero past the last), the rest in `more`.
+  std::array<std::int64_t, kInlineValues> values{};
+  std::vector<std::int64_t> more;
 
   bool operator==(const LaunchKey&) const = default;
 };
@@ -54,17 +65,180 @@ std::uint64_t hash_finish(std::uint64_t h) {
 }
 
 struct LaunchKeyHash {
-  std::size_t operator()(const LaunchKey& key) const {
-    std::uint64_t h = hash_step(key.module, key.kernel);
-    h = hash_step(h, static_cast<std::uint64_t>(key.grid));
-    h = hash_step(h, static_cast<std::uint64_t>(key.block));
-    for (const std::int64_t v : key.values)
-      h = hash_step(h, static_cast<std::uint64_t>(v));
-    return hash_finish(h);
-  }
+  std::size_t operator()(const LaunchKey& key) const { return key.hash; }
 };
 
-using LaunchMemo = ShardedLruCache<ExecutionCounts, LaunchKey, LaunchKeyHash>;
+/// The launch memo: plain counts in a sharded LRU, one node allocation
+/// per entry.  A miss inserts its entry in flight and runs outside the
+/// shard lock; a lookup that finds the entry in flight waits on the
+/// shard's condition variable (single flight).  A run that throws
+/// removes its entry, so failures are never cached, and wakes the
+/// waiters, which look the key up again.  Each call counts one hit (it
+/// returned stored counts) or one miss (it ran); a probe that finds
+/// nothing stored counts nothing.
+class LaunchMemo {
+ public:
+  /// `capacity` is the total entry budget, split evenly across
+  /// `n_shards`; entries in flight are never evicted.
+  LaunchMemo(std::size_t capacity, std::size_t n_shards)
+      : per_shard_((capacity + n_shards - 1) / n_shards), shards_(n_shards) {
+    for (Shard& shard : shards_) shard.map.reserve(per_shard_ + 1);
+  }
+
+  /// Non-blocking probe: true, with `out` set, when `key` holds
+  /// finished counts.
+  bool try_get(const LaunchKey& key, ExecutionCounts& out) {
+    Shard& shard = shard_for(key);
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    const auto it = shard.map.find(key);
+    if (it == shard.map.end() || !it->second.ready) return false;
+    shard.touch(it->second);
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    out = it->second.counts;
+    return true;
+  }
+
+  /// The counts of `key`, from the memo or from `compute()`.
+  template <typename Compute>
+  ExecutionCounts get_or_compute(const LaunchKey& key,
+                                 const Compute& compute) {
+    Shard& shard = shard_for(key);
+    std::uint64_t generation = 0;
+    {
+      std::unique_lock<std::mutex> lock(shard.mutex);
+      for (auto it = shard.map.find(key); it != shard.map.end();
+           it = shard.map.find(key)) {
+        if (it->second.ready) {
+          shard.touch(it->second);
+          hits_.fetch_add(1, std::memory_order_relaxed);
+          return it->second.counts;
+        }
+        shard.done.wait(lock);
+      }
+      misses_.fetch_add(1, std::memory_order_relaxed);
+      generation = ++generation_;
+      insert(shard, key, generation);
+    }
+    try {
+      const ExecutionCounts counts = compute();
+      finish(shard, key, generation, &counts);
+      return counts;
+    } catch (...) {
+      finish(shard, key, generation, nullptr);
+      throw;
+    }
+  }
+
+  void clear() {
+    for (Shard& shard : shards_) {
+      {
+        std::lock_guard<std::mutex> lock(shard.mutex);
+        shard.map.clear();
+        shard.newest = shard.oldest = nullptr;
+      }
+      shard.done.notify_all();
+    }
+  }
+
+  /// Every field but parallel_tasks.
+  InstructionCounter::MemoStats stats() const {
+    InstructionCounter::MemoStats out;
+    out.hits = hits_.load();
+    out.misses = misses_.load();
+    out.evictions = evictions_.load();
+    for (const Shard& shard : shards_) {
+      std::lock_guard<std::mutex> lock(shard.mutex);
+      out.size += shard.map.size();
+    }
+    return out;
+  }
+
+ private:
+  struct Entry {
+    ExecutionCounts counts;
+    std::uint64_t generation = 0;
+    bool ready = false;
+    const LaunchKey* key = nullptr;  // the map's copy
+    Entry* newer = nullptr;          // LRU links
+    Entry* older = nullptr;
+  };
+
+  struct Shard {
+    mutable std::mutex mutex;
+    std::condition_variable done;  // an entry finished or was removed
+    std::unordered_map<LaunchKey, Entry, LaunchKeyHash> map;
+    Entry* newest = nullptr;
+    Entry* oldest = nullptr;
+
+    void unlink(Entry& e) {
+      (e.newer ? e.newer->older : newest) = e.older;
+      (e.older ? e.older->newer : oldest) = e.newer;
+      e.newer = e.older = nullptr;
+    }
+    void link_newest(Entry& e) {
+      e.older = newest;
+      (newest ? newest->newer : oldest) = &e;
+      newest = &e;
+    }
+    void touch(Entry& e) {
+      if (newest == &e) return;
+      unlink(e);
+      link_newest(e);
+    }
+  };
+
+  Shard& shard_for(const LaunchKey& key) {
+    return shards_[(key.hash >> 32) % shards_.size()];
+  }
+
+  /// Insert `key` in flight under the shard lock, then evict the least
+  /// recently used finished entries past the shard's budget.
+  void insert(Shard& shard, const LaunchKey& key, std::uint64_t generation) {
+    const auto it = shard.map.try_emplace(key).first;
+    Entry& entry = it->second;
+    entry.generation = generation;
+    entry.key = &it->first;
+    shard.link_newest(entry);
+    for (Entry* victim = shard.oldest;
+         victim != nullptr && shard.map.size() > per_shard_;) {
+      Entry* next = victim->newer;
+      if (victim->ready) {
+        shard.unlink(*victim);
+        shard.map.erase(shard.map.find(*victim->key));
+        evictions_.fetch_add(1, std::memory_order_relaxed);
+      }
+      victim = next;
+    }
+  }
+
+  /// Store a finished run's counts, or remove the entry of one that
+  /// threw — unless the entry is gone or a newer one took its key (a
+  /// clear() ran meanwhile) — and wake the shard's waiters.
+  void finish(Shard& shard, const LaunchKey& key, std::uint64_t generation,
+              const ExecutionCounts* counts) {
+    {
+      std::lock_guard<std::mutex> lock(shard.mutex);
+      const auto it = shard.map.find(key);
+      if (it != shard.map.end() && it->second.generation == generation) {
+        if (counts != nullptr) {
+          it->second.counts = *counts;
+          it->second.ready = true;
+        } else {
+          shard.unlink(it->second);
+          shard.map.erase(it);
+        }
+      }
+    }
+    shard.done.notify_all();
+  }
+
+  const std::size_t per_shard_;
+  std::vector<Shard> shards_;
+  std::atomic<std::uint64_t> hits_{0};
+  std::atomic<std::uint64_t> misses_{0};
+  std::atomic<std::uint64_t> evictions_{0};
+  std::atomic<std::uint64_t> generation_{0};
+};
 
 /// Process-wide launch-result memo.  Leaked intentionally: executors
 /// and serve sessions may consult it during static destruction.
@@ -84,9 +258,13 @@ constexpr std::size_t kParallelThreshold = 8;
 /// module fingerprint is common), groups numbered in first-occurrence
 /// order.
 struct LaunchGroups {
-  std::vector<std::size_t> kernel_of;  // per launch
-  std::vector<std::size_t> group_of;   // per launch
-  std::vector<std::size_t> first;      // per group: its first launch
+  struct Group {
+    std::size_t first = 0;   // its first launch
+    std::size_t kernel = 0;  // index into the module's kernels
+    std::uint64_t hash = 0;  // launch_hash() of its launches
+  };
+  std::vector<std::uint32_t> group_of;  // per launch
+  std::vector<Group> groups;
 };
 
 }  // namespace
@@ -94,6 +272,8 @@ struct LaunchGroups {
 struct InstructionCounter::Library {
   PtxModule module;
   std::vector<SymbolicExecutor> executors;  // parallel to module.kernels
+  /// Kernel index by name, for launches without a usable
+  /// KernelLaunch::kernel_index.
   std::unordered_map<std::string, std::size_t> kernel_index;
   std::uint64_t fingerprint = 0;
 
@@ -107,13 +287,30 @@ struct InstructionCounter::Library {
   }
 
   /// Index of the kernel `launch` runs, once the launch is known to
-  /// bind every one of its parameters.
+  /// bind every one of its parameters.  A launch codegen stamped with
+  /// its library index resolves by one name comparison, not a hash.
   std::size_t resolve(const KernelLaunch& launch) const {
-    const auto it = kernel_index.find(launch.kernel);
-    GP_CHECK_MSG(it != kernel_index.end(),
-                 "no executor for kernel '" << launch.kernel << "'");
-    check_arity(module.kernels[it->second], launch);
-    return it->second;
+    auto k = static_cast<std::size_t>(launch.kernel_index);
+    if (launch.kernel_index < 0 || k >= module.kernels.size() ||
+        module.kernels[k].name != launch.kernel) {
+      const auto it = kernel_index.find(launch.kernel);
+      GP_CHECK_MSG(it != kernel_index.end(),
+                   "no executor for kernel '" << launch.kernel << "'");
+      k = it->second;
+    }
+    check_arity(module.kernels[k], launch);
+    return k;
+  }
+
+  /// Hash of everything a memo key holds but the module fingerprint.
+  std::uint64_t launch_hash(std::size_t kernel,
+                            const KernelLaunch& launch) const {
+    std::uint64_t h =
+        hash_step(kernel, static_cast<std::uint64_t>(launch.grid_dim));
+    h = hash_step(h, static_cast<std::uint64_t>(launch.block_dim));
+    for (const std::size_t slot : executors[kernel].slice_params())
+      h = hash_step(h, static_cast<std::uint64_t>(launch.args[slot]));
+    return h;
   }
 
   /// Key on everything that can influence the result: the module, the
@@ -121,57 +318,61 @@ struct InstructionCounter::Library {
   /// slice actually reads.  Pointer-typed arguments (synthetic buffer
   /// addresses) are off the slice and deliberately excluded — launches
   /// that differ only in buffers share one entry.
-  LaunchKey key(std::size_t kernel, const KernelLaunch& launch) const {
-    LaunchKey out{fingerprint, kernel, launch.grid_dim, launch.block_dim, {}};
+  LaunchKey key(std::size_t kernel, const KernelLaunch& launch,
+                std::uint64_t launch_hash) const {
+    LaunchKey out;
+    out.hash = hash_finish(hash_step(launch_hash, fingerprint));
+    out.module = fingerprint;
+    out.kernel = kernel;
+    out.grid = launch.grid_dim;
+    out.block = launch.block_dim;
     const std::vector<std::size_t>& slots = executors[kernel].slice_params();
-    out.values.reserve(slots.size());
-    for (const std::size_t slot : slots)
-      out.values.push_back(launch.args[slot]);
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      const std::int64_t v = launch.args[slots[i]];
+      if (i < kInlineValues)
+        out.values[i] = v;
+      else
+        out.more.push_back(v);
+    }
     return out;
   }
 
-  std::shared_ptr<const ExecutionCounts> run(
-      std::size_t kernel, const KernelLaunch& launch,
-      const Deadline& deadline) const {
-    return std::make_shared<const ExecutionCounts>(
-        executors[kernel].run(launch, deadline));
-  }
-
-  /// Group ids by launch, assigned in first-occurrence order.  The
-  /// index holds launch numbers and compares the launches behind them
-  /// field by field, so it allocates once per group, never per launch.
+  /// Group ids by launch, assigned in first-occurrence order, through
+  /// one open-addressing table of group ids: a launch hashes its
+  /// integer key once and compares field by field only against a group
+  /// of equal hash.
   LaunchGroups group(const std::vector<KernelLaunch>& launches) const {
+    constexpr std::uint32_t kEmpty = UINT32_MAX;
     const std::size_t n = launches.size();
     LaunchGroups out;
-    out.kernel_of.resize(n);
     out.group_of.resize(n);
-    const auto hash = [&](std::size_t i) {
-      const KernelLaunch& launch = launches[i];
-      std::uint64_t h = hash_step(out.kernel_of[i],
-                                  static_cast<std::uint64_t>(launch.grid_dim));
-      h = hash_step(h, static_cast<std::uint64_t>(launch.block_dim));
-      for (const std::size_t slot : executors[out.kernel_of[i]].slice_params())
-        h = hash_step(h, static_cast<std::uint64_t>(launch.args[slot]));
-      return static_cast<std::size_t>(hash_finish(h));
-    };
-    const auto same_key = [&](std::size_t i, std::size_t j) {
-      const KernelLaunch& a = launches[i];
-      const KernelLaunch& b = launches[j];
-      if (out.kernel_of[i] != out.kernel_of[j] || a.grid_dim != b.grid_dim ||
-          a.block_dim != b.block_dim)
-        return false;
-      for (const std::size_t slot : executors[out.kernel_of[i]].slice_params())
-        if (a.args[slot] != b.args[slot]) return false;
-      return true;
-    };
-    std::unordered_map<std::size_t, std::size_t, decltype(hash),
-                       decltype(same_key)>
-        index(2 * n, hash, same_key);
+    out.groups.reserve(n);
+    const std::size_t mask = std::bit_ceil(2 * n + 1) - 1;
+    std::vector<std::uint32_t> table(mask + 1, kEmpty);
     for (std::size_t i = 0; i < n; ++i) {
-      out.kernel_of[i] = resolve(launches[i]);
-      const auto [it, inserted] = index.try_emplace(i, out.first.size());
-      if (inserted) out.first.push_back(i);
-      out.group_of[i] = it->second;
+      const KernelLaunch& launch = launches[i];
+      const std::size_t kernel = resolve(launch);
+      const std::uint64_t h = launch_hash(kernel, launch);
+      const std::vector<std::size_t>& slots =
+          executors[kernel].slice_params();
+      const auto same_key = [&](const LaunchGroups::Group& g) {
+        const KernelLaunch& other = launches[g.first];
+        if (g.hash != h || g.kernel != kernel ||
+            other.grid_dim != launch.grid_dim ||
+            other.block_dim != launch.block_dim)
+          return false;
+        for (const std::size_t slot : slots)
+          if (other.args[slot] != launch.args[slot]) return false;
+        return true;
+      };
+      std::size_t pos = hash_finish(h) & mask;
+      while (table[pos] != kEmpty && !same_key(out.groups[table[pos]]))
+        pos = (pos + 1) & mask;
+      if (table[pos] == kEmpty) {
+        table[pos] = static_cast<std::uint32_t>(out.groups.size());
+        out.groups.push_back({i, kernel, h});
+      }
+      out.group_of[i] = table[pos];
     }
     return out;
   }
@@ -192,38 +393,41 @@ InstructionCounter::InstructionCounter(const PtxModule& module)
 
 ExecutionCounts InstructionCounter::count_launch(
     const KernelLaunch& launch, const Deadline& deadline) const {
-  const std::size_t kernel = lib_->resolve(launch);
-  return *memo().get_or_compute(lib_->key(kernel, launch), [&] {
-    return lib_->run(kernel, launch, deadline);
-  });
+  const Library& lib = *lib_;
+  const std::size_t kernel = lib.resolve(launch);
+  return memo().get_or_compute(
+      lib.key(kernel, launch, lib.launch_hash(kernel, launch)),
+      [&] { return lib.executors[kernel].run(launch, deadline); });
 }
 
 ModelInstructionProfile InstructionCounter::count(
     const CompiledModel& model, const Deadline& deadline) const {
   const Library& lib = *lib_;
   const std::vector<KernelLaunch>& launches = model.launches;
-  const LaunchGroups groups = lib.group(launches);
+  const LaunchGroups grouped = lib.group(launches);
+  const std::vector<LaunchGroups::Group>& groups = grouped.groups;
 
   // One non-blocking probe per distinct key; only the misses (absent or
   // still being computed elsewhere) go through single-flight
   // get_or_compute.
-  std::vector<std::shared_ptr<const ExecutionCounts>> results(
-      groups.first.size());
+  std::vector<ExecutionCounts> results(groups.size());
+  std::vector<LaunchKey> keys;  // of the misses
   std::vector<std::size_t> misses;
-  std::vector<LaunchKey> miss_keys;
-  for (std::size_t g = 0; g < groups.first.size(); ++g) {
-    const std::size_t i = groups.first[g];
-    LaunchKey key = lib.key(groups.kernel_of[i], launches[i]);
-    results[g] = memo().try_get(key);
-    if (results[g]) continue;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    const LaunchGroups::Group& group = groups[g];
+    LaunchKey key = lib.key(group.kernel, launches[group.first], group.hash);
+    if (memo().try_get(key, results[g])) continue;
+    if (keys.empty()) {
+      keys.reserve(groups.size() - g);
+      misses.reserve(groups.size() - g);
+    }
+    keys.push_back(std::move(key));
     misses.push_back(g);
-    miss_keys.push_back(std::move(key));
   }
   const auto resolve_miss = [&](std::size_t m, const Deadline& budget) {
-    const std::size_t g = misses[m];
-    const std::size_t i = groups.first[g];
-    results[g] = memo().get_or_compute(miss_keys[m], [&] {
-      return lib.run(groups.kernel_of[i], launches[i], budget);
+    const LaunchGroups::Group& group = groups[misses[m]];
+    results[misses[m]] = memo().get_or_compute(keys[m], [&] {
+      return lib.executors[group.kernel].run(launches[group.first], budget);
     });
   };
 
@@ -259,7 +463,7 @@ ModelInstructionProfile InstructionCounter::count(
   profile.per_launch.reserve(n);
   profile.per_launch_class.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const ExecutionCounts& counts = *results[groups.group_of[i]];
+    const ExecutionCounts& counts = results[grouped.group_of[i]];
     profile.total_instructions += counts.total;
     for (std::size_t c = 0; c < kOpClassCount; ++c)
       profile.by_class[c] += counts.by_class[c];
@@ -271,12 +475,7 @@ ModelInstructionProfile InstructionCounter::count(
 }
 
 InstructionCounter::MemoStats InstructionCounter::memo_stats() {
-  const CacheStats cache = memo().stats();
-  MemoStats out;
-  out.hits = cache.hits;
-  out.misses = cache.misses;
-  out.evictions = cache.evictions;
-  out.size = cache.size;
+  MemoStats out = memo().stats();
   out.parallel_tasks = g_parallel_tasks.load();
   return out;
 }

@@ -5,16 +5,21 @@
 //
 // Fast path (the t_dca term of the paper's T_est = t_dca + n*t_pm):
 //   - the default constructor shares one process-wide parsed kernel
-//     library and its per-kernel executors (parse + slice once, ever);
-//   - launch results are memoized in a process-wide sharded
-//     single-flight cache keyed on an integer tuple (module
+//     library and its per-kernel executors (parse, slice and lowering
+//     to a flat program once, ever);
+//   - launch results are memoized as plain counts in a process-wide
+//     sharded single-flight LRU keyed on an integer tuple (module
 //     fingerprint, kernel index, grid, block, the values of the
-//     parameter slots the slice reads) — launches differing only in
-//     buffer pointers hit the same entry;
-//   - count() groups a model's launches by that key, probes the memo
-//     once per distinct key, runs only the misses (fanned across
+//     parameter slots the slice reads), hashed once per key —
+//     launches differing only in buffer pointers hit the same entry;
+//   - count() groups a model's launches by that key in one flat table
+//     (a launch codegen stamped with its KernelLaunch::kernel_index
+//     resolves without hashing its kernel name), probes the memo once
+//     per distinct key, runs only the misses (fanned across
 //     ThreadPool::shared() when there are enough of them) and sums the
-//     results in launch order.
+//     results in launch order.  A cold count() allocates one memo node
+//     per distinct key and a few buffers; the symbolic runs allocate
+//     nothing.
 #pragma once
 
 #include <cstdint>
@@ -66,7 +71,8 @@ class InstructionCounter {
   /// Counts for a single launch (exposed for tests and benches).
   /// Memoized: concurrent calls with the same key execute the symbolic
   /// run once (single-flight); a run that throws (timeout, unsupported
-  /// fragment) is never cached and later calls retry.
+  /// fragment) is never cached, and the calls waiting on it and later
+  /// calls retry under their own deadlines.
   ExecutionCounts count_launch(const KernelLaunch& launch,
                                const Deadline& deadline = {}) const;
 

@@ -102,6 +102,10 @@ struct KernelLaunch {
   /// and the counter reject a launch whose size differs from the
   /// kernel's parameter count.
   std::vector<std::int64_t> args;
+  /// Position of `kernel` in CodeGenerator::kernel_library(), stamped
+  /// by the code generator, -1 when unknown.  A hint: a consumer that
+  /// finds another name at that position looks the name up instead.
+  std::int32_t kernel_index = -1;
 
   std::int64_t total_threads() const { return grid_dim * block_dim; }
 };

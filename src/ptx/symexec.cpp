@@ -7,17 +7,6 @@
 
 namespace gpuperf::ptx {
 
-ExecutionCounts& ExecutionCounts::operator+=(const ExecutionCounts& other) {
-  total += other.total;
-  for (std::size_t i = 0; i < by_class.size(); ++i)
-    by_class[i] += other.by_class[i];
-  if (block_exec.size() < other.block_exec.size())
-    block_exec.resize(other.block_exec.size(), 0);
-  for (std::size_t i = 0; i < other.block_exec.size(); ++i)
-    block_exec[i] += other.block_exec[i];
-  return *this;
-}
-
 namespace {
 
 using i64 = std::int64_t;
@@ -37,10 +26,12 @@ using detail::Box;
 using detail::Range1;
 
 /// Affine value / predicate over (ctaid, tid).
-struct Value : AffinePred {
-  enum class Kind { kUnknown, kInt, kPred };
+struct Value {
+  enum class Kind : std::uint8_t { kUnknown, kInt, kPred };
   // kInt: c0 + c_ct*ctaid + c_t*tid.
   // kPred: cmp(c0 + c_ct*ctaid + c_t*tid, 0).
+  i64 c0 = 0, c_ct = 0, c_t = 0;
+  CompareOp op = CompareOp::kLt;
   Kind kind = Kind::kUnknown;
 
   static Value unknown() { return Value{}; }
@@ -53,6 +44,7 @@ struct Value : AffinePred {
   bool is_const() const {
     return kind == Kind::kInt && c_ct == 0 && c_t == 0;
   }
+  AffinePred affine() const { return AffinePred{c0, c_ct, c_t, op}; }
 };
 
 /// Min/max of an affine form over a box (corners of a monotone form).
@@ -134,37 +126,52 @@ void for_each_sign_piece(i64 dmin, i64 dmax, i64 c, i64 lo, i64 hi, F&& f) {
       f(lo + cut[i], lo + cut[i + 1], dmin + c * cut[i], dmax + c * cut[i]);
 }
 
+/// Calls f(range) for each maximal run of x in [lo, hi) over which
+/// cmp(c0 + c1*x, 0) is constant, in ascending order.
+template <typename F>
+void for_each_run(i64 c0, i64 c1, i64 lo, i64 hi, CompareOp op, F&& f) {
+  Range1 run{0, 0, false};
+  bool open = false;
+  const i64 d = c0 + c1 * lo;
+  for_each_sign_piece(d, d, c1, lo, hi, [&](i64 a, i64 b, i64 v, i64) {
+    const bool truth = eval_pred_range(op, v, v) == Tri::kTrue;
+    if (open && run.truth == truth) {
+      run.hi = b;
+      return;
+    }
+    if (open) f(run);
+    run = Range1{a, b, truth};
+    open = true;
+  });
+  if (open) f(run);
+}
+
 }  // namespace
 
 namespace detail {
 
-std::vector<Range1> split_1d(i64 c0, i64 c1, i64 lo, i64 hi, CompareOp op) {
-  std::vector<Range1> out;
-  const i64 d = c0 + c1 * lo;
-  for_each_sign_piece(d, d, c1, lo, hi, [&](i64 a, i64 b, i64 v, i64) {
-    const bool truth = eval_pred_range(op, v, v) == Tri::kTrue;
-    if (!out.empty() && out.back().truth == truth)
-      out.back().hi = b;
-    else
-      out.push_back(Range1{a, b, truth});
-  });
-  return out;
+void split_1d(i64 c0, i64 c1, i64 lo, i64 hi, CompareOp op,
+              std::vector<Range1>& out) {
+  out.clear();
+  for_each_run(c0, c1, lo, hi, op, [&](const Range1& r) { out.push_back(r); });
 }
 
-std::vector<std::pair<Box, bool>> split_box(const AffinePred& pred,
-                                            const Box& box) {
-  std::vector<std::pair<Box, bool>> out;
+void split_box(const AffinePred& pred, const Box& box,
+               std::vector<std::pair<Box, bool>>& out) {
+  out.clear();
   if (pred.c_t == 0 || pred.c_ct == 0) {
     const bool on_ct = pred.c_t == 0;
-    for (const Range1& r :
-         on_ct ? split_1d(pred.c0, pred.c_ct, box.ct_lo, box.ct_hi, pred.op)
-               : split_1d(pred.c0, pred.c_t, box.t_lo, box.t_hi, pred.op)) {
+    const auto emit = [&](const Range1& r) {
       Box b = box;
       (on_ct ? b.ct_lo : b.t_lo) = r.lo;
       (on_ct ? b.ct_hi : b.t_hi) = r.hi;
       out.push_back({b, r.truth});
-    }
-    return out;
+    };
+    if (on_ct)
+      for_each_run(pred.c0, pred.c_ct, box.ct_lo, box.ct_hi, pred.op, emit);
+    else
+      for_each_run(pred.c0, pred.c_t, box.t_lo, box.t_hi, pred.op, emit);
+    return;
   }
 
   // Row ct ranges over [dmin, dmax] + c_ct*(ct - ct_lo), so its class
@@ -198,34 +205,250 @@ std::vector<std::pair<Box, bool>> split_box(const AffinePred& pred,
         for (i64 ct = a; ct < b; ++ct) {
           GP_CHECK_MSG(++mixed_rows <= 64,
                        "unsupported divergence pattern (too many mixed rows)");
-          for (const Range1& r : split_1d(pred.c0 + pred.c_ct * ct, pred.c_t,
-                                          box.t_lo, box.t_hi, pred.op))
-            out.push_back({Box{ct, ct + 1, r.lo, r.hi}, r.truth});
+          for_each_run(pred.c0 + pred.c_ct * ct, pred.c_t, box.t_lo,
+                       box.t_hi, pred.op, [&](const Range1& r) {
+                         out.push_back({Box{ct, ct + 1, r.lo, r.hi}, r.truth});
+                       });
         }
       });
-  return out;
 }
 
 }  // namespace detail
 
 namespace {
 
-/// Back-edge history of one loop: its last three snapshots, oldest at
-/// `head`.  Each snapshot is the tracked registers plus the block
-/// counts and the predicate's c0 (`counts`' last column).
-struct Ring {
-  std::size_t size = 0, head = 0;
-  std::vector<Value> env;   // 3 slots × tracked registers
-  std::vector<i64> counts;  // 3 slots × (blocks + 1)
+/// A resolved source operand.
+struct Src {
+  enum class Kind : std::uint8_t {
+    kUnknown,  // float immediate, untracked register, other operands
+    kSlot,     // environment slot `v`
+    kImm,      // integer immediate `v`
+    kTid,
+    kCtaid,
+    kNtid,
+    kNctaid,
+    kArg,  // launch argument `v` (an in-slice ld.param)
+  };
+  Kind kind = Kind::kUnknown;
+  i64 v = 0;
 };
 
-struct State {
-  Box box;
-  std::size_t block = 0;
-  std::vector<Value> env;   // one Value per tracked register
-  std::vector<i64> counts;  // per-block, per-thread
-  std::vector<Ring> rings;  // per loop, allocated on the first back-edge
+/// One lowered slice instruction: env[dst] = code(src...).  kFail
+/// throws the CheckError the instruction's malformation raised when
+/// it was interpreted directly; `dst` then indexes Impl::failures.
+struct Op {
+  enum class Code : std::uint8_t {
+    kNop,  // no register effect; never stored
+    kCopy,
+    kUnknown,
+    kAdd,
+    kSub,
+    kMul,
+    kMad,
+    kShl,
+    kShr,
+    kDiv,
+    kRem,
+    kMin,
+    kMax,
+    kSetp,
+    kNeg,
+    kAbs,
+    kFail,
+  };
+  Code code = Code::kNop;
+  CompareOp cmp = CompareOp::kLt;  // kSetp
+  std::uint32_t dst = 0;
+  std::array<Src, 3> src{};
 };
+
+/// A failed GP_CHECK of a malformed slice instruction, raised when a
+/// run reaches it.
+struct Failure {
+  const char* expr;
+  const char* msg;
+};
+
+/// One basic block of the flat program: its ops, then its terminator.
+struct Step {
+  enum class Kind : std::uint8_t { kExit, kJump, kBranch };
+  Kind kind = Kind::kJump;
+  bool negated = false;
+  std::int32_t guard_slot = -1;  // kBranch; -1: no slice op writes it
+  std::int32_t loop = -1;        // kBranch back-edge: its loop index
+  std::uint32_t ops_begin = 0, ops_end = 0;
+  std::uint32_t target = 0;  // kJump, kBranch
+};
+
+/// A frame's fixed-size part; its environment and counts live in the
+/// work stack's value and word buffers at the frame's index.
+struct Head {
+  Box box;
+  std::uint32_t block = 0;
+  bool rings_live = false;  // set by the frame's first taken back-edge
+};
+
+/// The per-thread work stack.  Frame i owns heads[i],
+/// values[i*value_width, ...) (the environment, then each loop's three
+/// environment snapshots) and words[i*word_width, ...) (the block
+/// counts, then each loop's ring size and head, then its three count
+/// snapshots).  Widths change per executor; the buffers only grow.
+struct Frames {
+  std::vector<Head> heads;
+  std::vector<Value> values;
+  std::vector<i64> words;
+  std::vector<i64> block_exec;
+  std::vector<std::pair<Box, bool>> parts;
+};
+
+Frames& thread_frames() {
+  thread_local Frames frames;
+  return frames;
+}
+
+/// Negate a predicate value (for "@!%p" guards).
+Value negate_pred(Value v) {
+  switch (v.op) {
+    case CompareOp::kLt: v.op = CompareOp::kGe; break;
+    case CompareOp::kLe: v.op = CompareOp::kGt; break;
+    case CompareOp::kGt: v.op = CompareOp::kLe; break;
+    case CompareOp::kGe: v.op = CompareOp::kLt; break;
+    case CompareOp::kEq: v.op = CompareOp::kNe; break;
+    case CompareOp::kNe: v.op = CompareOp::kEq; break;
+  }
+  return v;
+}
+
+Value affine_add(const Value& a, const Value& b, i64 sign) {
+  if (a.kind != Value::Kind::kInt || b.kind != Value::Kind::kInt)
+    return Value::unknown();
+  Value v;
+  v.kind = Value::Kind::kInt;
+  v.c0 = a.c0 + sign * b.c0;
+  v.c_ct = a.c_ct + sign * b.c_ct;
+  v.c_t = a.c_t + sign * b.c_t;
+  return v;
+}
+
+Value affine_mul(const Value& a, const Value& b) {
+  if (a.kind != Value::Kind::kInt || b.kind != Value::Kind::kInt)
+    return Value::unknown();
+  const Value* scale = nullptr;
+  const Value* other = nullptr;
+  if (a.is_const()) {
+    scale = &a;
+    other = &b;
+  } else if (b.is_const()) {
+    scale = &b;
+    other = &a;
+  } else {
+    return Value::unknown();
+  }
+  Value v;
+  v.kind = Value::Kind::kInt;
+  v.c0 = other->c0 * scale->c0;
+  v.c_ct = other->c_ct * scale->c0;
+  v.c_t = other->c_t * scale->c0;
+  return v;
+}
+
+Value read(const Src& s, const Value* env, const KernelLaunch& launch) {
+  Value v;
+  switch (s.kind) {
+    case Src::Kind::kUnknown: break;
+    case Src::Kind::kSlot: return env[s.v];
+    case Src::Kind::kImm: return Value::constant(s.v);
+    case Src::Kind::kTid:
+      v.kind = Value::Kind::kInt;
+      v.c_t = 1;
+      break;
+    case Src::Kind::kCtaid:
+      v.kind = Value::Kind::kInt;
+      v.c_ct = 1;
+      break;
+    case Src::Kind::kNtid: return Value::constant(launch.block_dim);
+    case Src::Kind::kNctaid: return Value::constant(launch.grid_dim);
+    case Src::Kind::kArg:
+      return Value::constant(launch.args[static_cast<std::size_t>(s.v)]);
+  }
+  return v;
+}
+
+/// The value an op writes.
+Value eval(const Op& op, const Value* env, const KernelLaunch& launch) {
+  using Code = Op::Code;
+  const auto src = [&](std::size_t i) { return read(op.src[i], env, launch); };
+  switch (op.code) {
+    case Code::kCopy: return src(0);
+    case Code::kAdd: return affine_add(src(0), src(1), +1);
+    case Code::kSub: return affine_add(src(0), src(1), -1);
+    case Code::kMul: return affine_mul(src(0), src(1));
+    case Code::kMad: return affine_add(affine_mul(src(0), src(1)), src(2), +1);
+    case Code::kShl: {
+      Value v = src(0);
+      const Value s = src(1);
+      if (v.kind != Value::Kind::kInt || !s.is_const() || s.c0 < 0 ||
+          s.c0 >= 63)
+        return Value::unknown();
+      v.c0 <<= s.c0;
+      v.c_ct <<= s.c0;
+      v.c_t <<= s.c0;
+      return v;
+    }
+    case Code::kShr:
+    case Code::kDiv:
+    case Code::kRem:
+    case Code::kMin:
+    case Code::kMax: {
+      const Value a = src(0);
+      const Value b = src(1);
+      if (!a.is_const() || !b.is_const()) return Value::unknown();
+      switch (op.code) {
+        case Code::kShr:
+          if (b.c0 < 0 || b.c0 >= 63) return Value::unknown();
+          return Value::constant(a.c0 >> b.c0);
+        case Code::kDiv:
+          if (b.c0 == 0) return Value::unknown();
+          return Value::constant(a.c0 / b.c0);
+        case Code::kRem:
+          if (b.c0 == 0) return Value::unknown();
+          return Value::constant(a.c0 % b.c0);
+        case Code::kMin: return Value::constant(std::min(a.c0, b.c0));
+        default: return Value::constant(std::max(a.c0, b.c0));
+      }
+    }
+    case Code::kSetp: {
+      const Value a = src(0);
+      const Value b = src(1);
+      // An unknown predicate is fatal only if branched on.
+      if (a.kind != Value::Kind::kInt || b.kind != Value::Kind::kInt)
+        return Value::unknown();
+      Value v;
+      v.kind = Value::Kind::kPred;
+      v.op = op.cmp;
+      v.c0 = a.c0 - b.c0;
+      v.c_ct = a.c_ct - b.c_ct;
+      v.c_t = a.c_t - b.c_t;
+      return v;
+    }
+    case Code::kNeg: {
+      Value v = src(0);
+      if (v.kind != Value::Kind::kInt) return Value::unknown();
+      v.c0 = -v.c0;
+      v.c_ct = -v.c_ct;
+      v.c_t = -v.c_t;
+      return v;
+    }
+    case Code::kAbs: {
+      const Value a = src(0);
+      return a.is_const() ? Value::constant(std::abs(a.c0)) : Value::unknown();
+    }
+    case Code::kNop:
+    case Code::kUnknown:
+    case Code::kFail: break;
+  }
+  return Value::unknown();
+}
 
 }  // namespace
 
@@ -240,18 +463,21 @@ struct SymbolicExecutor::Impl {
   // instructions — the only launch arguments that can influence counts
   // (memo key material).
   std::vector<std::size_t> slice_params;
-  // Block b's non-branch slice instructions are
-  // slice_insts[slice_begin[b], slice_begin[b + 1]).
-  std::vector<const Instruction*> slice_insts;
-  std::vector<std::size_t> slice_begin;
   // Env slot of each register id, -1 for registers no slice
   // instruction writes (they always read as unknown).
   std::vector<int> slot_of;
   std::size_t slot_count = 0;
-  // Loop index of each block that ends in a guarded backward branch,
-  // -1 for every other block.
-  std::vector<int> loop_of;
   std::size_t loop_count = 0;
+  // The flat program: block b is steps[b], its ops
+  // ops[steps[b].ops_begin, steps[b].ops_end).
+  std::vector<Step> steps;
+  std::vector<Op> ops;
+  std::vector<Failure> failures;
+  // Frame layout (see Frames): the values and the words one frame
+  // takes; a frame whose rings are not live uses only the first
+  // slot_count values and steps.size() words.
+  std::size_t value_width = 0;
+  std::size_t word_width = 0;
 
   explicit Impl(PtxKernel k, const Deadline& deadline)
       : kernel(std::move(k)) {
@@ -277,261 +503,155 @@ struct SymbolicExecutor::Impl {
     for (std::size_t id = 0; id < slot_of.size(); ++id)
       if (slice.tracks_id(static_cast<int>(id)))
         slot_of[id] = static_cast<int>(slot_count++);
-    block_hist.resize(cfg.block_count());
-    block_size.resize(cfg.block_count());
-    loop_of.assign(cfg.block_count(), -1);
-    for (std::size_t b = 0; b < cfg.block_count(); ++b) {
+    const std::size_t n_blocks = cfg.block_count();
+    block_hist.resize(n_blocks);
+    block_size.resize(n_blocks);
+    steps.resize(n_blocks);
+    for (std::size_t b = 0; b < n_blocks; ++b) {
       const BasicBlock& block = cfg.block(b);
       block_size[b] = static_cast<i64>(block.size());
       auto& hist = block_hist[b];
       hist.fill(0);
-      slice_begin.push_back(slice_insts.size());
+      Step& step = steps[b];
+      step.ops_begin = static_cast<std::uint32_t>(ops.size());
       for (std::size_t i = block.first; i <= block.last; ++i) {
         const Instruction& inst = kernel.instructions[i];
         ++hist[static_cast<std::size_t>(
             classify(inst.opcode, inst.type, inst.space))];
-        if (slice.in_slice[i] && !inst.is_branch())
-          slice_insts.push_back(&inst);
+        if (!slice.in_slice[i] || inst.is_branch()) continue;
+        const Op op = lower(inst);
+        if (op.code != Op::Code::kNop) ops.push_back(op);
       }
+      step.ops_end = static_cast<std::uint32_t>(ops.size());
+      // Cfg::build lists a branch's target first; any other block has
+      // only its fallthrough.
       const Instruction& term = kernel.instructions[block.last];
-      if (term.is_branch() && !term.guard.empty() && block.succs.front() <= b)
-        loop_of[b] = static_cast<int>(loop_count++);
+      if (term.is_exit()) {
+        step.kind = Step::Kind::kExit;
+        continue;
+      }
+      step.target = static_cast<std::uint32_t>(block.succs.front());
+      if (!term.is_branch() || term.guard.empty()) continue;
+      step.kind = Step::Kind::kBranch;
+      step.negated = term.guard_negated;
+      GP_DCHECK(term.guard_id >= 0);
+      step.guard_slot = slot_of[term.guard_id];
+      if (step.target <= b) step.loop = static_cast<int>(loop_count++);
     }
-    slice_begin.push_back(slice_insts.size());
+    value_width = slot_count * (1 + 3 * loop_count);
+    word_width = n_blocks + loop_count * (2 + 3 * (n_blocks + 1));
   }
 
-  Value eval_operand(const Operand& op, const std::vector<Value>& env,
-                     const KernelLaunch& launch) const {
+  Src resolve(const Operand& op) const {
     if (const auto* r = std::get_if<RegOperand>(&op)) {
       GP_DCHECK(r->id >= 0 &&
                 static_cast<std::size_t>(r->id) < slot_of.size());
       const int slot = slot_of[r->id];
-      return slot < 0 ? Value::unknown() : env[slot];
+      return slot < 0 ? Src{} : Src{Src::Kind::kSlot, slot};
     }
-    if (const auto* imm = std::get_if<ImmOperand>(&op)) {
-      if (imm->is_float) return Value::unknown();
-      return Value::constant(imm->ivalue());
-    }
+    if (const auto* imm = std::get_if<ImmOperand>(&op))
+      return imm->is_float ? Src{} : Src{Src::Kind::kImm, imm->ivalue()};
     if (const auto* sr = std::get_if<SpecialOperand>(&op)) {
-      Value v;
-      v.kind = Value::Kind::kInt;
       switch (sr->reg) {
-        case SpecialReg::kTidX: v.c_t = 1; break;
-        case SpecialReg::kCtaidX: v.c_ct = 1; break;
-        case SpecialReg::kNtidX: v.c0 = launch.block_dim; break;
-        case SpecialReg::kNctaidX: v.c0 = launch.grid_dim; break;
+        case SpecialReg::kTidX: return Src{Src::Kind::kTid, 0};
+        case SpecialReg::kCtaidX: return Src{Src::Kind::kCtaid, 0};
+        case SpecialReg::kNtidX: return Src{Src::Kind::kNtid, 0};
+        case SpecialReg::kNctaidX: return Src{Src::Kind::kNctaid, 0};
       }
-      return v;
     }
-    return Value::unknown();
+    return Src{};
   }
 
-  /// Evaluate one slice instruction, updating env.
-  void eval_instruction(const Instruction& inst, std::vector<Value>& env,
-                        const KernelLaunch& launch) const {
-    GP_CHECK_MSG(inst.guard.empty(),
-                 "guarded non-branch instruction in slice");
-    auto src = [&](std::size_t i) {
-      GP_CHECK(i < inst.srcs.size());
-      return eval_operand(inst.srcs[i], env, launch);
+  /// Lower one in-slice non-branch instruction to the op that computes
+  /// what interpreting it computes.  Its checks are static, so the
+  /// first one that would fail is known here and lowers to a kFail op
+  /// raising it (same expression, same message) when a run reaches it.
+  Op lower(const Instruction& inst) {
+    Op op;
+    const auto fail = [&](const char* expr, const char* msg = "") {
+      op.code = Op::Code::kFail;
+      op.dst = static_cast<std::uint32_t>(failures.size());
+      failures.push_back({expr, msg});
+      return op;
     };
-    auto set_dst = [&](Value v) {
-      GP_CHECK(inst.dsts.size() == 1);
-      const auto* r = std::get_if<RegOperand>(&inst.dsts.front());
-      GP_CHECK(r != nullptr && r->id >= 0);
-      env[slot_of[r->id]] = v;
-    };
-    auto affine_add = [](const Value& a, const Value& b, i64 sign) {
-      if (a.kind != Value::Kind::kInt || b.kind != Value::Kind::kInt)
-        return Value::unknown();
-      Value v;
-      v.kind = Value::Kind::kInt;
-      v.c0 = a.c0 + sign * b.c0;
-      v.c_ct = a.c_ct + sign * b.c_ct;
-      v.c_t = a.c_t + sign * b.c_t;
-      return v;
-    };
-    auto affine_mul = [](const Value& a, const Value& b) {
-      if (a.kind != Value::Kind::kInt || b.kind != Value::Kind::kInt)
-        return Value::unknown();
-      const Value* scale = nullptr;
-      const Value* other = nullptr;
-      if (a.is_const()) {
-        scale = &a;
-        other = &b;
-      } else if (b.is_const()) {
-        scale = &b;
-        other = &a;
-      } else {
-        return Value::unknown();
+    // Read the first `n_srcs` sources, check `cmp` if asked to, then
+    // write the one register destination — the order interpretation
+    // checks them in.
+    const auto lowered = [&](Op::Code code, std::size_t n_srcs,
+                             bool with_cmp = false) {
+      for (std::size_t i = 0; i < n_srcs; ++i) {
+        if (!(i < inst.srcs.size())) return fail("i < inst.srcs.size()");
+        op.src[i] = resolve(inst.srcs[i]);
       }
-      Value v;
-      v.kind = Value::Kind::kInt;
-      v.c0 = other->c0 * scale->c0;
-      v.c_ct = other->c_ct * scale->c0;
-      v.c_t = other->c_t * scale->c0;
-      return v;
+      if (with_cmp) {
+        if (!inst.cmp.has_value()) return fail("inst.cmp.has_value()");
+        op.cmp = *inst.cmp;
+      }
+      if (!(inst.dsts.size() == 1)) return fail("inst.dsts.size() == 1");
+      const auto* r = std::get_if<RegOperand>(&inst.dsts.front());
+      if (!(r != nullptr && r->id >= 0))
+        return fail("r != nullptr && r->id >= 0");
+      GP_DCHECK(slot_of[r->id] >= 0);  // slice writes are tracked
+      op.code = code;
+      op.dst = static_cast<std::uint32_t>(slot_of[r->id]);
+      return op;
     };
 
+    if (!inst.guard.empty())
+      return fail("inst.guard.empty()",
+                  "guarded non-branch instruction in slice");
+    using Code = Op::Code;
     const bool is_float = is_float_type(inst.type);
     switch (inst.opcode) {
       case Opcode::kMov:
       case Opcode::kCvt:
       case Opcode::kCvta:
-        set_dst(is_float ? Value::unknown() : src(0));
-        break;
+        return is_float ? lowered(Code::kUnknown, 0) : lowered(Code::kCopy, 1);
       case Opcode::kLd: {
-        if (inst.space == StateSpace::kParam) {
-          // run() checked the argument count; the constructor checked
-          // that every in-slice ld.param names a declared parameter.
-          const auto* mem = std::get_if<MemOperand>(&inst.srcs.front());
-          GP_CHECK(mem != nullptr && mem->offset == 0);
-          set_dst(Value::constant(
-              launch.args[static_cast<std::size_t>(mem->param_slot)]));
-        } else {
-          set_dst(Value::unknown());
-        }
-        break;
+        if (inst.space != StateSpace::kParam)
+          return lowered(Code::kUnknown, 0);
+        // run() checks the argument count; the constructor checked that
+        // every in-slice ld.param names a declared parameter.
+        const auto* mem = std::get_if<MemOperand>(&inst.srcs.front());
+        if (!(mem != nullptr && mem->offset == 0))
+          return fail("mem != nullptr && mem->offset == 0");
+        op.src[0] = Src{Src::Kind::kArg, mem->param_slot};
+        return lowered(Code::kCopy, 0);
       }
       case Opcode::kAdd:
-        set_dst(is_float ? Value::unknown()
-                         : affine_add(src(0), src(1), +1));
-        break;
+        return lowered(is_float ? Code::kUnknown : Code::kAdd,
+                       is_float ? 0 : 2);
       case Opcode::kSub:
-        set_dst(is_float ? Value::unknown()
-                         : affine_add(src(0), src(1), -1));
-        break;
+        return lowered(is_float ? Code::kUnknown : Code::kSub,
+                       is_float ? 0 : 2);
       case Opcode::kMul:
       case Opcode::kMulLo:
       case Opcode::kMulWide:
-        set_dst(is_float ? Value::unknown() : affine_mul(src(0), src(1)));
-        break;
-      case Opcode::kMad: {
-        if (is_float) {
-          set_dst(Value::unknown());
-          break;
-        }
-        const Value prod = affine_mul(src(0), src(1));
-        set_dst(affine_add(prod, src(2), +1));
-        break;
-      }
-      case Opcode::kShl: {
-        const Value a = src(0);
-        const Value s = src(1);
-        if (a.kind == Value::Kind::kInt && s.is_const() && s.c0 >= 0 &&
-            s.c0 < 63) {
-          Value v = a;
-          v.c0 <<= s.c0;
-          v.c_ct <<= s.c0;
-          v.c_t <<= s.c0;
-          set_dst(v);
-        } else {
-          set_dst(Value::unknown());
-        }
-        break;
-      }
-      case Opcode::kShr: {
-        const Value a = src(0);
-        const Value s = src(1);
-        if (a.is_const() && s.is_const() && s.c0 >= 0 && s.c0 < 63)
-          set_dst(Value::constant(a.c0 >> s.c0));
-        else
-          set_dst(Value::unknown());
-        break;
-      }
-      case Opcode::kDiv: {
-        const Value a = src(0);
-        const Value b2 = src(1);
-        if (a.is_const() && b2.is_const() && b2.c0 != 0)
-          set_dst(Value::constant(a.c0 / b2.c0));
-        else
-          set_dst(Value::unknown());
-        break;
-      }
-      case Opcode::kRem: {
-        const Value a = src(0);
-        const Value b2 = src(1);
-        if (a.is_const() && b2.is_const() && b2.c0 != 0)
-          set_dst(Value::constant(a.c0 % b2.c0));
-        else
-          set_dst(Value::unknown());
-        break;
-      }
-      case Opcode::kMin:
-      case Opcode::kMax: {
-        const Value a = src(0);
-        const Value b2 = src(1);
-        if (a.is_const() && b2.is_const())
-          set_dst(Value::constant(inst.opcode == Opcode::kMin
-                                      ? std::min(a.c0, b2.c0)
-                                      : std::max(a.c0, b2.c0)));
-        else
-          set_dst(Value::unknown());
-        break;
-      }
-      case Opcode::kSetp: {
-        const Value a = src(0);
-        const Value b2 = src(1);
-        GP_CHECK(inst.cmp.has_value());
-        if (a.kind != Value::Kind::kInt || b2.kind != Value::Kind::kInt) {
-          Value v;  // unknown predicate — fatal only if branched on
-          set_dst(v);
-          break;
-        }
-        Value v;
-        v.kind = Value::Kind::kPred;
-        v.op = *inst.cmp;
-        v.c0 = a.c0 - b2.c0;
-        v.c_ct = a.c_ct - b2.c_ct;
-        v.c_t = a.c_t - b2.c_t;
-        set_dst(v);
-        break;
-      }
-      case Opcode::kSelp: {
+        return lowered(is_float ? Code::kUnknown : Code::kMul,
+                       is_float ? 0 : 2);
+      case Opcode::kMad:
+        return lowered(is_float ? Code::kUnknown : Code::kMad,
+                       is_float ? 0 : 3);
+      case Opcode::kShl: return lowered(Code::kShl, 2);
+      case Opcode::kShr: return lowered(Code::kShr, 2);
+      case Opcode::kDiv: return lowered(Code::kDiv, 2);
+      case Opcode::kRem: return lowered(Code::kRem, 2);
+      case Opcode::kMin: return lowered(Code::kMin, 2);
+      case Opcode::kMax: return lowered(Code::kMax, 2);
+      case Opcode::kSetp: return lowered(Code::kSetp, 2, /*with_cmp=*/true);
+      case Opcode::kSelp:
         // Not generated in branch-feeding positions; keep unknown.
-        set_dst(Value::unknown());
-        break;
-      }
+        return lowered(Code::kUnknown, 0);
       case Opcode::kSt:
       case Opcode::kBar:
-        break;  // no register effects
+        return op;  // no register effects
       case Opcode::kNeg:
-      case Opcode::kAbs: {
-        const Value a = src(0);
-        if (!is_float && a.kind == Value::Kind::kInt) {
-          Value v = a;
-          if (inst.opcode == Opcode::kNeg || a.is_const()) {
-            if (inst.opcode == Opcode::kNeg) {
-              v.c0 = -v.c0;
-              v.c_ct = -v.c_ct;
-              v.c_t = -v.c_t;
-            } else {
-              v = Value::constant(std::abs(a.c0));
-            }
-            set_dst(v);
-            break;
-          }
-        }
-        set_dst(Value::unknown());
-        break;
-      }
+        return lowered(is_float ? Code::kUnknown : Code::kNeg, 1);
+      case Opcode::kAbs:
+        return lowered(is_float ? Code::kUnknown : Code::kAbs, 1);
       default:
-        if (!inst.dsts.empty()) set_dst(Value::unknown());
-        break;
+        return inst.dsts.empty() ? op : lowered(Code::kUnknown, 0);
     }
-  }
-
-  /// Negate a predicate value (for "@!%p" guards).
-  static Value negate_pred(Value v) {
-    switch (v.op) {
-      case CompareOp::kLt: v.op = CompareOp::kGe; break;
-      case CompareOp::kLe: v.op = CompareOp::kGt; break;
-      case CompareOp::kGt: v.op = CompareOp::kLe; break;
-      case CompareOp::kGe: v.op = CompareOp::kLt; break;
-      case CompareOp::kEq: v.op = CompareOp::kNe; break;
-      case CompareOp::kNe: v.op = CompareOp::kEq; break;
-    }
-    return v;
   }
 
   /// Smallest k >= 1 such that the predicate (with diff advanced by
@@ -540,7 +660,7 @@ struct SymbolicExecutor::Impl {
   i64 first_non_true(const Value& pred, const Box& box, i64 delta) const {
     if (delta == 0) return 0;
     i64 dmin, dmax;
-    affine_range(pred, box, dmin, dmax);
+    affine_range(pred.affine(), box, dmin, dmax);
     switch (pred.op) {
       case CompareOp::kLt:  // true iff dmax < 0
         if (delta <= 0) return 0;
@@ -566,32 +686,40 @@ struct SymbolicExecutor::Impl {
     return 0;
   }
 
-  /// Record a taken back-edge of `loop` in the state's ring and, once
+  /// Record a taken back-edge of `loop` in the frame's ring and, once
   /// three snapshots show constant deltas, fast-forward to the last
-  /// iteration over which the predicate stays uniformly true.
-  void accelerate(State& st, const Value& pred, std::size_t loop) const {
-    const std::size_t width = st.counts.size() + 1;
-    if (st.rings.empty())
-      st.rings.assign(loop_count, Ring{0, 0, std::vector<Value>(3 * slot_count),
-                                       std::vector<i64>(3 * width)});
-    Ring& ring = st.rings[loop];
-    std::size_t at = ring.head;
-    if (ring.size < 3)
-      at = (ring.head + ring.size++) % 3;
+  /// iteration over which the predicate stays uniformly true.  Each
+  /// snapshot is the environment plus the block counts and the
+  /// predicate's c0 (the count snapshot's last column).
+  void accelerate(Head& head, Value* env, i64* counts, const Value& pred,
+                  std::size_t loop) const {
+    const std::size_t n_blocks = steps.size();
+    const std::size_t width = n_blocks + 1;
+    i64* ring_meta = counts + n_blocks;  // per loop: size, head
+    if (!head.rings_live) {
+      std::fill(ring_meta, ring_meta + 2 * loop_count, 0);
+      head.rings_live = true;
+    }
+    i64& size = ring_meta[2 * loop];
+    i64& oldest = ring_meta[2 * loop + 1];
+    Value* ring_env = env + slot_count * (1 + 3 * loop);
+    i64* ring_counts = ring_meta + 2 * loop_count + 3 * width * loop;
+    i64 at = oldest;
+    if (size < 3)
+      at = (oldest + size++) % 3;
     else
-      ring.head = (ring.head + 1) % 3;
-    std::copy(st.env.begin(), st.env.end(), ring.env.data() + at * slot_count);
-    std::copy(st.counts.begin(), st.counts.end(),
-              ring.counts.data() + at * width);
-    ring.counts[at * width + width - 1] = pred.c0;
-    if (ring.size < 3) return;
+      oldest = (oldest + 1) % 3;
+    std::copy(env, env + slot_count, ring_env + at * slot_count);
+    std::copy(counts, counts + n_blocks, ring_counts + at * width);
+    ring_counts[at * width + width - 1] = pred.c0;
+    if (size < 3) return;
 
-    const Value* e0 = ring.env.data() + ring.head * slot_count;
-    const Value* e1 = ring.env.data() + (ring.head + 1) % 3 * slot_count;
-    const Value* e2 = ring.env.data() + at * slot_count;
-    const i64* n0 = ring.counts.data() + ring.head * width;
-    const i64* n1 = ring.counts.data() + (ring.head + 1) % 3 * width;
-    const i64* n2 = ring.counts.data() + at * width;
+    const Value* e0 = ring_env + oldest * slot_count;
+    const Value* e1 = ring_env + (oldest + 1) % 3 * slot_count;
+    const Value* e2 = ring_env + at * slot_count;
+    const i64* n0 = ring_counts + oldest * width;
+    const i64* n1 = ring_counts + (oldest + 1) % 3 * width;
+    const i64* n2 = ring_counts + at * width;
     // Integer registers must keep their coefficients and advance c0 by
     // a constant delta; so must every block count and the predicate.
     for (std::size_t s = 0; s < slot_count; ++s) {
@@ -606,16 +734,43 @@ struct SymbolicExecutor::Impl {
       if (n2[b] - n1[b] != n1[b] - n0[b]) return;
     const i64 pred_delta = n2[width - 1] - n1[width - 1];
     if (pred_delta == 0) return;
-    const i64 k = first_non_true(pred, st.box, pred_delta);
+    const i64 k = first_non_true(pred, head.box, pred_delta);
     GP_CHECK_MSG(k != 0, "non-terminating loop in " << kernel.name);
     const i64 ff = k - 1;  // iterations to fast-forward
     if (ff <= 0) return;
     for (std::size_t s = 0; s < slot_count; ++s)
-      if (st.env[s].kind == Value::Kind::kInt)
-        st.env[s].c0 += ff * (e2[s].c0 - e1[s].c0);
-    for (std::size_t b = 0; b + 1 < width; ++b)
-      st.counts[b] += ff * (n2[b] - n1[b]);
-    ring.size = 0;
+      if (env[s].kind == Value::Kind::kInt)
+        env[s].c0 += ff * (e2[s].c0 - e1[s].c0);
+    for (std::size_t b = 0; b < n_blocks; ++b)
+      counts[b] += ff * (n2[b] - n1[b]);
+    size = 0;
+  }
+
+  /// Make room for `n` frames of this executor's width, keeping the
+  /// frames below `keep`.
+  void reserve_frames(Frames& f, std::size_t n, std::size_t keep) const {
+    if (f.heads.size() >= n && f.values.size() >= n * value_width &&
+        f.words.size() >= n * word_width)
+      return;
+    n = std::max({n, 2 * keep, std::size_t{8}});
+    // Another executor may have left the buffers laid out for its own
+    // width; only the frames below `keep` (this run's) matter.
+    f.heads.resize(std::max(f.heads.size(), n));
+    f.values.resize(std::max(f.values.size(), n * value_width));
+    f.words.resize(std::max(f.words.size(), n * word_width));
+  }
+
+  /// Copy frame `from` into frame `to`: the head, the environment and
+  /// the counts, and the rings once they are live.
+  void copy_frame(Frames& f, std::size_t from, std::size_t to) const {
+    const Head& head = f.heads[from];
+    f.heads[to] = head;
+    std::copy_n(f.values.data() + from * value_width,
+                head.rings_live ? value_width : slot_count,
+                f.values.data() + to * value_width);
+    std::copy_n(f.words.data() + from * word_width,
+                head.rings_live ? word_width : steps.size(),
+                f.words.data() + to * word_width);
   }
 
   ExecutionCounts run(const KernelLaunch& launch,
@@ -623,97 +778,112 @@ struct SymbolicExecutor::Impl {
     GP_CHECK(launch.grid_dim >= 1 && launch.block_dim >= 1);
     check_arity(kernel, launch);
 
-    std::vector<i64> global_block_exec(cfg.block_count(), 0);
+    const std::size_t n_blocks = steps.size();
+    Frames& f = thread_frames();
+    reserve_frames(f, 1, 0);
+    if (f.block_exec.size() < n_blocks) f.block_exec.resize(n_blocks);
+    std::fill_n(f.block_exec.begin(), n_blocks, 0);
+    f.heads[0] = Head{Box{0, launch.grid_dim, 0, launch.block_dim},
+                      static_cast<std::uint32_t>(cfg.entry()), false};
+    std::fill_n(f.values.begin(), slot_count, Value::unknown());
+    std::fill_n(f.words.begin(), n_blocks, 0);
+    std::size_t pending = 1;  // frames [0, pending) wait to run
 
-    std::vector<State> work;
-    State init;
-    init.box = Box{0, launch.grid_dim, 0, launch.block_dim};
-    init.block = cfg.entry();
-    init.env.assign(slot_count, Value::unknown());
-    init.counts.assign(cfg.block_count(), 0);
-    work.push_back(std::move(init));
-
-    std::size_t steps = 0;
+    std::size_t step_count = 0;
     constexpr std::size_t kStepLimit = 50'000'000;
 
-    while (!work.empty()) {
-      State st = std::move(work.back());
-      work.pop_back();
+    while (pending > 0) {
+      const std::size_t cur = --pending;  // runs in place
+      Head& head = f.heads[cur];
+      Value* env = f.values.data() + cur * value_width;
+      i64* counts = f.words.data() + cur * word_width;
 
       for (;;) {
-        GP_CHECK_MSG(++steps < kStepLimit,
+        GP_CHECK_MSG(++step_count < kStepLimit,
                      "symbolic execution step limit exceeded in "
                          << kernel.name);
         deadline.charge(kernel.name.c_str());
-        const BasicBlock& block = cfg.block(st.block);
-        st.counts[st.block] += 1;
+        const Step& step = steps[head.block];
+        counts[head.block] += 1;
 
-        for (std::size_t i = slice_begin[st.block];
-             i < slice_begin[st.block + 1]; ++i)
-          eval_instruction(*slice_insts[i], st.env, launch);
-
-        const Instruction& term = kernel.instructions[block.last];
-        if (term.is_exit()) {
-          const i64 w =
-              (st.box.ct_hi - st.box.ct_lo) * (st.box.t_hi - st.box.t_lo);
-          for (std::size_t b = 0; b < st.counts.size(); ++b)
-            global_block_exec[b] += st.counts[b] * w;
-          break;
+        for (std::uint32_t i = step.ops_begin; i < step.ops_end; ++i) {
+          const Op& op = ops[i];
+          if (op.code == Op::Code::kFail) {
+            const Failure& failure = failures[op.dst];
+            ::gpuperf::detail::check_failed(failure.expr, __FILE__, __LINE__,
+                                            failure.msg);
+          }
+          env[op.dst] = eval(op, env, launch);
         }
 
-        // Cfg::build lists a branch's target first; any other block has
-        // only its fallthrough.
-        const std::size_t target = block.succs.front();
-        if (!term.is_branch() || term.guard.empty()) {
-          st.block = target;
+        if (step.kind == Step::Kind::kExit) {
+          const Box& box = head.box;
+          const i64 w = (box.ct_hi - box.ct_lo) * (box.t_hi - box.t_lo);
+          for (std::size_t b = 0; b < n_blocks; ++b)
+            f.block_exec[b] += counts[b] * w;
+          break;
+        }
+        if (step.kind == Step::Kind::kJump) {
+          head.block = step.target;
           continue;
         }
 
-        GP_DCHECK(term.guard_id >= 0);
-        const int slot = slot_of[term.guard_id];
-        GP_CHECK_MSG(slot >= 0 && st.env[slot].kind == Value::Kind::kPred,
+        const std::size_t fallthrough = head.block + std::size_t{1};
+        GP_CHECK_MSG(step.guard_slot >= 0 &&
+                         env[step.guard_slot].kind == Value::Kind::kPred,
                      "branch on unknown predicate '"
-                         << term.guard << "' in " << kernel.name
+                         << kernel.instructions[cfg.block(head.block).last]
+                                .guard
+                         << "' in " << kernel.name
                          << " (data-dependent branch?)");
-        Value pred = st.env[slot];
-        if (term.guard_negated) pred = negate_pred(pred);
+        Value pred = env[step.guard_slot];
+        if (step.negated) pred = negate_pred(pred);
 
-        const Tri tri = eval_pred(pred, st.box);
+        Tri tri = eval_pred(pred.affine(), head.box);
         if (tri == Tri::kMixed) {
-          auto parts = detail::split_box(pred, st.box);
-          GP_CHECK_MSG(parts.size() >= 2, "mixed predicate failed to split");
-          GP_CHECK(st.block + 1 < cfg.block_count());
-          const std::size_t fallthrough = st.block + 1;
-          for (std::size_t p = 0; p < parts.size(); ++p) {
-            st.box = parts[p].first;
-            st.block = parts[p].second ? target : fallthrough;
-            if (p + 1 < parts.size())
-              work.push_back(st);  // env/counts/rings copied
-            else
-              work.push_back(std::move(st));
+          detail::split_box(pred.affine(), head.box, f.parts);
+          // An eq/ne form whose range straddles zero without an integer
+          // point on it (2*tid == 9) splits into one part: uniform.
+          if (f.parts.size() == 1)
+            tri = f.parts.front().second ? Tri::kTrue : Tri::kFalse;
+        }
+        if (tri == Tri::kMixed) {
+          const std::size_t n_parts = f.parts.size();
+          GP_CHECK_MSG(n_parts >= 2, "mixed predicate failed to split");
+          GP_CHECK(fallthrough < n_blocks);
+          // Part p runs in frame cur + p, the last one first.  The
+          // reserve may move the buffers: head/env/counts go stale.
+          reserve_frames(f, cur + n_parts, cur + 1);
+          for (std::size_t p = 1; p < n_parts; ++p)
+            copy_frame(f, cur, cur + p);
+          for (std::size_t p = 0; p < n_parts; ++p) {
+            f.heads[cur + p].box = f.parts[p].first;
+            f.heads[cur + p].block = static_cast<std::uint32_t>(
+                f.parts[p].second ? step.target : fallthrough);
           }
-          break;  // children carry on
+          pending = cur + n_parts;
+          break;  // the parts carry on
         }
 
         if (tri == Tri::kFalse) {
-          GP_CHECK_MSG(st.block + 1 < cfg.block_count(),
-                       "fallthrough off kernel end");
-          st.block = st.block + 1;
+          GP_CHECK_MSG(fallthrough < n_blocks, "fallthrough off kernel end");
+          head.block = static_cast<std::uint32_t>(fallthrough);
           continue;
         }
 
-        if (loop_of[st.block] >= 0)
-          accelerate(st, pred, static_cast<std::size_t>(loop_of[st.block]));
-        st.block = target;
+        if (step.loop >= 0)
+          accelerate(head, env, counts, pred,
+                     static_cast<std::size_t>(step.loop));
+        head.block = step.target;
       }
     }
 
     ExecutionCounts out;
-    out.block_exec = std::move(global_block_exec);
-    for (std::size_t b = 0; b < out.block_exec.size(); ++b) {
-      out.total += out.block_exec[b] * block_size[b];
+    for (std::size_t b = 0; b < n_blocks; ++b) {
+      const i64 n = f.block_exec[b];
+      out.total += n * block_size[b];
       for (std::size_t c = 0; c < kOpClassCount; ++c)
-        out.by_class[c] += out.block_exec[b] * block_hist[b][c];
+        out.by_class[c] += n * block_hist[b][c];
     }
     return out;
   }

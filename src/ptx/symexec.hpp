@@ -11,11 +11,20 @@
 // range's bounds does, so a split costs its mixed rows, not the grid.
 // Long loops are summarized by affine acceleration: once three
 // consecutive back-edge evaluations show constant register/count
-// deltas, the remaining trip count is solved in closed form.  A
-// symbolic state holds only the registers slice instructions write,
-// plus a three-snapshot ring per loop once it takes a back-edge.  The
+// deltas, the remaining trip count is solved in closed form.  The
 // result is exact — equal to brute-force interpretation of every
 // thread — at a cost near-independent of tensor sizes.
+//
+// The constructor lowers each block's slice once into a flat program:
+// small POD ops whose operands are already resolved (an environment
+// slot, an integer immediate, a special register, a launch-argument
+// slot or unknown) and one terminator (exit, jump, or guarded branch
+// with its guard slot, target, fall-through and loop).  run() walks
+// that program over fixed-width frames — the box, the block, the
+// registers slice instructions write, per-block counts and, after a
+// loop's first back-edge, a three-snapshot ring per loop — kept in a
+// per-thread work stack that later runs reuse, so a run reads no
+// Instruction and, once its thread has warmed up, allocates nothing.
 #pragma once
 
 #include <array>
@@ -35,10 +44,6 @@ struct ExecutionCounts {
   /// Thread-level dynamic instructions, summed over every thread.
   std::int64_t total = 0;
   std::array<std::int64_t, kOpClassCount> by_class{};
-  /// Per-basic-block execution counts (thread-level).
-  std::vector<std::int64_t> block_exec;
-
-  ExecutionCounts& operator+=(const ExecutionCounts& other);
 };
 
 class SymbolicExecutor {
@@ -62,9 +67,11 @@ class SymbolicExecutor {
   /// Count the dynamic instructions of one launch.  GP_CHECK-fails on
   /// a launch whose argument count differs from the kernel's parameter
   /// count, on kernels outside the supported fragment (branches on
-  /// loaded data, non-affine divergence) and on diverging loops.  Throws
+  /// loaded data, non-affine divergence, malformed slice instructions —
+  /// when the run reaches them) and on diverging loops.  Throws
   /// AnalysisTimeout when `deadline` expires mid-run (one charge() per
-  /// symbolic block step).
+  /// symbolic block step).  Safe to call concurrently: each thread
+  /// works in its own scratch frames.
   ExecutionCounts run(const KernelLaunch& launch,
                       const Deadline& deadline = {}) const;
 
@@ -88,6 +95,8 @@ class SymbolicExecutor {
 /// The box splitter behind run(), declared for its differential test
 /// and fuzz harness.  Inputs must lie where run() calls it: the
 /// predicate's range over the whole box passed run()'s overflow check.
+/// Both splitters clear `out` and write into it, so a caller that
+/// splits often (run() does) reuses one buffer.
 namespace detail {
 struct Box {  // half-open launch sub-box
   std::int64_t ct_lo = 0, ct_hi = 0, t_lo = 0, t_hi = 0;
@@ -102,13 +111,13 @@ struct Range1 {
 };
 /// Maximal runs of x in [lo, hi) over which cmp(c0 + c1*x, 0) is
 /// constant, in ascending order.
-std::vector<Range1> split_1d(std::int64_t c0, std::int64_t c1,
-                             std::int64_t lo, std::int64_t hi, CompareOp op);
+void split_1d(std::int64_t c0, std::int64_t c1, std::int64_t lo,
+              std::int64_t hi, CompareOp op, std::vector<Range1>& out);
 /// Homogeneous sub-boxes of a box whose predicate is mixed, in ctaid
 /// order: uniform ctaid runs whole, each mixed row split over tid.
 /// GP_CHECK-fails past 64 mixed rows.
-std::vector<std::pair<Box, bool>> split_box(const AffinePred& pred,
-                                            const Box& box);
+void split_box(const AffinePred& pred, const Box& box,
+               std::vector<std::pair<Box, bool>>& out);
 }  // namespace detail
 
 }  // namespace gpuperf::ptx

@@ -94,20 +94,25 @@ bool TcpServer::on_data(net::ConnId id, net::Buffer& in) {
   // wait; it and everything behind it go to a worker as one batch.  If
   // the batch stopped at kMaxBatch, the loop calls back for the rest
   // after this iteration's ready connections (EventLoop::run_handler).
+  // Only requests that would wait for a worker are shed: one the loop
+  // answers itself never is.
   std::string out;
   std::size_t answered = 0;
   std::uint64_t by_session = 0;
   for (; answered < batch.size(); ++answered) {
     WorkItem& item = batch[answered];
-    if (item.preformed) {
-      out += item.response.body;
-    } else if (std::optional<Response> response =
-                   session_.try_handle(item.request)) {
-      out += response->body;
-      ++by_session;
-    } else {
-      break;
+    if (!item.preformed) {
+      if (std::optional<Response> response =
+              session_.try_handle(item.request)) {
+        out += response->body;
+        out += '\n';
+        ++by_session;
+        continue;
+      }
+      admit(item);
+      if (!item.preformed) break;
     }
+    out += item.response.body;
     out += '\n';
   }
   if (answered > 0) {
@@ -116,7 +121,11 @@ bool TcpServer::on_data(net::ConnId id, net::Buffer& in) {
     batch.erase(batch.begin(),
                 batch.begin() + static_cast<std::ptrdiff_t>(answered));
   }
-  if (!batch.empty()) dispatch(id, state, std::move(batch));
+  if (!batch.empty()) {
+    // batch[0] was admitted above; the rest wait behind it.
+    for (std::size_t i = 1; i < batch.size(); ++i) admit(batch[i]);
+    dispatch(id, state, std::move(batch));
+  }
   return !state.closing;
 }
 
@@ -160,7 +169,6 @@ bool TcpServer::parse_line(ConnState& state, net::Buffer& in,
   WorkItem item;
   item.request = parse_request(line);
   item.heavy = is_heavy_verb(item.request.verb);
-  admit(item);
   batch.push_back(std::move(item));
   return true;
 }

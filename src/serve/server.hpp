@@ -66,11 +66,13 @@ class TcpServer : private net::EventLoop::Handler {
     std::size_t max_output_buffer = 8u << 20;
     /// Request-handling worker threads; 0 = hardware threads.
     std::size_t worker_threads = 0;
-    /// Loop-level shed bound: heavy requests (is_heavy_verb) past
-    /// this many dispatched-but-unanswered get an immediate
-    /// `overloaded` response instead of queueing on the worker pool.
-    /// Cheap verbs always pass, so the server stays observable.
-    /// 0 = unbounded (the session's max_in_flight still applies).
+    /// Loop-level shed bound: heavy requests (is_heavy_verb) that
+    /// would be dispatched past this many dispatched-but-unanswered get
+    /// an immediate `overloaded` response instead of queueing on the
+    /// worker pool.  Requests the loop answers itself (ping, a predict
+    /// of held features) and cheap verbs always pass, so the server
+    /// stays observable.  0 = unbounded (the session's max_in_flight
+    /// still applies).
     std::size_t max_pending = 0;
   };
 

@@ -92,14 +92,17 @@ std::pair<AffinePred, Box> random_case(Draw& draw) {
 TEST(SplitDifferential, RandomAffinePredicatesMatchTheRowScan) {
   constexpr int kCases = 1'000'000;
   Draw draw(20260421);
+  Parts buffer;  // reused across cases, as run() reuses its own
   int op_seen[6] = {}, throws = 0, gid = 0, one_thread = 0, offset = 0,
       long_boxes = 0, falling = 0, rising = 0;
   for (int i = 0; i < kCases; ++i) {
     const auto [pred, box] = random_case(draw);
     const Outcome want =
         outcome_of([&] { return split_oracle::split_box(pred, box); });
-    const Outcome got =
-        outcome_of([&] { return detail::split_box(pred, box); });
+    const Outcome got = outcome_of([&] {
+      detail::split_box(pred, box, buffer);
+      return buffer;
+    });
     ASSERT_TRUE(got == want) << describe(pred, box);
     ++op_seen[static_cast<int>(pred.op)];
     throws += want.threw;
@@ -122,6 +125,7 @@ TEST(SplitDifferential, RandomAffinePredicatesMatchTheRowScan) {
 
 TEST(SplitDifferential, OneDimensionalSplitsMatchTheThresholds) {
   Draw draw(7);
+  std::vector<Range1> got;  // reused across cases
   for (int i = 0; i < 1'000'000; ++i) {
     const i64 c1 = draw(0, 9) == 0 ? 0 : draw(1, 1000) * draw.sign();
     const i64 lo = draw(-1000, 5000);
@@ -131,7 +135,7 @@ TEST(SplitDifferential, OneDimensionalSplitsMatchTheThresholds) {
     const auto op = static_cast<CompareOp>(draw(0, 5));
     const std::vector<Range1> want =
         split_oracle::split_1d(c0, c1, lo, hi, op);
-    const std::vector<Range1> got = detail::split_1d(c0, c1, lo, hi, op);
+    detail::split_1d(c0, c1, lo, hi, op, got);
     ASSERT_EQ(got.size(), want.size())
         << "c0=" << c0 << " c1=" << c1 << " [" << lo << "," << hi << ")";
     for (std::size_t r = 0; r < want.size(); ++r) {
@@ -153,7 +157,8 @@ TEST(SplitDifferential, MixedNeRowNeverMergesIntoTheNextRun) {
   pred.c_ct = 4;
   pred.c_t = 2;
   const Box box{0, 4, 0, 4};
-  const Parts got = detail::split_box(pred, box);
+  Parts got;
+  detail::split_box(pred, box, got);
   EXPECT_TRUE(same_parts(got, split_oracle::split_box(pred, box)));
   ASSERT_EQ(got.size(), 4u);
   for (std::size_t i = 0; i < got.size(); ++i) {
@@ -172,11 +177,12 @@ TEST(SplitDifferential, TooManyMixedRowsFailAsBefore) {
   pred.c_ct = 1;
   pred.c_t = 1;
   const Box box{0, 100, 0, 1024};
+  Parts parts;
   EXPECT_THROW(split_oracle::split_box(pred, box), CheckError);
-  EXPECT_THROW(detail::split_box(pred, box), CheckError);
+  EXPECT_THROW(detail::split_box(pred, box, parts), CheckError);
   const Box fits{0, 64, 0, 1024};
-  EXPECT_TRUE(same_parts(detail::split_box(pred, fits),
-                         split_oracle::split_box(pred, fits)));
+  detail::split_box(pred, fits, parts);
+  EXPECT_TRUE(same_parts(parts, split_oracle::split_box(pred, fits)));
 }
 
 }  // namespace

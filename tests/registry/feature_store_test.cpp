@@ -326,5 +326,17 @@ TEST(FeatureStore, TopologyHashSeparatesModels) {
   EXPECT_NE(FeatureStore::topology_hash(cnn::deserialize_model(text)), h1);
 }
 
+TEST(FeatureStore, NasnetTopologyHashesArePinned) {
+  // The NASNet builders infer each node's shape once instead of
+  // re-inferring the partial model per cell; the models they build
+  // (hence their journal keys) must not change.
+  EXPECT_EQ(hex64(FeatureStore::topology_hash(
+                cnn::zoo::build("nasnetmobile"))),
+            "be51d862ed7bba42");
+  EXPECT_EQ(hex64(FeatureStore::topology_hash(
+                cnn::zoo::build("nasnetlarge"))),
+            "59bc443012c0b069");
+}
+
 }  // namespace
 }  // namespace gpuperf::registry

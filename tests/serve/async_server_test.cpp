@@ -530,6 +530,57 @@ TEST(AsyncServer, LoopAnswersHeldRequestsWhileAWorkerRunsDca) {
   EXPECT_EQ(session.metrics().counter_value("loop_stalls"), 0u);
   server.stop();
 }
+
+TEST(AsyncServer, MaxPendingShedsOnlyWhatWouldBeDispatched) {
+  ServeSession& session = shared_session();
+  session.reset_caches();
+  session.handle_line("predict alexnet v100s");  // alexnet's features are held
+  TcpServer::Options options;
+  options.max_pending = 1;
+  TcpServer server(session, options);
+  server.start();
+  fault::Spec slow;
+  slow.action = fault::Action::kDelay;
+  slow.delay_ms = 1500;
+  slow.remaining = 1;
+  fault::ScopedFault stall("dca.compute", slow);
+
+  // A cold predict fills the one pending slot: wait until its DCA runs.
+  RawConn cold(server.port());
+  cold.send_bytes("predict vgg16 v100s\n");
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (fault::hits("dca.compute") == 0 &&
+         std::chrono::steady_clock::now() < until)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_EQ(fault::hits("dca.compute"), 1u);
+
+  // The loop answers a held predict itself, so it is never shed...
+  const std::uint64_t shed_before =
+      session.metrics().counter_value("shed_overloaded");
+  RawConn warm(server.port());
+  warm.send_bytes("predict alexnet v100s\n");
+  const std::vector<std::string> held = warm.read_lines(1);
+  ASSERT_EQ(held.size(), 1u);
+  EXPECT_NE(held[0].find("\"ipc\""), std::string::npos) << held[0];
+  EXPECT_EQ(held[0], session.handle_line("predict alexnet v100s"));
+  EXPECT_FALSE(cold.readable()) << "the cold predict finished first";
+
+  // ...while another cold predict, which would wait for a worker, is.
+  RawConn second(server.port());
+  second.send_bytes("predict MobileNetV2 v100s\n");
+  const std::vector<std::string> shed = second.read_lines(1);
+  ASSERT_EQ(shed.size(), 1u);
+  EXPECT_NE(shed[0].find("\"code\":\"overloaded\""), std::string::npos)
+      << shed[0];
+  EXPECT_EQ(session.metrics().counter_value("shed_overloaded"),
+            shed_before + 1);
+
+  const std::vector<std::string> cold_answer = cold.read_lines(1);
+  ASSERT_EQ(cold_answer.size(), 1u);
+  EXPECT_EQ(cold_answer[0], session.handle_line("predict vgg16 v100s"));
+  server.stop();
+}
 #endif
 
 }  // namespace
