@@ -381,28 +381,23 @@ ParamCount count_params(const Layer& layer,
 }
 
 std::int64_t count_macs(const Layer& layer,
-                        const std::vector<TensorShape>& inputs) {
+                        const std::vector<TensorShape>& inputs,
+                        const TensorShape& output) {
   switch (layer.kind) {
-    case LayerKind::kConv2D: {
-      const TensorShape& in = sole_input(inputs);
-      const TensorShape out = infer_output_shape(layer, inputs);
-      return out.h * out.w * out.c * layer.kernel_h * layer.kernel_w *
-             (in.c / layer.groups);
-    }
-    case LayerKind::kDepthwiseConv2D: {
-      const TensorShape out = infer_output_shape(layer, inputs);
-      return out.h * out.w * out.c * layer.kernel_h * layer.kernel_w;
-    }
+    case LayerKind::kConv2D:
+      return output.h * output.w * output.c * layer.kernel_h *
+             layer.kernel_w * (sole_input(inputs).c / layer.groups);
+    case LayerKind::kDepthwiseConv2D:
+      return output.h * output.w * output.c * layer.kernel_h *
+             layer.kernel_w;
     case LayerKind::kDense: {
       const TensorShape& in = sole_input(inputs);
       return in.h * layer.filters;
     }
     case LayerKind::kAvgPool:
-    case LayerKind::kMaxPool: {
-      const TensorShape out = infer_output_shape(layer, inputs);
+    case LayerKind::kMaxPool:
       // Window reductions: one op per window element.
-      return out.elements() * layer.kernel_h * layer.kernel_w;
-    }
+      return output.elements() * layer.kernel_h * layer.kernel_w;
     case LayerKind::kGlobalAvgPool:
       return sole_input(inputs).elements();
     case LayerKind::kBatchNorm:
@@ -410,7 +405,7 @@ std::int64_t count_macs(const Layer& layer,
       return sole_input(inputs).elements();
     case LayerKind::kAdd:
     case LayerKind::kMultiply:
-      return infer_output_shape(layer, inputs).elements() *
+      return output.elements() *
              static_cast<std::int64_t>(inputs.size() - 1);
     default:
       return 0;

@@ -124,9 +124,11 @@ TensorShape infer_output_shape(const Layer& layer,
 ParamCount count_params(const Layer& layer,
                         const std::vector<TensorShape>& inputs);
 
-/// Multiply-accumulate operations for one inference pass.
+/// Multiply-accumulate operations for one inference pass, given the
+/// layer's inputs and its output shape as infer_output_shape() gives it.
 std::int64_t count_macs(const Layer& layer,
-                        const std::vector<TensorShape>& inputs);
+                        const std::vector<TensorShape>& inputs,
+                        const TensorShape& output);
 
 /// True for layers the paper counts toward a model's "Layers" column
 /// (weighted layers: conv, depthwise conv, dense).

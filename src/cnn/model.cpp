@@ -1,5 +1,8 @@
 #include "cnn/model.hpp"
 
+#include <charconv>
+#include <string_view>
+
 #include "common/check.hpp"
 
 namespace gpuperf::cnn {
@@ -8,7 +11,7 @@ Model::Model(std::string name) : name_(std::move(name)) {
   GP_CHECK_MSG(!name_.empty(), "model needs a name");
 }
 
-NodeId Model::add(Layer layer, std::vector<NodeId> inputs) {
+NodeId Model::add(Layer layer, std::span<const NodeId> inputs) {
   GP_CHECK_MSG(valid_input_arity(layer.kind, inputs.size()),
                layer_kind_name(layer.kind) << " with " << inputs.size()
                                            << " inputs");
@@ -21,19 +24,21 @@ NodeId Model::add(Layer layer, std::vector<NodeId> inputs) {
   else
     GP_CHECK_MSG(!nodes_.empty(), "add an input layer first");
   if (layer.name.empty()) {
-    layer.name =
-        std::string(layer_kind_name(layer.kind)) + "_" + std::to_string(id);
+    // "<Kind>_<id>", sized once.
+    const std::string_view kind = layer_kind_name(layer.kind);
+    char digits[16];
+    char* const digits_end =
+        std::to_chars(digits, digits + sizeof digits, id).ptr;
+    layer.name.reserve(kind.size() + 1 +
+                       static_cast<std::size_t>(digits_end - digits));
+    layer.name.append(kind).append(1, '_').append(digits, digits_end);
   }
-  nodes_.push_back(ModelNode{std::move(layer), std::move(inputs)});
+  nodes_.push_back(ModelNode{std::move(layer), NodeInputs(inputs)});
   return id;
 }
 
-NodeId Model::add(Layer layer, NodeId input) {
-  return add(std::move(layer), std::vector<NodeId>{input});
-}
-
 NodeId Model::add_input(std::int64_t h, std::int64_t w, std::int64_t c) {
-  return add(Layer::input(h, w, c), std::vector<NodeId>{});
+  return add(Layer::input(h, w, c), std::span<const NodeId>());
 }
 
 NodeId Model::conv_bn_act(NodeId input, std::int64_t filters, int kernel,

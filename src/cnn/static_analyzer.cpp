@@ -8,38 +8,52 @@
 
 namespace gpuperf::cnn {
 
+namespace {
+
+/// The shapes of `node`'s inputs into `out`, one buffer reused across
+/// every node of a pass.
+void gather_inputs(const ModelNode& node, std::span<const TensorShape> shapes,
+                   std::vector<TensorShape>& out) {
+  out.clear();
+  for (NodeId in : node.inputs)
+    out.push_back(shapes[static_cast<std::size_t>(in)]);
+}
+
+}  // namespace
+
 std::vector<TensorShape> StaticAnalyzer::infer_shapes(
     const Model& model) const {
   model.validate();
   std::vector<TensorShape> shapes;
   shapes.reserve(model.node_count());
+  std::vector<TensorShape> inputs;
+  inputs.reserve(NodeInputs::kInline);
   for (const auto& node : model.nodes()) {
-    std::vector<TensorShape> inputs;
-    inputs.reserve(node.inputs.size());
-    for (NodeId in : node.inputs)
-      inputs.push_back(shapes[static_cast<std::size_t>(in)]);
+    gather_inputs(node, shapes, inputs);
     shapes.push_back(infer_output_shape(node.layer, inputs));
   }
   return shapes;
 }
 
-ModelReport StaticAnalyzer::analyze(const Model& model) const {
-  const std::vector<TensorShape> shapes = infer_shapes(model);
-
+ModelReport StaticAnalyzer::analyze(
+    const Model& model, std::span<const TensorShape> shapes) const {
+  GP_CHECK_MSG(shapes.size() == model.node_count(),
+               shapes.size() << " shapes for the " << model.node_count()
+                             << " nodes of " << model.name());
   ModelReport report;
   report.model_name = model.name();
   report.input_shape = model.input_shape();
   report.node_count = static_cast<std::int64_t>(model.node_count());
+  report.layers.reserve(model.node_count());
 
+  std::vector<TensorShape> inputs;
+  inputs.reserve(NodeInputs::kInline);
   for (std::size_t i = 0; i < model.node_count(); ++i) {
-    const ModelNode& node = model.node(static_cast<NodeId>(i));
-    std::vector<TensorShape> inputs;
-    inputs.reserve(node.inputs.size());
-    for (NodeId in : node.inputs)
-      inputs.push_back(shapes[static_cast<std::size_t>(in)]);
+    const ModelNode& node = model.nodes()[i];
+    gather_inputs(node, shapes, inputs);
 
     const ParamCount params = count_params(node.layer, inputs);
-    LayerReport lr;
+    LayerReport& lr = report.layers.emplace_back();
     lr.name = node.layer.name;
     lr.kind = node.layer.kind;
     lr.output_shape = shapes[i];
@@ -47,14 +61,13 @@ ModelReport StaticAnalyzer::analyze(const Model& model) const {
     lr.non_trainable_params = params.non_trainable;
     lr.neurons = node.layer.kind == LayerKind::kInput ? 0
                                                       : shapes[i].elements();
-    lr.macs = count_macs(node.layer, inputs);
+    lr.macs = count_macs(node.layer, inputs, shapes[i]);
 
     report.trainable_params += lr.trainable_params;
     report.non_trainable_params += lr.non_trainable_params;
     report.neurons += lr.neurons;
     report.macs += lr.macs;
     if (is_weighted_layer(node.layer.kind)) ++report.weighted_layers;
-    report.layers.push_back(std::move(lr));
   }
   report.total_params =
       report.trainable_params + report.non_trainable_params;

@@ -2,9 +2,15 @@
 // DAG, infers every layer's output shape, and totals trainable
 // parameters, neurons (activations), MACs and FLOPs.  These are the
 // CNN-side predictors of the training dataset.
+//
+// infer_shapes() is the one shape pass of a feature computation: its
+// result feeds analyze() here and CodeGenerator::compile() in ptx/, so
+// a cold computation infers each node's shape once.  The one-argument
+// analyze() runs the pass itself.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -42,11 +48,18 @@ struct ModelReport {
 
 class StaticAnalyzer {
  public:
-  /// Full analysis; GP_CHECK-fails on shape-inconsistent models.
-  ModelReport analyze(const Model& model) const;
-
-  /// Just the output shape of every node (index = NodeId).
+  /// Validates the model and infers the output shape of every node
+  /// (index = NodeId); GP_CHECK-fails on shape-inconsistent models.
   std::vector<TensorShape> infer_shapes(const Model& model) const;
+
+  /// Full analysis over `shapes`, which must be infer_shapes(model).
+  ModelReport analyze(const Model& model,
+                      std::span<const TensorShape> shapes) const;
+
+  /// infer_shapes(), then the analysis above.
+  ModelReport analyze(const Model& model) const {
+    return analyze(model, infer_shapes(model));
+  }
 };
 
 /// Render a ModelReport summary (per-layer table plus totals).

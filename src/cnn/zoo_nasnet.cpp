@@ -30,11 +30,10 @@ class NasnetBuilder {
   TensorShape shape(NodeId id) {
     for (std::size_t i = shapes_.size(); i < m_.node_count(); ++i) {
       const ModelNode& node = m_.node(static_cast<NodeId>(i));
-      std::vector<TensorShape> inputs;
-      inputs.reserve(node.inputs.size());
+      inputs_.clear();
       for (const NodeId in : node.inputs)
-        inputs.push_back(shapes_[static_cast<std::size_t>(in)]);
-      shapes_.push_back(infer_output_shape(node.layer, inputs));
+        inputs_.push_back(shapes_[static_cast<std::size_t>(in)]);
+      shapes_.push_back(infer_output_shape(node.layer, inputs_));
     }
     return shapes_[static_cast<std::size_t>(id)];
   }
@@ -136,6 +135,7 @@ class NasnetBuilder {
  private:
   Model& m_;
   std::vector<TensorShape> shapes_;  // of nodes [0, shapes_.size())
+  std::vector<TensorShape> inputs_;  // one node's input shapes, reused
 };
 
 Model build_nasnet(const std::string& name, std::int64_t input_size,

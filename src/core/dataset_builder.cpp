@@ -1,10 +1,8 @@
 #include "core/dataset_builder.hpp"
 
-#include "cnn/static_analyzer.hpp"
 #include "cnn/zoo.hpp"
 #include "common/check.hpp"
 #include "common/log.hpp"
-#include "common/stopwatch.hpp"
 #include "common/thread_pool.hpp"
 #include "gpu/device_db.hpp"
 #include "gpu/profiler.hpp"
@@ -32,8 +30,6 @@ ml::Dataset DatasetBuilder::build() {
                           : FeatureExtractor::feature_names(),
                       "ipc");
   const gpu::Profiler profiler(options_.noise_stddev, options_.seed);
-  const ptx::CodeGenerator codegen;
-  const ptx::InstructionCounter counter;  // shared; run() is const
 
   struct Row {
     std::vector<double> x;
@@ -44,36 +40,22 @@ ml::Dataset DatasetBuilder::build() {
 
   // One feature-extraction pass per model, shared across devices (the
   // paper's cross-platform design); parallel across models, committed
-  // in model order for determinism.
+  // in model order for determinism.  extract() is const, so the workers
+  // share the extractor.
   ThreadPool::shared().parallel_for(
       options_.models.size(), [&](std::size_t mi) {
         const std::string& model_name = options_.models[mi];
-        const cnn::Model model = cnn::zoo::build(model_name);
-
-        const cnn::StaticAnalyzer analyzer;
-        const cnn::ModelReport report = analyzer.analyze(model);
-
-        Stopwatch dca_watch;
-        const ptx::CompiledModel compiled = codegen.compile(model);
-        const ptx::ModelInstructionProfile instr = counter.count(compiled);
-
-        ModelFeatures features;
-        features.model_name = model_name;
-        features.executed_instructions = instr.total_instructions;
-        features.trainable_params = report.trainable_params;
-        features.macs = report.macs;
-        features.neurons = report.neurons;
-        features.weighted_layers = report.weighted_layers;
-        features.dca_seconds = dca_watch.elapsed_seconds();
+        const FeatureExtraction extraction =
+            extractor_.extract(cnn::zoo::build(model_name));
 
         for (const gpu::DeviceSpec& device : options_.custom_devices) {
-          const gpu::ProfileResult result =
-              profiler.profile_compiled(compiled, instr, device);
+          const gpu::ProfileResult result = profiler.profile_compiled(
+              extraction.compiled, extraction.profile, device);
           Row row;
-          row.x = extended
-                      ? FeatureExtractor::extended_feature_vector(features,
-                                                                  device)
-                      : FeatureExtractor::feature_vector(features, device);
+          row.x = extended ? FeatureExtractor::extended_feature_vector(
+                                 extraction.features, device)
+                           : FeatureExtractor::feature_vector(
+                                 extraction.features, device);
           row.y = result.ipc;
           row.tag = model_name + "@" + device.name;
           rows_per_model[mi].push_back(std::move(row));

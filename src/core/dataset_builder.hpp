@@ -38,10 +38,6 @@ class DatasetBuilder {
   /// devices (the cross-platform design of the paper).
   ml::Dataset build();
 
-  /// The extractor with its populated per-model cache (reusable by the
-  /// estimator for the evaluation phase).
-  FeatureExtractor& extractor() { return extractor_; }
-
  private:
   DatasetOptions options_;
   FeatureExtractor extractor_;

@@ -7,6 +7,7 @@
 #include "common/stopwatch.hpp"
 #include "gpu/device_db.hpp"
 #include "gpu/profiler.hpp"
+#include "ptx/counter.hpp"
 
 namespace gpuperf::core {
 
@@ -44,9 +45,11 @@ DseTiming DseExplorer::time_model(
   DseTiming timing;
   timing.model = zoo_model;
 
-  // Run one prediction to populate the measured DCA / inference times
-  // (the extractor caches, so force a cold run through compute()).
+  // Run one prediction to populate the measured DCA / inference times.
+  // Training counted every zoo launch into the process-wide memo, so
+  // empty it: t_dca is the cost for a CNN the estimator has not seen.
   const cnn::Model model = cnn::zoo::build(zoo_model);
+  ptx::InstructionCounter::reset_memo();
   const ModelFeatures features = estimator_.extractor().compute(model);
   timing.t_dca = features.dca_seconds;
 

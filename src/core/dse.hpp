@@ -51,6 +51,9 @@ class DseExplorer {
 
   /// Timing comparison for one CNN: measured t_dca / t_pm from this
   /// process plus the modeled profiling cost averaged over `devices`.
+  /// t_dca is a cold dynamic code analysis: this empties the
+  /// process-wide launch memo (ptx::InstructionCounter::reset_memo())
+  /// first, so every counter's next count of a known model runs cold.
   DseTiming time_model(const std::string& zoo_model,
                        const std::vector<std::string>& device_names) const;
 

@@ -7,26 +7,35 @@
 
 namespace gpuperf::core {
 
-ModelFeatures FeatureExtractor::compute(const cnn::Model& model,
-                                        const Deadline& deadline) const {
-  ModelFeatures out;
-  out.model_name = model.name();
+namespace {
 
-  const cnn::StaticAnalyzer analyzer;
-  const cnn::ModelReport report = analyzer.analyze(model);
+/// The static analyzer's half of a feature row.
+ModelFeatures static_features(const cnn::ModelReport& report) {
+  ModelFeatures out;
+  out.model_name = report.model_name;
   out.trainable_params = report.trainable_params;
   out.macs = report.macs;
   out.neurons = report.neurons;
   out.weighted_layers = report.weighted_layers;
+  return out;
+}
+
+}  // namespace
+
+FeatureExtraction FeatureExtractor::extract(const cnn::Model& model,
+                                            const Deadline& deadline) const {
+  const cnn::StaticAnalyzer analyzer;
+  const std::vector<cnn::TensorShape> shapes = analyzer.infer_shapes(model);
+  FeatureExtraction out;
+  out.features = static_features(analyzer.analyze(model, shapes));
 
   Stopwatch dca_watch;
-  const ptx::CompiledModel compiled = codegen_.compile(model);
-  const ptx::ModelInstructionProfile profile =
-      counter_.count(compiled, deadline);
-  out.executed_instructions = profile.total_instructions;
+  out.compiled = codegen_.compile(model, shapes);
+  out.profile = counter_.count(out.compiled, deadline);
+  out.features.executed_instructions = out.profile.total_instructions;
   // Wall time of codegen + counting.  Counting is memoized per launch
   // config, so a repeat model reports its true (near-zero) warm cost.
-  out.dca_seconds = dca_watch.elapsed_seconds();
+  out.features.dca_seconds = dca_watch.elapsed_seconds();
   return out;
 }
 
@@ -35,13 +44,8 @@ ModelFeatures static_only_features(const cnn::ModelReport& report) {
   // only 0.014, so a params-proportional guess still gives a useful
   // prediction.
   constexpr std::int64_t kInstructionsPerParam = 16;
-  ModelFeatures out;
-  out.model_name = report.model_name;
+  ModelFeatures out = static_features(report);
   out.executed_instructions = report.trainable_params * kInstructionsPerParam;
-  out.trainable_params = report.trainable_params;
-  out.macs = report.macs;
-  out.neurons = report.neurons;
-  out.weighted_layers = report.weighted_layers;
   return out;
 }
 

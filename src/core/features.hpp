@@ -37,13 +37,29 @@ struct ModelFeatures {
 /// degradation").
 ModelFeatures static_only_features(const cnn::ModelReport& report);
 
+/// One model's features together with the lowered model and the
+/// instruction profile they were read from.
+struct FeatureExtraction {
+  ModelFeatures features;
+  ptx::CompiledModel compiled;
+  ptx::ModelInstructionProfile profile;
+};
+
 class FeatureExtractor {
  public:
   /// Static analysis + PTX generation + sliced symbolic execution for
-  /// one model.  `deadline` bounds the dynamic code analysis; expiry
-  /// throws AnalysisTimeout (the static half is never the bottleneck).
+  /// one model, on one shape pass.  `deadline` bounds the dynamic code
+  /// analysis; expiry throws AnalysisTimeout (the static half is never
+  /// the bottleneck).  The feature computation of every verb and of
+  /// training (DatasetBuilder, which also profiles `compiled`).
+  FeatureExtraction extract(const cnn::Model& model,
+                            const Deadline& deadline = {}) const;
+
+  /// extract()'s features alone.
   ModelFeatures compute(const cnn::Model& model,
-                        const Deadline& deadline = {}) const;
+                        const Deadline& deadline = {}) const {
+    return extract(model, deadline).features;
+  }
 
   /// Cached compute() for zoo models, keyed by Table I name.
   const ModelFeatures& for_zoo_model(const std::string& name);

@@ -827,13 +827,50 @@ std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
   return (a + b - 1) / b;
 }
 
+/// The number of launches compile() emits for `model`, from its layer
+/// kinds, activations, groups and merge widths alone: the size its
+/// launch tables are reserved to.
+std::size_t launch_count(const cnn::Model& model) {
+  using cnn::LayerKind;
+  std::size_t n = 0;
+  for (const cnn::ModelNode& node : model.nodes()) {
+    const cnn::Layer& layer = node.layer;
+    // Conv2D and Dense fuse any non-linear activation as one launch.
+    const std::size_t act = layer.act != cnn::ActivationKind::kLinear;
+    switch (layer.kind) {
+      case LayerKind::kInput:
+      case LayerKind::kFlatten:
+      case LayerKind::kDropout:
+        break;
+      case LayerKind::kConv2D:
+        n += 2 * static_cast<std::size_t>(layer.groups) + act;
+        break;
+      case LayerKind::kDense:
+        n += 1 + act;
+        break;
+      case LayerKind::kAdd:
+      case LayerKind::kMultiply:
+        n += node.inputs.size() - 1;
+        break;
+      case LayerKind::kConcat:
+        n += node.inputs.size();
+        break;
+      default:
+        ++n;
+        break;
+    }
+  }
+  return n;
+}
+
 /// Lowering context: accumulates launches and fake device addresses.
 class Lowering {
  public:
   explicit Lowering(CompiledModel& out) : out_(out) {}
 
-  /// Layer name recorded for subsequently emitted launches.
-  void set_source(const std::string& source) { source_ = source; }
+  /// Layer name recorded for subsequently emitted launches, held by
+  /// reference: the model outlives its lowering.
+  void set_source(const std::string& source) { source_ = &source; }
 
   std::int64_t alloc(std::int64_t bytes) {
     const std::int64_t addr = next_addr_;
@@ -852,7 +889,7 @@ class Lowering {
     l.block_dim = CodeGenerator::kBlockDim;
     l.args.assign(args);
     out_.stats.push_back(stats);
-    out_.sources.push_back(source_);
+    out_.sources.push_back(*source_);
   }
 
   /// A launch covering `threads` threads (one per output element).
@@ -874,7 +911,7 @@ class Lowering {
 
  private:
   CompiledModel& out_;
-  std::string source_;
+  const std::string* source_ = nullptr;
   std::int64_t next_addr_ = 0x10000000;
 };
 
@@ -882,14 +919,24 @@ class Lowering {
 
 CompiledModel CodeGenerator::compile(const cnn::Model& model,
                                      std::int64_t batch) const {
+  return compile(model, cnn::StaticAnalyzer().infer_shapes(model), batch);
+}
+
+CompiledModel CodeGenerator::compile(const cnn::Model& model,
+                                     std::span<const cnn::TensorShape> shapes,
+                                     std::int64_t batch) const {
   using cnn::LayerKind;
   GP_CHECK_MSG(batch >= 1 && batch <= 1024, "implausible batch size");
+  GP_CHECK_MSG(shapes.size() == model.node_count(),
+               shapes.size() << " shapes for the " << model.node_count()
+                             << " nodes of " << model.name());
 
   CompiledModel out;
   out.model_name = model.name();
-
-  cnn::StaticAnalyzer analyzer;
-  const std::vector<cnn::TensorShape> shapes = analyzer.infer_shapes(model);
+  const std::size_t launches = launch_count(model);
+  out.launches.reserve(launches);
+  out.stats.reserve(launches);
+  out.sources.reserve(launches);
 
   Lowering lower(out);
   // Per-node output buffer addresses.
@@ -937,7 +984,7 @@ CompiledModel CodeGenerator::compile(const cnn::Model& model,
   };
 
   for (std::size_t ni = 0; ni < model.node_count(); ++ni) {
-    const cnn::ModelNode& node = model.node(static_cast<cnn::NodeId>(ni));
+    const cnn::ModelNode& node = model.nodes()[ni];
     const cnn::Layer& layer = node.layer;
     lower.set_source(layer.name);
     const cnn::TensorShape& out_shape = shapes[ni];

@@ -10,9 +10,15 @@
 // conditions depend only on parameters and induction registers — never
 // on data loaded from global memory.  Real CNN kernels satisfy the same
 // property.
+//
+// compile() lowers from the node shapes of cnn::StaticAnalyzer's one
+// shape pass and sizes its launch tables from the model before the
+// first launch, so a lowering allocates about one block per launch
+// (its argument array) and none per node.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -54,9 +60,15 @@ class CodeGenerator {
   /// for that).
   static const PtxModule& parsed_kernel_library();
 
-  /// Lower a model to launches over the kernel library.  `batch` > 1
-  /// scales every activation-sized index space (weights stay shared),
-  /// modeling batched inference.
+  /// Lower a model to launches over the kernel library.  `shapes` must
+  /// be cnn::StaticAnalyzer::infer_shapes(model).  `batch` > 1 scales
+  /// every activation-sized index space (weights stay shared), modeling
+  /// batched inference.
+  CompiledModel compile(const cnn::Model& model,
+                        std::span<const cnn::TensorShape> shapes,
+                        std::int64_t batch = 1) const;
+
+  /// infer_shapes(), then the lowering above.
   CompiledModel compile(const cnn::Model& model,
                         std::int64_t batch = 1) const;
 };

@@ -17,7 +17,8 @@ TEST(Layer, Conv2DShapeAndParams) {
   EXPECT_EQ(count_params(conv, inputs).trainable, 1792);
   EXPECT_EQ(count_params(conv, inputs).non_trainable, 0);
   // MACs = 224*224*64*3*3*3.
-  EXPECT_EQ(count_macs(conv, inputs), 224LL * 224 * 64 * 27);
+  EXPECT_EQ(count_macs(conv, inputs, infer_output_shape(conv, inputs)),
+            224LL * 224 * 64 * 27);
 }
 
 TEST(Layer, Conv2DNoBias) {
@@ -42,7 +43,8 @@ TEST(Layer, DepthwiseConv) {
   const auto inputs = in(TensorShape::hwc(112, 112, 32));
   EXPECT_EQ(infer_output_shape(dw, inputs), TensorShape::hwc(112, 112, 32));
   EXPECT_EQ(count_params(dw, inputs).trainable, 3 * 3 * 32);
-  EXPECT_EQ(count_macs(dw, inputs), 112LL * 112 * 32 * 9);
+  EXPECT_EQ(count_macs(dw, inputs, infer_output_shape(dw, inputs)),
+            112LL * 112 * 32 * 9);
 }
 
 TEST(Layer, DepthwiseConvMultiplier) {
@@ -57,7 +59,8 @@ TEST(Layer, DenseParamsAndShape) {
   const auto inputs = in(TensorShape::flat(4096));
   EXPECT_EQ(infer_output_shape(dense, inputs), TensorShape::flat(1000));
   EXPECT_EQ(count_params(dense, inputs).trainable, 4096 * 1000 + 1000);
-  EXPECT_EQ(count_macs(dense, inputs), 4096 * 1000);
+  EXPECT_EQ(count_macs(dense, inputs, infer_output_shape(dense, inputs)),
+            4096 * 1000);
 }
 
 TEST(Layer, DenseRejectsRank3Input) {

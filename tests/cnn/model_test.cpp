@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
+#include "cnn/model_io.hpp"
+#include "cnn/static_analyzer.hpp"
 #include "common/check.hpp"
 
 namespace gpuperf::cnn {
@@ -77,6 +83,38 @@ TEST(Model, InputShapeAccessor) {
   Model m("shape");
   m.add_input(331, 331, 3);
   EXPECT_EQ(m.input_shape(), TensorShape::hwc(331, 331, 3));
+}
+
+TEST(Model, MergesWiderThanTheInlineInputsKeepEveryInput) {
+  Model m("wide");
+  const NodeId input = m.add_input(8, 8, 3);
+  std::vector<NodeId> branches;
+  for (std::size_t i = 0; i < NodeInputs::kInline + 3; ++i)
+    branches.push_back(m.add(Layer::conv2d(2, 1), input));
+  const NodeId wide = m.add(Layer::concat(), branches);
+  const NodeId pair = m.add(Layer::concat(), {branches[0], branches[1]});
+
+  const NodeInputs& inputs = m.node(wide).inputs;
+  ASSERT_EQ(inputs.size(), branches.size());
+  EXPECT_TRUE(std::equal(inputs.begin(), inputs.end(), branches.begin()));
+  EXPECT_EQ(m.node(pair).inputs.size(), 2u);
+  EXPECT_EQ(StaticAnalyzer().infer_shapes(m)[static_cast<std::size_t>(wide)],
+            TensorShape::hwc(8, 8, 2 * static_cast<std::int64_t>(
+                                           branches.size())));
+
+  // Copies and moves keep inline and spilled inputs alike.
+  const Model copy = m;
+  Model moved = Model(copy);
+  for (std::size_t i = 0; i < m.node_count(); ++i) {
+    const NodeId id = static_cast<NodeId>(i);
+    EXPECT_EQ(copy.node(id).inputs, m.node(id).inputs) << i;
+    EXPECT_EQ(moved.node(id).inputs, m.node(id).inputs) << i;
+  }
+  moved = std::move(m);
+  EXPECT_EQ(moved.node(wide).inputs, copy.node(wide).inputs);
+
+  const Model restored = deserialize_model(serialize_model(copy));
+  EXPECT_EQ(restored.node(wide).inputs, copy.node(wide).inputs);
 }
 
 TEST(Model, EmptyModelFailsValidation) {

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "cnn/zoo.hpp"
 #include "common/check.hpp"
+#include "registry/hash.hpp"
 
 namespace gpuperf::cnn {
 namespace {
@@ -57,6 +60,13 @@ TEST(StaticAnalyzer, ShapeErrorSurfaceFromBadModel) {
   EXPECT_THROW(StaticAnalyzer().analyze(m), CheckError);
 }
 
+TEST(StaticAnalyzer, ShapesOfAnotherModelAreRejected) {
+  const StaticAnalyzer analyzer;
+  const Model model = zoo::alexnet();
+  EXPECT_THROW(analyzer.analyze(model, analyzer.infer_shapes(zoo::vgg16())),
+               CheckError);
+}
+
 // -- exact reproductions of published parameter counts --
 
 TEST(StaticAnalyzer, Vgg16ExactParams) {
@@ -100,6 +110,35 @@ TEST(StaticAnalyzer, EfficientNetB0ExactParams) {
 TEST(StaticAnalyzer, ResNet50V2ExactParams) {
   const ModelReport r = StaticAnalyzer().analyze(zoo::resnet50_v2());
   EXPECT_EQ(r.trainable_params, 25568360);
+}
+
+void print_shape(std::ostream& os, const TensorShape& s) {
+  os << s.h << ',' << s.w << ',' << s.c << ',' << s.rank;
+}
+
+// Every field of every layer report and every total of the 31 Table I
+// models, as one FNV-1a digest.  Any change to shape inference,
+// parameter, neuron or MAC counting, or auto naming moves it.
+TEST(StaticAnalyzer, ZooReportsArePinned) {
+  const StaticAnalyzer analyzer;
+  std::uint64_t digest = registry::kFnvOffset;
+  for (const zoo::ZooEntry& entry : zoo::all_models()) {
+    const ModelReport r = analyzer.analyze(entry.build());
+    std::ostringstream os;
+    os << r.model_name << ' ';
+    print_shape(os, r.input_shape);
+    os << ' ' << r.trainable_params << ' ' << r.non_trainable_params << ' '
+       << r.total_params << ' ' << r.neurons << ' ' << r.macs << ' '
+       << r.flops << ' ' << r.weighted_layers << ' ' << r.node_count << '\n';
+    for (const LayerReport& l : r.layers) {
+      os << l.name << ' ' << static_cast<int>(l.kind) << ' ';
+      print_shape(os, l.output_shape);
+      os << ' ' << l.trainable_params << ' ' << l.non_trainable_params
+         << ' ' << l.neurons << ' ' << l.macs << '\n';
+    }
+    digest = registry::fnv1a64(os.str(), digest);
+  }
+  EXPECT_EQ(digest, 0x46863e76613accb2ULL) << std::hex << digest;
 }
 
 TEST(StaticAnalyzer, ReportRendering) {

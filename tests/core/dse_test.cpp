@@ -6,6 +6,7 @@
 #include "common/check.hpp"
 #include "core/dataset_builder.hpp"
 #include "gpu/device_db.hpp"
+#include "ptx/counter.hpp"
 
 namespace gpuperf::core {
 namespace {
@@ -67,6 +68,18 @@ TEST(Dse, TimeModelMeasuresRealPipeline) {
   // The paper's headline: estimation beats profiling for any n.
   for (int n = 1; n <= 7; ++n)
     EXPECT_LT(timing.t_est(n), timing.t_measur(n)) << "n=" << n;
+}
+
+TEST(Dse, TimeModelRunsAColdAnalysis) {
+  PerformanceEstimator est = make_trained_estimator();
+  DseExplorer dse(est);
+  // Training analysed MobileNetV2, and this counts it once more, so
+  // every one of its launches sits in the memo.
+  (void)FeatureExtractor().compute(cnn::zoo::build("MobileNetV2"));
+  const std::uint64_t misses = ptx::InstructionCounter::memo_stats().misses;
+  const DseTiming timing = dse.time_model("MobileNetV2", {"v100s"});
+  EXPECT_GT(ptx::InstructionCounter::memo_stats().misses, misses);
+  EXPECT_GT(timing.t_dca, 0.0);
 }
 
 }  // namespace

@@ -2,9 +2,11 @@
 // and allocates nothing once its thread's scratch frames have grown to
 // the kernel's needs; a cold InstructionCounter::count() pays a small,
 // fixed number of allocations per distinct launch key (the memo entry)
-// and a few per call.  A replaced global operator new counts every
-// allocation of this process, which is why the guard has a test binary
-// of its own.
+// and a few per call.  The CNN half in front of it (build, static
+// analysis, lowering) pays about one allocation per launch, the launch's
+// argument array, and none per node.  A replaced global operator new
+// counts every allocation of this process, which is why the guard has a
+// test binary of its own.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "cnn/static_analyzer.hpp"
 #include "cnn/zoo.hpp"
 #include "ptx/codegen.hpp"
 #include "ptx/counter.hpp"
@@ -120,6 +123,23 @@ TEST(AllocGuard, ColdCountAllocatesAtMostEightPerDistinctKey) {
   EXPECT_GT(profile.total_instructions, 0);
   EXPECT_LE(allocations, 8 * keys)
       << allocations << " allocations for " << keys << " distinct keys";
+}
+
+TEST(AllocGuard, CnnHalfAllocatesAtMostOneAndAHalfPerLaunch) {
+  // The first build also sets up the zoo's registry.
+  (void)cnn::zoo::build("MobileNetV2");
+
+  const std::uint64_t before = g_allocations.load();
+  const cnn::Model model = cnn::zoo::build("MobileNetV2");
+  const cnn::ModelReport report = cnn::StaticAnalyzer().analyze(model);
+  const CompiledModel compiled = CodeGenerator().compile(model);
+  const std::uint64_t allocations = g_allocations.load() - before;
+
+  ASSERT_GT(compiled.launches.size(), 0u);
+  EXPECT_EQ(report.layers.size(), model.node_count());
+  EXPECT_LE(2 * allocations, 3 * compiled.launches.size())
+      << allocations << " allocations for " << compiled.launches.size()
+      << " launches of " << model.node_count() << " nodes";
 }
 
 }  // namespace

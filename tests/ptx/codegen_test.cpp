@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
 
+#include "cnn/static_analyzer.hpp"
 #include "cnn/zoo.hpp"
 #include "common/check.hpp"
 #include "ptx/counter.hpp"
 #include "ptx/parser.hpp"
+#include "registry/hash.hpp"
 
 namespace gpuperf::ptx {
 namespace {
@@ -213,6 +216,56 @@ TEST(Codegen, BatchPreservesLaunchStructure) {
   EXPECT_EQ(b4.launches.back().kernel, "gp_softmax");
   EXPECT_EQ(b4.launches.back().grid_dim, 4);
   EXPECT_EQ(arg(b4.launches.back(), "p_n"), arg(b1.launches.back(), "p_n"));
+}
+
+// Every launch of the 31 Table I models at batch 1 and 4 — kernel
+// index and name, geometry, arguments, traffic statistics and source
+// layer — as one FNV-1a digest.  Any change to the lowering moves it.
+TEST(Codegen, ZooLaunchesArePinned) {
+  const CodeGenerator codegen;
+  std::uint64_t digest = registry::kFnvOffset;
+  for (const std::int64_t batch : {1, 4}) {
+    for (const cnn::zoo::ZooEntry& entry : cnn::zoo::all_models()) {
+      const CompiledModel compiled = codegen.compile(entry.build(), batch);
+      ASSERT_EQ(compiled.stats.size(), compiled.launches.size());
+      ASSERT_EQ(compiled.sources.size(), compiled.launches.size());
+      std::ostringstream os;
+      os << compiled.model_name << ' ' << batch << '\n';
+      for (std::size_t i = 0; i < compiled.launches.size(); ++i) {
+        const KernelLaunch& l = compiled.launches[i];
+        const LaunchStats& s = compiled.stats[i];
+        os << l.kernel_index << ' ' << l.kernel << ' ' << l.grid_dim << ' '
+           << l.block_dim;
+        for (const std::int64_t a : l.args) os << ' ' << a;
+        os << " | " << s.bytes_read << ' ' << s.bytes_written << ' '
+           << s.flops << ' ' << compiled.sources[i] << '\n';
+      }
+      digest = registry::fnv1a64(os.str(), digest);
+    }
+  }
+  EXPECT_EQ(digest, 0xe0fd3680385d3485ULL) << std::hex << digest;
+}
+
+// compile() sizes its launch tables from the model before lowering:
+// the count must match the launches emitted, or the tables regrow.
+TEST(Codegen, LaunchTablesAreSizedExactly) {
+  const CodeGenerator codegen;
+  for (const cnn::zoo::ZooEntry& entry : cnn::zoo::all_models()) {
+    const CompiledModel compiled = codegen.compile(entry.build());
+    EXPECT_EQ(compiled.launches.capacity(), compiled.launches.size())
+        << entry.name;
+    EXPECT_EQ(compiled.stats.capacity(), compiled.stats.size())
+        << entry.name;
+    EXPECT_EQ(compiled.sources.capacity(), compiled.sources.size())
+        << entry.name;
+  }
+}
+
+TEST(Codegen, RejectsShapesOfAnotherModel) {
+  const cnn::Model model = cnn::zoo::build("alexnet");
+  const std::vector<cnn::TensorShape> shapes =
+      cnn::StaticAnalyzer().infer_shapes(cnn::zoo::build("vgg16"));
+  EXPECT_THROW(CodeGenerator().compile(model, shapes), CheckError);
 }
 
 TEST(Codegen, RejectsImplausibleBatch) {
