@@ -3,9 +3,15 @@
 // overhead on a warm path, a warm `dse` sweep, and a burst of
 // concurrent predicts sharing one DCA.  The cold/warm pair is the
 // headline number — the service exists because a warm predict is
-// orders of magnitude cheaper than a cold one.
+// orders of magnitude cheaper than a cold one.  The two warm
+// handle_line benches also report allocs_per_op, counted by the
+// replaced operator new below.
 #include <benchmark/benchmark.h>
 
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,7 +23,32 @@
 
 namespace {
 
+std::atomic<std::uint64_t> g_allocations{0};
+
+}  // namespace
+
+// Out of line, like the deletes below: inlined, malloc() and free()
+// look mismatched with new and delete to -Wmismatched-new-delete.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
+namespace {
+
 using namespace gpuperf;
+
+/// Heap allocations per iteration of the timed loop, as a counter.
+benchmark::Counter allocs_per_op(std::uint64_t allocations,
+                                 const benchmark::State& state) {
+  return benchmark::Counter(static_cast<double>(allocations) /
+                            static_cast<double>(state.iterations()));
+}
 
 serve::ServeOptions bench_options() {
   serve::ServeOptions options;
@@ -116,9 +147,12 @@ BENCHMARK(BM_SandboxRoundtrip)->Unit(benchmark::kMicrosecond);
 void BM_HandleLineCacheHit(benchmark::State& state) {
   serve::ServeSession& session = shared_session();
   session.handle_line("predict mobilenet v100s");  // prime
+  const std::uint64_t allocations = g_allocations.load();
   for (auto _ : state)
     benchmark::DoNotOptimize(
         session.handle_line("predict mobilenet v100s"));
+  state.counters["allocs_per_op"] =
+      allocs_per_op(g_allocations.load() - allocations, state);
 }
 BENCHMARK(BM_HandleLineCacheHit)->Unit(benchmark::kMicrosecond);
 
@@ -136,7 +170,10 @@ void BM_DseWarm(benchmark::State& state) {
     state.SkipWithError("the dse line was not answered ok");
     return;
   }
+  const std::uint64_t allocations = g_allocations.load();
   for (auto _ : state) benchmark::DoNotOptimize(session.handle_line(line));
+  state.counters["allocs_per_op"] =
+      allocs_per_op(g_allocations.load() - allocations, state);
 }
 BENCHMARK(BM_DseWarm)->Unit(benchmark::kMicrosecond);
 

@@ -21,7 +21,9 @@ int main() {
 
   TextTable table(
       "Table IV: Execution time (s), naive profiling vs proposed approach");
-  std::vector<std::string> header = {"CNN", "t_p", "t_dca", "t_pm"};
+  // t_pm is a serving prediction, well under a microsecond: printed in
+  // microseconds, where the other columns are in seconds.
+  std::vector<std::string> header = {"CNN", "t_p", "t_dca", "t_pm (us)"};
   for (int n = 1; n <= kMaxDevices; ++n) {
     header.push_back("naive n=" + std::to_string(n));
     header.push_back("ours n=" + std::to_string(n));
@@ -39,7 +41,7 @@ int main() {
   for (const core::DseTiming& timing : timings) {
     std::vector<std::string> row = {timing.model, fixed(timing.t_p, 1),
                                     fixed(timing.t_dca, 4),
-                                    fixed(timing.t_pm, 6)};
+                                    fixed(timing.t_pm * 1e6, 3)};
     for (int n = 1; n <= kMaxDevices; ++n) {
       row.push_back(fixed(timing.t_measur(n), 1));
       row.push_back(fixed(timing.t_est(n), 4));

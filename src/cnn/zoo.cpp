@@ -1,5 +1,7 @@
 #include "cnn/zoo.hpp"
 
+#include <unordered_map>
+
 #include "common/check.hpp"
 
 namespace gpuperf::cnn::zoo {
@@ -42,21 +44,26 @@ const std::vector<ZooEntry>& all_models() {
   return entries;
 }
 
-Model build(const std::string& name) {
-  for (const auto& e : all_models())
-    if (e.name == name) return e.build();
-  for (const auto& e : extended_models())
-    if (e.name == name) return e.build();
-  GP_CHECK_MSG(false, "no zoo model named '" << name << "'");
+const ZooEntry* find(std::string_view name) {
+  static const std::unordered_map<std::string_view, const ZooEntry*> index =
+      [] {
+        std::unordered_map<std::string_view, const ZooEntry*> out;
+        // Table I first: on a name clash its entry wins.
+        for (const auto* table : {&all_models(), &extended_models()})
+          for (const ZooEntry& e : *table) out.emplace(e.name, &e);
+        return out;
+      }();
+  const auto it = index.find(name);
+  return it == index.end() ? nullptr : it->second;
 }
 
-bool has_model(const std::string& name) {
-  for (const auto& e : all_models())
-    if (e.name == name) return true;
-  for (const auto& e : extended_models())
-    if (e.name == name) return true;
-  return false;
+Model build(const std::string& name) {
+  const ZooEntry* entry = find(name);
+  GP_CHECK_MSG(entry != nullptr, "no zoo model named '" << name << "'");
+  return entry->build();
 }
+
+bool has_model(const std::string& name) { return find(name) != nullptr; }
 
 const std::vector<std::string>& fig4_holdouts() {
   // Six standard CNNs "entirely independent of the training phase"

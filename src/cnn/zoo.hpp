@@ -9,6 +9,7 @@
 
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cnn/model.hpp"
@@ -79,6 +80,11 @@ Model squeezenet();
 /// Additional standard architectures beyond Table I, usable for
 /// enlarged training sets (ablation_training_set).
 const std::vector<ZooEntry>& extended_models();
+
+/// The entry named `name` (Table I or extended), or nullptr: one hashed
+/// lookup that both validates and resolves a name.  Entries are static,
+/// so the pointer and its name outlive every caller.
+const ZooEntry* find(std::string_view name);
 
 /// Build by name (Table I or extended); GP_CHECK-fails on unknown
 /// names.

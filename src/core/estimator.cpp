@@ -22,7 +22,7 @@ bool PerformanceEstimator::is_trained() const {
 }
 
 double PerformanceEstimator::predict(
-    const std::vector<double>& features) const {
+    std::span<const double> features) const {
   GP_CHECK_MSG(is_trained(), "predict before train");
   return regressor_->predict(features);
 }
@@ -34,7 +34,7 @@ double PerformanceEstimator::predict(const std::string& zoo_model,
   last_dca_seconds_ = features.dca_seconds;
   Stopwatch watch;
   const double ipc =
-      regressor_->predict(FeatureExtractor::feature_vector(features, device));
+      regressor_->predict(FeatureExtractor::feature_row(features, device));
   last_predict_seconds_ = watch.elapsed_seconds();
   return ipc;
 }
@@ -42,8 +42,7 @@ double PerformanceEstimator::predict(const std::string& zoo_model,
 double PerformanceEstimator::predict(const ModelFeatures& features,
                                      const gpu::DeviceSpec& device) const {
   GP_CHECK_MSG(is_trained(), "predict before train");
-  return regressor_->predict(
-      FeatureExtractor::feature_vector(features, device));
+  return regressor_->predict(FeatureExtractor::feature_row(features, device));
 }
 
 ml::RegressionScore PerformanceEstimator::evaluate(

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "core/features.hpp"
@@ -23,9 +24,9 @@ class PerformanceEstimator {
   void train(const ml::Dataset& data);
   bool is_trained() const;
 
-  /// Predict from an explicit feature vector (schema of
+  /// Predict from an explicit feature row (schema of
   /// FeatureExtractor::feature_names()).
-  double predict(const std::vector<double>& features) const;
+  double predict(std::span<const double> features) const;
 
   /// Predict for a zoo CNN on a device — runs (cached) static analysis
   /// + dynamic code analysis, then the model; no hardware involved.
@@ -37,7 +38,8 @@ class PerformanceEstimator {
   /// Thread-safe predict from precomputed CNN features: touches no
   /// mutable estimator state, so any number of threads may call it on
   /// a trained, no-longer-mutated estimator.  This is the serving hot
-  /// path (src/serve), with features supplied by the DCA cache.
+  /// path (src/serve), with features supplied by the DCA cache; the
+  /// feature row lives on the stack, so only a K-NN model allocates.
   double predict(const ModelFeatures& features,
                  const gpu::DeviceSpec& device) const;
 

@@ -1,5 +1,7 @@
 #include "core/features.hpp"
 
+#include <algorithm>
+
 #include "cnn/static_analyzer.hpp"
 #include "cnn/zoo.hpp"
 #include "common/check.hpp"
@@ -58,15 +60,20 @@ const ModelFeatures& FeatureExtractor::for_zoo_model(
   return cache_.emplace(name, compute(cnn::zoo::build(name))).first->second;
 }
 
+FeatureExtractor::FeatureRow FeatureExtractor::feature_row(
+    const ModelFeatures& model, const gpu::DeviceSpec& device) {
+  FeatureRow row{};
+  row[0] = static_cast<double>(model.executed_instructions);
+  row[1] = static_cast<double>(model.trainable_params);
+  const auto device_features = device.features();
+  std::copy(device_features.begin(), device_features.end(), row.begin() + 2);
+  return row;
+}
+
 std::vector<double> FeatureExtractor::feature_vector(
     const ModelFeatures& model, const gpu::DeviceSpec& device) {
-  std::vector<double> out;
-  out.reserve(feature_names().size());
-  out.push_back(static_cast<double>(model.executed_instructions));
-  out.push_back(static_cast<double>(model.trainable_params));
-  for (double f : device.features()) out.push_back(f);
-  GP_CHECK(out.size() == feature_names().size());
-  return out;
+  const FeatureRow row = feature_row(model, device);
+  return {row.begin(), row.end()};
 }
 
 const std::vector<std::string>& FeatureExtractor::feature_names() {
@@ -74,6 +81,7 @@ const std::vector<std::string>& FeatureExtractor::feature_names() {
     std::vector<std::string> n = {"executed_instructions",
                                   "trainable_params"};
     for (const auto& f : gpu::DeviceSpec::feature_names()) n.push_back(f);
+    GP_CHECK(n.size() == kFeatureCount);
     return n;
   }();
   return names;

@@ -1,9 +1,13 @@
 // Feature extraction for the predictive model: the paper's observation
 // vector d = (y, p, c1..cm, t) where p is the dynamically counted PTX
 // instruction total (dynamic code analysis), t the statically counted
-// trainable parameters, and c1..cm the GPU architectural features.
+// trainable parameters, and c1..cm the GPU architectural features.  A
+// prediction reads them as one fixed-size FeatureRow on its own stack;
+// datasets and benches take the same row as a std::vector.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -64,8 +68,17 @@ class FeatureExtractor {
   /// Cached compute() for zoo models, keyed by Table I name.
   const ModelFeatures& for_zoo_model(const std::string& name);
 
-  /// Assemble the regression feature vector (CNN features + device
-  /// features), aligned with feature_names().
+  /// Width of the regression feature row: executed instructions and
+  /// trainable parameters, then the device's features.
+  static constexpr std::size_t kFeatureCount =
+      2 + gpu::DeviceSpec::kFeatureCount;
+  using FeatureRow = std::array<double, kFeatureCount>;
+
+  /// The regression feature row (CNN features + device features),
+  /// aligned with feature_names().  What every prediction reads.
+  static FeatureRow feature_row(const ModelFeatures& model,
+                                const gpu::DeviceSpec& device);
+  /// feature_row() as a vector, in the same order (datasets, benches).
   static std::vector<double> feature_vector(const ModelFeatures& model,
                                             const gpu::DeviceSpec& device);
   static const std::vector<std::string>& feature_names();

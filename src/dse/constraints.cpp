@@ -4,7 +4,7 @@
 #include <cmath>
 #include <cstddef>
 #include <limits>
-#include <map>
+#include <utility>
 
 #include "common/check.hpp"
 
@@ -78,28 +78,50 @@ double estimate_power_w(double ipc, const gpu::DeviceSpec& device) {
          (kIdleShare + kComputeShare * a + kMemoryShare * (1.0 - a));
 }
 
+void check_constraints(const Constraints& constraints) {
+  const std::pair<const char*, double> fields[] = {
+      {"max_latency_ms", constraints.max_latency_ms},
+      {"max_power_w", constraints.max_power_w},
+      {"max_cost_usd", constraints.max_cost_usd},
+      {"w_latency", constraints.w_latency},
+      {"w_power", constraints.w_power},
+      {"w_cost", constraints.w_cost},
+  };
+  for (const auto& [name, value] : fields)
+    GP_CHECK_MSG(std::isfinite(value) && value >= 0.0,
+                 "constraint " << name
+                               << " must be finite and non-negative, got "
+                               << value);
+}
+
 std::vector<DeviceSummary> summarize_cells(
     const std::vector<SweepCell>& cells,
     const std::vector<std::string>& device_order,
     const std::vector<DeviceCost>& costs, const Constraints& constraints) {
   GP_CHECK_MSG(costs.empty() || costs.size() == device_order.size(),
                "device cost list must parallel the device order");
-  std::map<std::string, DeviceSummary> by_device;
-  for (std::size_t i = 0; i < device_order.size(); ++i) {
-    DeviceSummary s;
+  const std::size_t n = device_order.size();
+  std::vector<DeviceSummary> out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < i; ++j)
+      GP_CHECK_MSG(device_order[j] != device_order[i],
+                   "device '" << device_order[i]
+                              << "' is listed twice in the device order");
+    DeviceSummary& s = out[i];
     s.device = device_order[i];
     if (!costs.empty() && costs[i].cost_usd >= 0.0) {
       s.cost_usd = costs[i].cost_usd;
       s.has_cost = true;
     }
-    by_device.emplace(device_order[i], std::move(s));
   }
-  for (const SweepCell& cell : cells) {
-    const auto it = by_device.find(cell.device);
-    GP_CHECK_MSG(it != by_device.end(),
-                 "cell device '" << cell.device
-                                 << "' missing from device order");
-    DeviceSummary& s = it->second;
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    const SweepCell& cell = cells[c];
+    // Probe from position c mod n: a model-major cell matches at once.
+    std::size_t probe = 0;
+    while (probe < n && device_order[(c + probe) % n] != cell.device) ++probe;
+    GP_CHECK_MSG(probe < n, "cell device '" << cell.device
+                                            << "' missing from device order");
+    DeviceSummary& s = out[(c + probe) % n];
     if (cell.status == CellStatus::kFailed) {
       ++s.cells_failed;
       continue;
@@ -111,10 +133,7 @@ std::vector<DeviceSummary> summarize_cells(
     s.peak_power_w = std::max(s.peak_power_w, cell.power_w);
   }
 
-  std::vector<DeviceSummary> out;
-  out.reserve(device_order.size());
-  for (const std::string& name : device_order) {
-    DeviceSummary s = std::move(by_device.at(name));
+  for (DeviceSummary& s : out) {
     // Constraint verdict: first violation wins the reason string.
     // Incomplete devices never pass — a sweep that lost cells must not
     // win on the ones it happened to finish.
@@ -141,7 +160,6 @@ std::vector<DeviceSummary> summarize_cells(
       s.feasible = false;
       s.infeasible_reason = "cost unknown under w_cost";
     }
-    out.push_back(std::move(s));
   }
   return out;
 }

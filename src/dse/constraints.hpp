@@ -9,10 +9,16 @@
 // predicted IPC stands in for compute activity, its complement for
 // memory activity — the roofline view that a warp slot not issuing
 // compute is waiting on memory.
+//
+// Summaries are kept by device position, never by name lookup: a cell
+// finds its device by scanning the device order from its own position,
+// so model-major cells match on the first probe, and the verdicts'
+// reasons are static text.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gpu/device_spec.hpp"
@@ -22,7 +28,8 @@ namespace gpuperf::dse {
 /// User constraints and ranking weights for one sweep.  A zero bound
 /// means "unconstrained"; weights scalarize the surviving devices
 /// (score = sum of weight * objective / best feasible objective, lower
-/// is better).
+/// is better).  Every bound and weight must be finite and non-negative
+/// (check_constraints).
 struct Constraints {
   /// Bound on the *worst single-model* latency on a device (a per-
   /// inference SLA), milliseconds.
@@ -44,12 +51,22 @@ enum class CellStatus {
   kFailed,    ///< no prediction at all; `error` says why
 };
 
+/// GP_CHECK-fails, naming the field, unless every bound and weight of
+/// `constraints` is finite and non-negative: a NaN weight would make
+/// every score NaN and the ranking's sort order undefined, and a
+/// negative bound would silently read as "unconstrained".
+void check_constraints(const Constraints& constraints);
+
 const char* cell_status_name(CellStatus status);
 
-/// One evaluated (model, device) pair of the cross product.
+/// One evaluated (model, device) pair of the cross product.  `model` and
+/// `device` view static names, never a request's strings: the sweep
+/// engine points them at the zoo entry and the device-table entry it
+/// resolved, which live as long as the process.  A hand-built cell must
+/// point them at storage that outlives it.
 struct SweepCell {
-  std::string model;
-  std::string device;
+  std::string_view model;
+  std::string_view device;
   CellStatus status = CellStatus::kFailed;
   double predicted_ipc = 0.0;
   double latency_ms = 0.0;
@@ -76,7 +93,7 @@ struct DeviceSummary {
   bool has_cost = false;
 
   bool feasible = true;
-  std::string infeasible_reason;  // first violated constraint
+  std::string_view infeasible_reason;  // first violated constraint (static)
   /// Scalarized ranking score (lower is better); infinity when
   /// infeasible.
   double score = 0.0;
@@ -100,9 +117,11 @@ struct DeviceCost {
   double cost_usd = -1.0;
 };
 
-/// Summarize cells per device (in `device_order`, with `costs` parallel
-/// to it — pass an empty vector for all-unknown) and apply the
-/// constraint filter.  Failed cells make a device infeasible — an
+/// Summarize cells per device (in `device_order`, which must not repeat
+/// a name, with `costs` parallel to it — pass an empty vector for
+/// all-unknown) and apply the constraint filter.  Cell c's device is
+/// looked for at position c % n first, so model-major cells cost one
+/// comparison each.  Failed cells make a device infeasible — an
 /// incomplete sweep must not win on the cells it happened to finish.
 std::vector<DeviceSummary> summarize_cells(
     const std::vector<SweepCell>& cells,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 
 #include "cnn/zoo.hpp"
@@ -51,65 +50,83 @@ SweepResult SweepEngine::run(const SweepRequest& request) const {
   Stopwatch watch;
   GP_CHECK_MSG(!request.models.empty(),
                "dse sweep needs at least one model");
-  for (const std::string& model : request.models)
-    GP_CHECK_MSG(cnn::zoo::has_model(model),
-                 "unknown model '" << model << "'");
-  const std::vector<std::string> devices =
-      request.devices.empty() ? gpu::dse_devices() : request.devices;
-  std::vector<const gpu::DeviceSpec*> specs;
-  specs.reserve(devices.size());
-  for (const std::string& name : devices) {
-    GP_CHECK_MSG(gpu::has_device(name), "unknown device '" << name << "'");
-    specs.push_back(&gpu::device(name));
+
+  // ---- resolve: one lookup per name, to its static table entry ------
+  // The plain messages are the `dse` verb's wire text.
+  struct Requested {
+    const cnn::zoo::ZooEntry* entry = nullptr;
+    std::size_t topology = 0;
+  };
+  std::vector<Requested> requested;
+  requested.reserve(request.models.size());
+  for (const std::string& name : request.models) {
+    const cnn::zoo::ZooEntry* entry = cnn::zoo::find(name);
+    if (entry == nullptr) throw CheckError("unknown model '" + name + "'");
+    requested.push_back({entry, 0});
   }
+  const std::vector<std::string>& device_names =
+      request.devices.empty() ? gpu::dse_devices() : request.devices;
+  const std::size_t n_devices = device_names.size();
+  std::vector<const gpu::DeviceSpec*> specs;
+  specs.reserve(n_devices);
+  for (const std::string& name : device_names) {
+    const gpu::DeviceSpec* spec = gpu::find_device(name);
+    if (spec == nullptr) throw CheckError("unknown device '" + name + "'");
+    GP_CHECK_MSG(std::find(specs.begin(), specs.end(), spec) == specs.end(),
+                 "device '" << name << "' is listed twice");
+    specs.push_back(spec);
+  }
+  check_constraints(request.constraints);
 
   // ---- plan: deduplicate the model list by topology hash ------------
   // The hash covers the model name, so only a repeated name shares a
-  // DCA pass.  A model is built here only without a hash source.
+  // DCA pass, and a sweep has at most one topology per zoo entry: the
+  // plan's own vector is the index.  A model is built here only without
+  // a hash source.
   struct Topology {
     std::uint64_t hash = 0;
-    std::string representative;  // first model name with this topology
+    const cnn::zoo::ZooEntry* entry = nullptr;  // first requester
+    std::optional<cnn::Model> model;            // built on first use
+    CellStatus status = CellStatus::kFailed;
+    std::string error;  // kFailed only, shared by the row's cells
   };
   std::vector<Topology> topologies;
-  std::vector<std::optional<cnn::Model>> models;  // by topology
-  std::vector<std::size_t> topology_of_model(request.models.size());
-  {
-    std::unordered_map<std::uint64_t, std::size_t> by_hash;
-    for (std::size_t mi = 0; mi < request.models.size(); ++mi) {
-      std::optional<cnn::Model> model;
-      if (!topology_hash_) model = cnn::zoo::build(request.models[mi]);
-      const std::uint64_t hash =
-          model ? registry::FeatureStore::topology_hash(*model)
-                : topology_hash_(request.models[mi]);
-      const auto [it, fresh] = by_hash.emplace(hash, topologies.size());
-      topology_of_model[mi] = it->second;
-      if (!fresh) continue;
-      topologies.push_back({hash, request.models[mi]});
-      models.push_back(std::move(model));
-    }
+  topologies.reserve(requested.size());
+  for (Requested& r : requested) {
+    std::optional<cnn::Model> model;
+    if (!topology_hash_) model = r.entry->build();
+    const std::uint64_t hash =
+        model ? registry::FeatureStore::topology_hash(*model)
+              : topology_hash_(r.entry->name);
+    const auto it =
+        std::find_if(topologies.begin(), topologies.end(),
+                     [hash](const Topology& t) { return t.hash == hash; });
+    r.topology = static_cast<std::size_t>(it - topologies.begin());
+    if (it != topologies.end()) continue;
+    Topology& fresh = topologies.emplace_back();
+    fresh.hash = hash;
+    fresh.entry = r.entry;
+    fresh.model = std::move(model);
   }
 
   // ---- execute: held features inline, the misses over the pool ------
+  // One flat topologies x devices table of plain results.
   struct CellValue {
-    CellStatus status = CellStatus::kFailed;
     double ipc = 0.0;
     double latency_ms = 0.0;
     double power_w = 0.0;
-    std::string error;
   };
-  std::vector<std::vector<CellValue>> values(
-      topologies.size(), std::vector<CellValue>(devices.size()));
+  std::vector<CellValue> values(topologies.size() * n_devices);
   std::atomic<std::size_t> features_computed{0};
 
   // One topology's features, then its row of cells.  `held` is what the
   // probe found; without it the features are acquired here.
   using FeaturePtr = std::shared_ptr<const core::ModelFeatures>;
   const auto answer = [&](std::size_t ti, FeaturePtr held) {
-    const Topology& topo = topologies[ti];
-    std::vector<CellValue>& row = values[ti];
+    Topology& topo = topologies[ti];
     const auto model = [&]() -> const cnn::Model& {  // built on first use
-      if (!models[ti]) models[ti] = cnn::zoo::build(topo.representative);
-      return *models[ti];
+      if (!topo.model) topo.model = topo.entry->build();
+      return *topo.model;
     };
 
     // Each topology charges a private copy of the request deadline: the
@@ -126,46 +143,41 @@ SweepResult SweepEngine::run(const SweepRequest& request) const {
                  : std::make_shared<const core::ModelFeatures>(compute());
     };
     FeaturePtr features;
-    CellStatus status = CellStatus::kOk;
-    std::string error;
+    topo.status = CellStatus::kOk;
     try {
       GPUPERF_FAULT_POINT_D("dse.features", &deadline);
       if (held)
         features = std::move(held);
       else if (feature_source_)
-        features = feature_source_(topo.representative, deadline);
+        features = feature_source_(topo.entry->name, deadline);
       else
         features = own_features();
       GP_CHECK_MSG(features != nullptr, "feature source returned null");
       features_computed.fetch_add(1, std::memory_order_relaxed);
     } catch (const std::exception& primary) {
       features = nullptr;
+      topo.status = CellStatus::kFailed;
       if (request.allow_degrade) {
         try {
           features = std::make_shared<const core::ModelFeatures>(
               core::static_only_features(analyzer_.analyze(model())));
-          status = CellStatus::kDegraded;
+          topo.status = CellStatus::kDegraded;
         } catch (const std::exception& fallback) {
-          status = CellStatus::kFailed;
-          error = fallback.what();
+          topo.error = fallback.what();
         }
       } else {
-        status = CellStatus::kFailed;
-        error = primary.what();
+        topo.error = primary.what();
       }
     }
+    if (!features) return;  // the row stays zero, its cells failed
 
-    for (std::size_t di = 0; di < devices.size(); ++di) {
-      CellValue& cell = row[di];
-      if (!features) {
-        cell = {CellStatus::kFailed, 0.0, 0.0, 0.0, error};
-        continue;
-      }
-      cell.status = status;
-      cell.ipc = estimator_.predict(*features, *specs[di]);
-      cell.latency_ms = estimate_latency_ms(
-          features->executed_instructions, cell.ipc, *specs[di]);
-      cell.power_w = estimate_power_w(cell.ipc, *specs[di]);
+    CellValue* row = values.data() + ti * n_devices;
+    for (std::size_t di = 0; di < n_devices; ++di) {
+      const gpu::DeviceSpec& device = *specs[di];
+      row[di].ipc = estimator_.predict(*features, device);
+      row[di].latency_ms = estimate_latency_ms(
+          features->executed_instructions, row[di].ipc, device);
+      row[di].power_w = estimate_power_w(row[di].ipc, device);
     }
   };
 
@@ -175,8 +187,7 @@ SweepResult SweepEngine::run(const SweepRequest& request) const {
   // fan out; parallel_for runs a single miss inline.
   std::vector<std::size_t> misses;
   for (std::size_t ti = 0; ti < topologies.size(); ++ti) {
-    FeaturePtr held = probe_ ? probe_(topologies[ti].representative)
-                             : nullptr;
+    FeaturePtr held = probe_ ? probe_(topologies[ti].entry->name) : nullptr;
     if (held)
       answer(ti, std::move(held));
     else
@@ -187,37 +198,40 @@ SweepResult SweepEngine::run(const SweepRequest& request) const {
                     [&](std::size_t i) { answer(misses[i], nullptr); });
 
   // ---- assemble: model-major cells, then the constraint verdicts ----
+  // A cell views the static zoo and device-table names; only a failed
+  // cell copies its topology's message.
   SweepResult result;
   result.unique_topologies = topologies.size();
-  result.duplicate_models = request.models.size() - topologies.size();
+  result.duplicate_models = requested.size() - topologies.size();
   result.features_computed = features_computed.load();
-  result.cells.reserve(request.models.size() * devices.size());
-  for (std::size_t mi = 0; mi < request.models.size(); ++mi) {
-    const std::vector<CellValue>& row = values[topology_of_model[mi]];
-    for (std::size_t di = 0; di < devices.size(); ++di) {
-      const CellValue& v = row[di];
-      SweepCell cell;
-      cell.model = request.models[mi];
-      cell.device = devices[di];
-      cell.status = v.status;
-      cell.predicted_ipc = v.ipc;
-      cell.latency_ms = v.latency_ms;
-      cell.power_w = v.power_w;
-      cell.error = v.error;
-      if (v.status == CellStatus::kDegraded) ++result.degraded_cells;
-      if (v.status == CellStatus::kFailed) ++result.failed_cells;
-      result.cells.push_back(std::move(cell));
+  result.cells.reserve(requested.size() * n_devices);
+  for (const Requested& r : requested) {
+    const Topology& topo = topologies[r.topology];
+    const CellValue* row = values.data() + r.topology * n_devices;
+    for (std::size_t di = 0; di < n_devices; ++di) {
+      SweepCell& cell = result.cells.emplace_back();
+      cell.model = r.entry->name;
+      cell.device = specs[di]->name;
+      cell.status = topo.status;
+      cell.predicted_ipc = row[di].ipc;
+      cell.latency_ms = row[di].latency_ms;
+      cell.power_w = row[di].power_w;
+      if (topo.status == CellStatus::kFailed) cell.error = topo.error;
     }
+    if (topo.status == CellStatus::kDegraded)
+      result.degraded_cells += n_devices;
+    if (topo.status == CellStatus::kFailed) result.failed_cells += n_devices;
   }
 
   std::vector<DeviceCost> costs;
-  costs.reserve(specs.size());
+  costs.reserve(n_devices);
   for (const gpu::DeviceSpec* spec : specs)
     costs.push_back({spec->has_cost_usd() ? spec->cost_usd : -1.0});
-  result.ranking =
-      summarize_cells(result.cells, devices, costs, request.constraints);
+  result.ranking = summarize_cells(result.cells, device_names, costs,
+                                   request.constraints);
   mark_pareto(result.ranking);
   rank_summaries(result.ranking, request.constraints);
+  result.pareto.reserve(result.ranking.size());
   for (const DeviceSummary& s : result.ranking)
     if (s.pareto) result.pareto.push_back(s.device);
 

@@ -10,6 +10,12 @@
 // (Options::probe) is answered on the calling thread; only the misses,
 // each a DCA pass, fan out over the thread pool.
 //
+// A warm sweep costs its predictions: each name is looked up once, to
+// its static zoo or device-table entry; the plain results live in one
+// flat topologies × devices table; and the cells view the static names,
+// so the sweep's heap blocks do not grow with its cells
+// (docs/PERF.md §8).
+//
 // Robustness contract (PR-3 semantics): a sweep with one pathological
 // model still returns every other cell.  Per-cell status is `ok`
 // (full DCA-backed prediction), `degraded` (feature acquisition timed
@@ -42,7 +48,8 @@ struct SweepRequest {
   /// Zoo model names (duplicates allowed — a repeated name is analyzed
   /// once).  Must not be empty.
   std::vector<std::string> models;
-  /// Device short ids; empty = the paper's seven-device Table IV fleet.
+  /// Device short ids, each at most once; empty = the paper's
+  /// seven-device Table IV fleet.
   std::vector<std::string> devices;
   Constraints constraints;
   /// Analysis budget.  Wall clock is shared across the sweep; the step
@@ -133,9 +140,13 @@ class SweepEngine {
   SweepEngine(const core::PerformanceEstimator& estimator,
               Options options);
 
-  /// Run one sweep.  Throws CheckError on unknown model/device names or
-  /// an empty model list; per-cell analysis failures do NOT throw (they
-  /// become degraded/failed cells).  Safe to call concurrently.
+  /// Run one sweep.  Throws CheckError on an empty model list, a device
+  /// listed twice or a constraint that is negative or not finite
+  /// (check_constraints), and on an unknown name with exactly the
+  /// message "unknown model '<name>'" or "unknown device '<name>'" (the
+  /// `dse` verb's wire text: the engine is the verb's one name lookup).
+  /// Per-cell analysis failures do NOT throw (they become
+  /// degraded/failed cells).  Safe to call concurrently.
   SweepResult run(const SweepRequest& request) const;
 
  private:

@@ -173,16 +173,20 @@ const std::vector<DeviceSpec>& device_database() {
   return devices;
 }
 
-const DeviceSpec& device(const std::string& name) {
+const DeviceSpec* find_device(std::string_view name) {
   for (const auto& d : device_database())
-    if (d.name == name) return d;
-  GP_CHECK_MSG(false, "unknown device '" << name << "'");
+    if (d.name == name) return &d;
+  return nullptr;
+}
+
+const DeviceSpec& device(const std::string& name) {
+  const DeviceSpec* d = find_device(name);
+  GP_CHECK_MSG(d != nullptr, "unknown device '" << name << "'");
+  return *d;
 }
 
 bool has_device(const std::string& name) {
-  for (const auto& d : device_database())
-    if (d.name == name) return true;
-  return false;
+  return find_device(name) != nullptr;
 }
 
 const std::vector<std::string>& device_names() {

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gpu/device_spec.hpp"
@@ -14,8 +15,11 @@ namespace gpuperf::gpu {
 /// All known devices.
 const std::vector<DeviceSpec>& device_database();
 
-/// Lookup by short id ("gtx1080ti", "v100s", ...); GP_CHECK-fails on
-/// unknown names.
+/// Lookup by short id ("gtx1080ti", "v100s", ...); nullptr for an
+/// unknown name.  The one lookup that both validates and resolves.
+const DeviceSpec* find_device(std::string_view name);
+
+/// find_device() that GP_CHECK-fails on unknown names.
 const DeviceSpec& device(const std::string& name);
 
 bool has_device(const std::string& name);

@@ -18,7 +18,7 @@ double DeviceSpec::bytes_per_cycle() const {
   return memory_bandwidth_gbs * 1e9 / (boost_clock_mhz * 1e6);
 }
 
-std::vector<double> DeviceSpec::features() const {
+std::array<double, DeviceSpec::kFeatureCount> DeviceSpec::features() const {
   // Memory bandwidth leads: it is the architecturally dominant factor
   // for CNN inference (and the paper's top Table III predictor).
   return {

@@ -3,6 +3,8 @@
 // L2 cache, registers, memory size).
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -43,9 +45,11 @@ struct DeviceSpec {
   /// DRAM bytes transferable per boost-clock cycle.
   double bytes_per_cycle() const;
 
-  /// Feature vector used by the predictive model, aligned with
-  /// feature_names().
-  std::vector<double> features() const;
+  /// Feature row used by the predictive model, aligned with
+  /// feature_names(); a fixed-size value, so a prediction builds it on
+  /// the stack.
+  static constexpr std::size_t kFeatureCount = 8;
+  std::array<double, kFeatureCount> features() const;
   static const std::vector<std::string>& feature_names();
 };
 

@@ -165,7 +165,7 @@ std::int32_t DecisionTree::build_node(BuildContext& ctx,
   return index;
 }
 
-double DecisionTree::predict(const std::vector<double>& x) const {
+double DecisionTree::predict_row(std::span<const double> x) const {
   GP_CHECK_MSG(is_fitted(), "predict before fit");
   GP_CHECK(x.size() == n_features_);
   std::int32_t i = 0;

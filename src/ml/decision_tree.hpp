@@ -31,7 +31,6 @@ class DecisionTree final : public Regressor {
   std::string name() const override { return "Decision Tree"; }
   void fit(const Dataset& data) override;
   bool is_fitted() const override { return !nodes_.empty(); }
-  double predict(const std::vector<double>& x) const override;
   std::vector<double> feature_importances() const override;
   std::size_t n_features() const override { return n_features_; }
 
@@ -61,6 +60,9 @@ class DecisionTree final : public Regressor {
   /// Rebuild from serialized state (model_io).
   void restore(std::vector<Node> nodes, std::vector<double> importances,
                std::size_t n_features);
+
+ protected:
+  double predict_row(std::span<const double> x) const override;
 
  private:
   struct BuildContext;

@@ -77,7 +77,7 @@ void GradientBoosting::fit(const Dataset& data) {
   fitted_ = true;
 }
 
-double GradientBoosting::predict(const std::vector<double>& x) const {
+double GradientBoosting::predict_row(std::span<const double> x) const {
   GP_CHECK_MSG(fitted_, "predict before fit");
   GP_CHECK(x.size() == n_features_);
   double y = base_score_;

@@ -30,7 +30,6 @@ class GradientBoosting final : public Regressor {
   std::string name() const override { return "XG Boost"; }
   void fit(const Dataset& data) override;
   bool is_fitted() const override { return fitted_; }
-  double predict(const std::vector<double>& x) const override;
   std::size_t n_features() const override { return n_features_; }
 
   /// Mean of member trees' normalized importances.
@@ -45,6 +44,9 @@ class GradientBoosting final : public Regressor {
   void restore(std::vector<std::unique_ptr<DecisionTree>> trees,
                double base_score, double learning_rate,
                std::size_t n_features);
+
+ protected:
+  double predict_row(std::span<const double> x) const override;
 
  private:
   BoostingParams params_;

@@ -43,10 +43,10 @@ void KnnRegressor::restore(Dataset::Standardization st,
   fitted_ = true;
 }
 
-double KnnRegressor::predict(const std::vector<double>& x) const {
+double KnnRegressor::predict_row(std::span<const double> x) const {
   GP_CHECK_MSG(fitted_, "predict before fit");
   GP_CHECK(x.size() == st_.mean.size());
-  const std::vector<double> z = st_.apply(x);
+  const std::vector<double> z = st_.apply({x.begin(), x.end()});
 
   // Distances to every training point, then partial sort for the k best.
   std::vector<std::pair<double, std::size_t>> dist(points_.size());

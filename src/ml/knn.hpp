@@ -18,7 +18,6 @@ class KnnRegressor final : public Regressor {
   std::string name() const override { return "K-Nearest Neighbors"; }
   void fit(const Dataset& data) override;
   bool is_fitted() const override { return fitted_; }
-  double predict(const std::vector<double>& x) const override;
   std::size_t n_features() const override { return st_.mean.size(); }
 
   std::size_t k() const { return k_; }
@@ -34,6 +33,9 @@ class KnnRegressor final : public Regressor {
                std::vector<std::vector<double>> points,
                std::vector<double> targets, std::size_t k,
                Weighting weighting);
+
+ protected:
+  double predict_row(std::span<const double> x) const override;
 
  private:
   std::size_t k_;

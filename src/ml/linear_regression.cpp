@@ -45,7 +45,7 @@ void LinearRegression::restore(std::vector<double> coef, double intercept) {
   fitted_ = true;
 }
 
-double LinearRegression::predict(const std::vector<double>& x) const {
+double LinearRegression::predict_row(std::span<const double> x) const {
   GP_CHECK_MSG(fitted_, "predict before fit");
   GP_CHECK(x.size() == n_features_);
   double y = intercept_;

@@ -14,7 +14,6 @@ class LinearRegression final : public Regressor {
   std::string name() const override { return "Linear Regression"; }
   void fit(const Dataset& data) override;
   bool is_fitted() const override { return fitted_; }
-  double predict(const std::vector<double>& x) const override;
   std::size_t n_features() const override { return coef_.size(); }
 
   /// Weights (one per feature) and the intercept term.
@@ -23,6 +22,9 @@ class LinearRegression final : public Regressor {
 
   /// Rebuild from serialized state (model_io).
   void restore(std::vector<double> coef, double intercept);
+
+ protected:
+  double predict_row(std::span<const double> x) const override;
 
  private:
   bool fitted_ = false;

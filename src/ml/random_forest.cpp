@@ -46,7 +46,7 @@ void RandomForest::fit(const Dataset& data) {
   });
 }
 
-double RandomForest::predict(const std::vector<double>& x) const {
+double RandomForest::predict_row(std::span<const double> x) const {
   GP_CHECK_MSG(is_fitted(), "predict before fit");
   double sum = 0.0;
   for (const auto& t : trees_) sum += t->predict(x);

@@ -28,7 +28,6 @@ class RandomForest final : public Regressor {
   std::string name() const override { return "Random Forest Tree"; }
   void fit(const Dataset& data) override;
   bool is_fitted() const override { return !trees_.empty(); }
-  double predict(const std::vector<double>& x) const override;
   std::size_t n_features() const override { return n_features_; }
 
   /// Mean of the member trees' normalized importances.
@@ -40,6 +39,9 @@ class RandomForest final : public Regressor {
   /// Rebuild from serialized state (model_io).
   void restore(std::vector<std::unique_ptr<DecisionTree>> trees,
                std::size_t n_features);
+
+ protected:
+  double predict_row(std::span<const double> x) const override;
 
  private:
   ForestParams params_;

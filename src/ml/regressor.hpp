@@ -1,10 +1,14 @@
 // Common interface for the five regression algorithms the paper
-// compares (Table II).  Models fit on a Dataset and predict from raw
-// feature vectors; standardization, where an algorithm needs it (K-NN),
-// is owned by the model itself so callers never pre-scale.
+// compares (Table II).  Models fit on a Dataset and predict from a raw
+// feature row, any contiguous run of doubles (a Dataset row, a
+// std::array on the caller's stack, a braced list); standardization,
+// where an algorithm needs it (K-NN), is owned by the model itself so
+// callers never pre-scale.  Only K-NN allocates while predicting.
 #pragma once
 
+#include <initializer_list>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,7 +30,10 @@ class Regressor {
 
   /// Predict a single observation; GP_CHECK-fails if not fitted or the
   /// feature width differs from the training schema.
-  virtual double predict(const std::vector<double>& x) const = 0;
+  double predict(std::span<const double> x) const { return predict_row(x); }
+  double predict(std::initializer_list<double> x) const {
+    return predict_row({x.begin(), x.size()});
+  }
 
   /// Predict every row of a dataset.
   std::vector<double> predict_all(const Dataset& data) const;
@@ -40,6 +47,10 @@ class Regressor {
   /// without a natural importance notion (K-NN); tree models report
   /// normalized impurity decrease (the paper's Table III).
   virtual std::vector<double> feature_importances() const { return {}; }
+
+ protected:
+  /// predict()'s body, one per algorithm.
+  virtual double predict_row(std::span<const double> x) const = 0;
 };
 
 /// Factory covering the paper's five algorithms, keyed by a short id:

@@ -26,7 +26,7 @@ Response error_response(ErrorCode code, const std::string& message,
       .field("error", std::string_view(message));
   if (retry_after_ms > 0) json.field("retry_after_ms", retry_after_ms);
   json.end_object();
-  return Response{false, json.str(), false};
+  return Response{false, json.take(), false};
 }
 
 }  // namespace gpuperf::serve

@@ -60,7 +60,7 @@ Response error_response(const std::string& message) {
       .field("code", "invalid_request")
       .field("error", std::string_view(message))
       .end_object();
-  return Response{false, json.str(), false};
+  return Response{false, json.take(), false};
 }
 
 void JsonWriter::comma() {

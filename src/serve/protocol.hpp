@@ -5,10 +5,12 @@
 // one grammar, one implementation, shared tests.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace gpuperf::serve {
@@ -74,9 +76,17 @@ Response error_response(const std::string& message);
 /// control characters as \n, \r, \t or \u00XX; every other byte as
 /// is), a double prints as printf's "%.17g" text, which round-trips,
 /// and a non-finite double prints as null.  Output never contains a
-/// newline, so one response is one line.
+/// newline, so one response is one line.  The buffer is reserved up
+/// front, so a body that fits it is one heap block, and take() hands
+/// that block over without a copy.
 class JsonWriter {
  public:
+  /// Reserves one small block: a `predict` body or an error fits it.
+  JsonWriter() : JsonWriter(256) {}
+  /// Reserves `capacity` bytes, for a body whose size the caller bounds
+  /// from its row counts.
+  explicit JsonWriter(std::size_t capacity) { out_.reserve(capacity); }
+
   JsonWriter& begin_object();
   JsonWriter& begin_object(std::string_view key);
   JsonWriter& end_object();
@@ -94,6 +104,8 @@ class JsonWriter {
   JsonWriter& value(std::string_view v);
 
   const std::string& str() const { return out_; }
+  /// Moves the text out; the writer is done after this.
+  std::string take() { return std::move(out_); }
 
  private:
   void comma();

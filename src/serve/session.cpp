@@ -40,6 +40,26 @@ std::int64_t steady_now_ms() {
       .count();
 }
 
+/// Calls `each` with every non-empty, trimmed item of a comma-separated
+/// list, in order, as a view into `list`.
+template <typename Each>
+void for_each_item(std::string_view list, Each each) {
+  for (;;) {
+    const std::size_t comma = list.find(',');
+    const std::string_view item = trim(list.substr(0, comma));
+    if (!item.empty()) each(item);
+    if (comma == std::string_view::npos) return;
+    list.remove_prefix(comma + 1);
+  }
+}
+
+/// Items for_each_item can at most visit: a reserve bound.
+std::size_t item_bound(std::string_view list) {
+  return list.empty() ? 0
+                      : 1 + static_cast<std::size_t>(std::count(
+                                list.begin(), list.end(), ','));
+}
+
 }  // namespace
 
 ServeOptions ServeSession::apply_dca_spill_knobs(ServeOptions options) {
@@ -258,8 +278,6 @@ ServeSession::FeaturePtr ServeSession::compute_features(
 
 ServeSession::FeaturePtr ServeSession::features_for(
     const std::string& model, const Deadline& deadline) {
-  GP_CHECK_MSG(cnn::zoo::has_model(model),
-               "unknown model '" << model << "'");
   // Single-flight: concurrent requests for one model share a compute.
   // If the winner's deadline expires, the cache propagates the
   // AnalysisTimeout to every waiter AND erases the entry, so the next
@@ -400,15 +418,16 @@ Deadline ServeSession::deadline_for(const Request& request) const {
 
 double ServeSession::predict(const std::string& model,
                              const std::string& device) {
-  GP_CHECK_MSG(gpu::has_device(device),
-               "unknown device '" << device << "'");
+  GP_CHECK_MSG(cnn::zoo::find(model) != nullptr,
+               "unknown model '" << model << "'");
+  const gpu::DeviceSpec* spec = gpu::find_device(device);
+  GP_CHECK_MSG(spec != nullptr, "unknown device '" << device << "'");
   Deadline deadline;
   if (options_.default_deadline_ms > 0)
     deadline = Deadline::after_ms(options_.default_deadline_ms);
   if (options_.dca_step_budget > 0)
     deadline.with_step_budget(options_.dca_step_budget);
-  return predict_one(model, gpu::device(device), deadline,
-                     options_.degradation, nullptr)
+  return predict_one(model, *spec, deadline, options_.degradation, nullptr)
       .ipc;
 }
 
@@ -418,16 +437,16 @@ Response ServeSession::do_predict(const Request& request,
     return error_response("usage: predict <model> <device>");
   const std::string& model = request.cmd.positional[0];
   const std::string& device = request.cmd.positional[1];
-  if (!cnn::zoo::has_model(model))
+  if (cnn::zoo::find(model) == nullptr)
     return error_response("unknown model '" + model + "'");
-  if (!gpu::has_device(device))
+  const gpu::DeviceSpec* spec = gpu::find_device(device);
+  if (spec == nullptr)
     return error_response("unknown device '" + device + "'");
 
   const bool allow_degrade =
       options_.degradation && !request.cmd.has_flag("no-degrade");
-  const Prediction outcome =
-      predict_one(model, gpu::device(device), deadline_for(request),
-                  allow_degrade, std::move(held));
+  const Prediction outcome = predict_one(
+      model, *spec, deadline_for(request), allow_degrade, std::move(held));
 
   JsonWriter json;
   json.begin_object()
@@ -441,14 +460,14 @@ Response ServeSession::do_predict(const Request& request,
       .field("cached", false)
       .field("degraded", outcome.degraded)
       .end_object();
-  return Response{true, json.str(), false};
+  return Response{true, json.take(), false};
 }
 
 Response ServeSession::do_rank(const Request& request) {
   if (request.cmd.positional.empty())
     return error_response("usage: rank <model>");
   const std::string& model = request.cmd.positional.front();
-  if (!cnn::zoo::has_model(model))
+  if (cnn::zoo::find(model) == nullptr)
     return error_response("unknown model '" + model + "'");
 
   // One acquisition and one deadline serve the whole ranking: features
@@ -463,7 +482,8 @@ Response ServeSession::do_rank(const Request& request) {
       core::DseExplorer(*estimator).rank_devices(*acquired.features,
                                                  gpu::device_names());
 
-  JsonWriter json;
+  // Presized: a row is under 96 bytes.
+  JsonWriter json(128 + 96 * ranking.size());
   json.begin_object()
       .field("ok", true)
       .field("endpoint", "rank")
@@ -478,7 +498,7 @@ Response ServeSession::do_rank(const Request& request) {
         .end_object();
   }
   json.end_array().end_object();
-  return Response{true, json.str(), false};
+  return Response{true, json.take(), false};
 }
 
 dse::SweepResult ServeSession::sweep(const dse::SweepRequest& request) {
@@ -517,35 +537,37 @@ Response ServeSession::do_dse(const Request& request) {
         "[--max-latency-ms=N] [--max-power-w=N] [--max-cost-usd=N] "
         "[--w-latency=N] [--w-power=N] [--w-cost=N] [--deadline-ms=N] "
         "[--cells] [--no-degrade]");
+  const auto flag = [&](const char* key) -> std::string_view {
+    const auto it = request.cmd.flags.find(key);
+    return it == request.cmd.flags.end() ? std::string_view()
+                                          : std::string_view(it->second);
+  };
 
+  // The lists are split in place; the engine looks each name up once,
+  // and its "unknown model/device" errors are this verb's answers.
   dse::SweepRequest sweep_request;
-  const std::string& spec = request.cmd.positional.front();
+  const std::string_view spec = request.cmd.positional.front();
   if (spec == "all") {
+    sweep_request.models.reserve(cnn::zoo::all_models().size());
     for (const cnn::zoo::ZooEntry& entry : cnn::zoo::all_models())
       sweep_request.models.push_back(entry.name);
   } else {
-    for (const std::string& part : split(spec, ',')) {
-      const std::string name{trim(part)};
-      if (name.empty()) continue;
-      if (!cnn::zoo::has_model(name))
-        return error_response("unknown model '" + name + "'");
-      sweep_request.models.push_back(name);
-    }
+    sweep_request.models.reserve(item_bound(spec));
+    for_each_item(spec, [&](std::string_view name) {
+      sweep_request.models.emplace_back(name);
+    });
   }
   if (sweep_request.models.empty())
     return error_response("dse needs at least one model");
-  for (const std::string& part :
-       split(request.cmd.flag_or("devices", ""), ',')) {
-    const std::string name{trim(part)};
-    if (name.empty()) continue;
-    if (!gpu::has_device(name))
-      return error_response("unknown device '" + name + "'");
-    sweep_request.devices.push_back(name);
-  }
+  const std::string_view devices = flag("devices");
+  sweep_request.devices.reserve(item_bound(devices));
+  for_each_item(devices, [&](std::string_view name) {
+    sweep_request.devices.emplace_back(name);
+  });
 
   dse::Constraints& c = sweep_request.constraints;
   const auto flag_double = [&](const char* key, double fallback) {
-    const std::string value = request.cmd.flag_or(key, "");
+    const std::string_view value = flag(key);
     return value.empty() ? fallback : parse_double(value);
   };
   c.max_latency_ms = flag_double("max-latency-ms", 0.0);
@@ -575,16 +597,17 @@ Response ServeSession::do_dse(const Request& request) {
             "--devices");
   }
 
-  JsonWriter json;
+  // Presized from the counts: a recommendation is under 320 bytes, a
+  // cell without an error message under 192.
+  const bool with_cells = request.cmd.has_flag("cells");
+  JsonWriter json(384 + 320 * result.ranking.size() +
+                  (with_cells ? 192 * result.cells.size() : 0));
   json.begin_object()
       .field("ok", true)
       .field("endpoint", "dse")
       .field("models",
              static_cast<std::uint64_t>(sweep_request.models.size()))
-      .field("devices",
-             static_cast<std::uint64_t>(sweep_request.devices.empty()
-                                            ? gpu::dse_devices().size()
-                                            : sweep_request.devices.size()))
+      .field("devices", static_cast<std::uint64_t>(result.ranking.size()))
       .field("unique_topologies",
              static_cast<std::uint64_t>(result.unique_topologies))
       .field("duplicate_models",
@@ -615,17 +638,16 @@ Response ServeSession::do_dse(const Request& request) {
         .field("cells_degraded",
                static_cast<std::int64_t>(s.cells_degraded))
         .field("cells_failed", static_cast<std::int64_t>(s.cells_failed));
-    if (!s.feasible)
-      json.field("reason", std::string_view(s.infeasible_reason));
+    if (!s.feasible) json.field("reason", s.infeasible_reason);
     json.end_object();
   }
   json.end_array();
-  if (request.cmd.has_flag("cells")) {
+  if (with_cells) {
     json.begin_array("cells");
     for (const dse::SweepCell& cell : result.cells) {
       json.begin_object()
-          .field("model", std::string_view(cell.model))
-          .field("device", std::string_view(cell.device))
+          .field("model", cell.model)
+          .field("device", cell.device)
           .field("status", dse::cell_status_name(cell.status))
           .field("cached", false)  // cells are not cached; kept for clients
           .field("ipc", cell.predicted_ipc)
@@ -638,14 +660,14 @@ Response ServeSession::do_dse(const Request& request) {
     json.end_array();
   }
   json.end_object();
-  return Response{true, json.str(), false};
+  return Response{true, json.take(), false};
 }
 
 Response ServeSession::do_analyze(const Request& request) {
   if (request.cmd.positional.empty())
     return error_response("usage: analyze <model>");
   const std::string& model = request.cmd.positional.front();
-  if (!cnn::zoo::has_model(model))
+  if (cnn::zoo::find(model) == nullptr)
     return error_response("unknown model '" + model + "'");
 
   const auto report = static_reports_.get_or_compute(model, [&] {
@@ -665,7 +687,7 @@ Response ServeSession::do_analyze(const Request& request) {
       .field("flops", report->flops)
       .field("weighted_layers", report->weighted_layers)
       .end_object();
-  return Response{true, json.str(), false};
+  return Response{true, json.take(), false};
 }
 
 Response ServeSession::do_reload(const Request& request) {
@@ -691,7 +713,7 @@ Response ServeSession::do_reload(const Request& request) {
              std::string_view(estimator_ptr()->regressor_id()))
       .field("reloads", reload_count())
       .end_object();
-  return Response{true, json.str(), false};
+  return Response{true, json.take(), false};
 }
 
 Response ServeSession::do_model_info() {
@@ -726,7 +748,7 @@ Response ServeSession::do_model_info() {
         .field("seed", manifest.seed);
   }
   json.end_object();
-  return Response{true, json.str(), false};
+  return Response{true, json.take(), false};
 }
 
 namespace {
@@ -833,7 +855,7 @@ std::string ServeSession::stats_json() {
       .field("threads", static_cast<std::uint64_t>(pool_.size()))
       .end_object();
   json.end_object();
-  return json.str();
+  return json.take();
 }
 
 Response ServeSession::do_stats() {
@@ -846,7 +868,7 @@ Response ServeSession::do_ping() const {
       .field("ok", true)
       .field("endpoint", "ping")
       .end_object();
-  return Response{true, json.str(), false};
+  return Response{true, json.take(), false};
 }
 
 Response ServeSession::do_health() {
@@ -863,7 +885,7 @@ Response ServeSession::do_health() {
       .field("status", "ok")
       .field("uptime_ms", static_cast<std::int64_t>(uptime))
       .end_object();
-  return Response{true, json.str(), false};
+  return Response{true, json.take(), false};
 }
 
 ServeSession::ReadyState ServeSession::ready_state() {
@@ -903,7 +925,7 @@ Response ServeSession::do_ready() {
   for (const std::string& reason : state.reasons)
     json.value(std::string_view(reason));
   json.end_array().end_object();
-  return Response{true, json.str(), false};
+  return Response{true, json.take(), false};
 }
 
 Response ServeSession::do_shutdown() const {
@@ -912,7 +934,7 @@ Response ServeSession::do_shutdown() const {
       .field("ok", true)
       .field("endpoint", "shutdown")
       .end_object();
-  return Response{true, json.str(), true};
+  return Response{true, json.take(), true};
 }
 
 Response ServeSession::handle(const Request& request) {

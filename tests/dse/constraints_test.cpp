@@ -13,7 +13,7 @@
 namespace gpuperf::dse {
 namespace {
 
-SweepCell cell(const std::string& model, const std::string& device,
+SweepCell cell(std::string_view model, std::string_view device,
                double latency_ms, double power_w,
                CellStatus status = CellStatus::kOk) {
   SweepCell c;

@@ -5,11 +5,13 @@
 #include <chrono>
 #include <filesystem>
 #include <future>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cnn/zoo.hpp"
@@ -275,6 +277,88 @@ TEST(SweepEngine, OnlyProbeMissesReachTheFeatureSource) {
   expect_same_cells(result, reference);
   EXPECT_EQ(result.unique_topologies, 4u);
   EXPECT_EQ(result.features_computed, result.unique_topologies);
+}
+
+/// The CheckError message of `run(request)`, or "" when it answers.
+std::string run_error(const SweepRequest& request) {
+  try {
+    (void)SweepEngine(trained_estimator()).run(request);
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(SweepValidation, RejectsARepeatedDevice) {
+  SweepRequest request = small_request();
+  request.models = {"alexnet"};
+  request.devices = {"v100s", "gtx1060", "v100s"};
+  const std::string error = run_error(request);
+  EXPECT_NE(error.find("device 'v100s' is listed twice"), std::string::npos)
+      << error;
+}
+
+TEST(SweepValidation, RejectsNegativeOrNonFiniteConstraints) {
+  const double kBad[] = {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(), -1.0};
+  const std::pair<const char*, double Constraints::*> kFields[] = {
+      {"max_latency_ms", &Constraints::max_latency_ms},
+      {"max_power_w", &Constraints::max_power_w},
+      {"max_cost_usd", &Constraints::max_cost_usd},
+      {"w_latency", &Constraints::w_latency},
+      {"w_power", &Constraints::w_power},
+      {"w_cost", &Constraints::w_cost},
+  };
+  for (const auto& [name, field] : kFields)
+    for (const double bad : kBad) {
+      SweepRequest request = small_request();
+      request.constraints.*field = bad;
+      const std::string error = run_error(request);
+      EXPECT_NE(error.find(std::string("constraint ") + name),
+                std::string::npos)
+          << name << "=" << bad << ": " << error;
+    }
+  // Zero bounds and weights stay valid ("unconstrained", "unweighted").
+  SweepRequest zeros = small_request();
+  zeros.constraints.w_latency = 0.0;
+  EXPECT_EQ(run_error(zeros), "");
+}
+
+TEST(SweepValidation, UnknownNamesAreNamedPlainly) {
+  SweepRequest bad_model = small_request();
+  bad_model.models.push_back("not-a-model");
+  EXPECT_EQ(run_error(bad_model), "unknown model 'not-a-model'");
+  SweepRequest bad_device = small_request();
+  bad_device.devices.push_back("not-a-device");
+  EXPECT_EQ(run_error(bad_device), "unknown device 'not-a-device'");
+}
+
+TEST(SweepValidation, SummariesRejectARepeatedDeviceOrder) {
+  SweepCell cell;
+  cell.model = "m";
+  cell.device = "a";
+  cell.status = CellStatus::kOk;
+  const std::vector<std::string> order = {"a", "b", "a"};
+  EXPECT_THROW(summarize_cells({cell}, order, {}, Constraints{}), CheckError);
+}
+
+TEST(SweepValidation, CellsViewTheStaticNames) {
+  // The cells outlive the request: their names are the zoo's and the
+  // device table's, not copies of the request's strings.
+  SweepResult result;
+  {
+    SweepRequest request = small_request();
+    result = SweepEngine(trained_estimator()).run(request);
+  }
+  ASSERT_EQ(result.cells.size(), 6u);
+  for (const SweepCell& cell : result.cells) {
+    const cnn::zoo::ZooEntry* entry = cnn::zoo::find(cell.model);
+    ASSERT_NE(entry, nullptr);
+    EXPECT_EQ(cell.model.data(), entry->name.data());
+    const gpu::DeviceSpec* device = gpu::find_device(cell.device);
+    ASSERT_NE(device, nullptr);
+    EXPECT_EQ(cell.device.data(), device->name.data());
+  }
 }
 
 #ifdef GPUPERF_FAULT_INJECTION

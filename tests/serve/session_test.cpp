@@ -285,6 +285,29 @@ TEST(ServeSession, DseValidatesModelsAndDevices) {
             std::string::npos);
 }
 
+TEST(ServeSession, DseRejectsARepeatedDevice) {
+  // One device twice used to answer a nameless ghost recommendation.
+  const std::string body = shared_session().handle_line(
+      "dse alexnet --devices=v100s,v100s");
+  EXPECT_NE(body.find("\"code\":\"invalid_request\""), std::string::npos)
+      << body;
+  EXPECT_NE(body.find("device 'v100s' is listed twice"), std::string::npos)
+      << body;
+}
+
+TEST(ServeSession, DseRejectsNegativeOrNonFiniteConstraints) {
+  for (const char* flag :
+       {"--w-latency=nan", "--w-power=inf", "--max-latency-ms=-1",
+        "--max-cost-usd=nan", "--w-cost=-inf", "--max-power-w=-0.5"}) {
+    const std::string body = shared_session().handle_line(
+        std::string("dse alexnet --devices=gtx1060,v100s ") + flag);
+    EXPECT_NE(body.find("\"code\":\"invalid_request\""), std::string::npos)
+        << flag << ": " << body;
+    EXPECT_NE(body.find("must be finite and non-negative"), std::string::npos)
+        << flag << ": " << body;
+  }
+}
+
 /// A dse body from its "pareto" field on: the answer without the
 /// telemetry fields before it.
 std::string dse_answer(const std::string& body) {

@@ -381,7 +381,7 @@ int cmd_dse(const Args& args) {
   for (const auto& s : result.ranking) {
     std::string verdict = s.feasible
                               ? (s.pareto ? "pareto" : "feasible")
-                              : "infeasible: " + s.infeasible_reason;
+                              : "infeasible: " + std::string(s.infeasible_reason);
     table.add_row({s.feasible ? std::to_string(rank++) : "-", s.device,
                    verdict, s.feasible ? fixed(s.score, 3) : "-",
                    fixed(s.total_latency_ms, 2), fixed(s.peak_power_w, 0),
